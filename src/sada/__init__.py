@@ -15,7 +15,6 @@ from .errors import (
     SingularGram,
     SingularHessian,
     SingularJacobian,
-    WeightEstimationFailed,
     ZeroGram,
 )
 from .estimators import (

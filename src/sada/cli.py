@@ -22,8 +22,8 @@ from .errors import (
     SadaError,
     SchemaError,
 )
-from .estimators import naive_estimate, ppi_estimate, ppi_pp_estimate, sada_estimate
-from .inference import attach_inference
+from .estimators import parse_method
+from .inference import run_method
 from .io import (
     format_human_table,
     load_dataset_csv,
@@ -33,7 +33,7 @@ from .io import (
     write_sim_table,
 )
 from .models import mean_model, ols_model
-from .simulate import DEFAULT_METHODS, SyntheticConfig, efficiency_curve, parse_method
+from .simulate import DEFAULT_METHODS, SyntheticConfig, efficiency_curve
 from .weighting import DEFAULT_RIDGE_SCALE
 
 _DATA_ERRORS = (
@@ -157,29 +157,18 @@ def _build_model(name: str, d: int):
     raise ConfigError(f"unknown model {name!r}")
 
 
-def _run_method(ds, model, token: str, level: float, centering: bool, ridge_scale: float):
-    tag, k = parse_method(token)
-    if tag == "oracle":
-        raise ConfigError("oracle method needs ground-truth labels; simulation only")
-    if k is not None and k > ds.K:
-        raise ConfigError(f"method {token!r} refers to column {k} but the file has K={ds.K}")
-    if tag == "naive":
-        report = naive_estimate(ds, model)
-    elif tag == "ppi":
-        report = ppi_estimate(ds, model, k)
-    elif tag == "ppi_pp":
-        report = ppi_pp_estimate(ds, model, k, centering=centering, ridge_scale=ridge_scale)
-    else:
-        report = sada_estimate(ds, model, centering=centering, ridge_scale=ridge_scale)
-    return attach_inference(report, ds, model, level, centering, ridge_scale)
-
-
 def _common_meta(args, config, command: str) -> dict:
+    level = _as_float(_resolve("level", args.level, config), "level")
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"level must be in (0, 1), got {level!r}")
+    ridge_scale = _as_float(_resolve("ridge_scale", args.ridge_scale, config), "ridge_scale")
+    if not (np.isfinite(ridge_scale) and ridge_scale >= 0.0):
+        raise ConfigError(f"ridge_scale must be a finite number >= 0, got {ridge_scale!r}")
     return {
         "command": command,
-        "level": _as_float(_resolve("level", args.level, config), "level"),
+        "level": level,
         "centering": _as_bool(_resolve("centering", args.centering, config), "centering"),
-        "ridge_scale": _as_float(_resolve("ridge_scale", args.ridge_scale, config), "ridge_scale"),
+        "ridge_scale": ridge_scale,
         "seed": _as_int(_resolve("seed", args.seed, config), "seed"),
         "out": str(_resolve("out", args.out, config)),
     }
@@ -194,7 +183,7 @@ def cmd_estimate(args) -> int:
     tokens = _parse_methods(_resolve("methods", args.methods, config), ("naive", "sada"))
 
     reports = [
-        _run_method(ds, model, token, meta["level"], meta["centering"], meta["ridge_scale"])
+        run_method(ds, model, token, meta["level"], meta["centering"], meta["ridge_scale"])
         for token in tokens
     ]
     meta.update(
@@ -240,7 +229,7 @@ def cmd_compare(args) -> int:
 
     entries = []
     for token in tokens:
-        report = _run_method(ds, model, token, meta["level"], meta["centering"], meta["ridge_scale"])
+        report = run_method(ds, model, token, meta["level"], meta["centering"], meta["ridge_scale"])
         variance = float(np.trace(np.atleast_2d(report.covariance))) / ds.n
         entries.append((token, report, variance))
     entries.sort(key=lambda e: e[2])
@@ -313,13 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="RNG seed")
         sp.add_argument("--centering", choices=["on", "off"], help="moment centering")
         sp.add_argument("--ridge-scale", dest="ridge_scale", type=float, help="gram ridge multiplier")
-        sp.add_argument("--methods", help="comma-separated method tokens")
         sp.add_argument("--out", help="output directory")
 
     sp_est = sub.add_parser("estimate", help="estimate from a CSV file")
     sp_est.add_argument("csv", help="input CSV (x_*, y, yhat_* columns)")
     sp_est.add_argument("--model", choices=["mean", "ols"])
     add_common(sp_est)
+    sp_est.add_argument("--methods", help="comma-separated method tokens")
     sp_est.set_defaults(func=cmd_estimate)
 
     sp_cmp = sub.add_parser("compare", help="side-by-side method comparison on a CSV file")
@@ -330,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp_sim = sub.add_parser("simulate", help="synthetic efficiency study")
     add_common(sp_sim)
+    sp_sim.add_argument("--methods", help="comma-separated method tokens")
     sp_sim.add_argument("--reps", type=int, help="Monte Carlo replications per gamma")
     sp_sim.add_argument("--gamma-grid", dest="gamma_grid", help="comma list or start:stop:count")
     sp_sim.add_argument("--workers", type=int, help="worker processes")

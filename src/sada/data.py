@@ -5,7 +5,7 @@ unlabeled.  Loaders reorder on ingestion so the math never carries a mask.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     predictions: np.ndarray
-    _validated: bool = field(default=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -47,10 +46,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def n_unlabeled(self) -> int:
-        return self.N - self.n
 
     @classmethod
     def from_arrays(cls, features, labels, predictions) -> "Dataset":
@@ -121,7 +116,7 @@ def validate_dataset(raw: Dataset) -> Dataset:
     predictions = predictions.copy()
     for arr in (features, labels, predictions):
         arr.setflags(write=False)
-    return Dataset(features=features, labels=labels, predictions=predictions, _validated=True)
+    return Dataset(features=features, labels=labels, predictions=predictions)
 
 
 def stacked_score(model, x: np.ndarray, preds: np.ndarray, theta: np.ndarray) -> np.ndarray:

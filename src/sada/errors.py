@@ -43,10 +43,6 @@ class ZeroGram(SingularGram):
     """Gram matrix is identically zero (all prediction columns carry no variation)."""
 
 
-class WeightEstimationFailed(SadaError):
-    """Optimal-weight estimation failed; callers degrade to the naive estimator."""
-
-
 # --- inference ---
 
 class SingularHessian(SadaError):

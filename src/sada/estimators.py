@@ -25,8 +25,15 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, stacked_score_matrix
-from .errors import SingularGram
-from .models import ScoreModel, SolverConfig, solve_estimating_equation, solve_score_root
+from .errors import ConfigError, SingularGram
+from .models import (
+    RCOND_THRESHOLD,
+    ScoreModel,
+    SolverConfig,
+    rcond,
+    solve_estimating_equation,
+    solve_score_root,
+)
 from .weighting import (
     DEFAULT_RIDGE_SCALE,
     estimate_general_weights,
@@ -36,8 +43,30 @@ from .weighting import (
 
 METHOD_TAGS = ("naive", "ppi", "ppi_pp", "sada", "oracle")
 
-#: Reciprocal condition threshold below which a Hessian is treated as degenerate.
-_HESSIAN_RCOND = 1e-12
+
+def parse_method(token: str) -> tuple[str, int | None]:
+    """Split a method token into (tag, prediction column or None).
+
+    Tokens: ``naive``, ``sada``, ``oracle``, ``ppi:<k>``, ``ppi_pp:<k>`` with
+    1-based prediction column k (bare ``ppi`` / ``ppi_pp`` mean column 1).
+    """
+    name, _, col = token.partition(":")
+    name = name.strip()
+    if name not in METHOD_TAGS:
+        raise ConfigError(f"unknown method {token!r}")
+    if name not in ("ppi", "ppi_pp"):
+        if col:
+            raise ConfigError(f"method {name!r} takes no column index: {token!r}")
+        return name, None
+    if not col:
+        return name, 1
+    try:
+        k = int(col)
+    except ValueError:
+        raise ConfigError(f"bad column index in method token {token!r}") from None
+    if k < 1:
+        raise ConfigError(f"column index must be >= 1 in {token!r}")
+    return name, k
 
 
 @dataclass(frozen=True)
@@ -77,15 +106,24 @@ def _column_view(ds: Dataset, k: int) -> Dataset:
         features=ds.features,
         labels=ds.labels,
         predictions=ds.predictions[:, [k - 1]],
-        _validated=True,
     )
 
 
-def _embed_block(ds: Dataset, p: int, k: int, block: np.ndarray) -> np.ndarray:
-    """Place a (p, p) block at position k (1-based) of an otherwise-zero weight matrix."""
+def _solve_column(
+    ds: Dataset, sub: Dataset, model: ScoreModel, k: int, omega: float,
+    cfg: SolverConfig | None, theta0: np.ndarray | None = None,
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Root with weight omega * I on column k, whose view is ``sub``.
+
+    Returns (theta_hat, iterations, W), W being omega * I in block k of an
+    otherwise-zero (K*p, p) weight matrix over all of ``ds``'s columns.
+    """
+    p = model.p
+    block = omega * np.eye(p)
+    theta, iters = solve_weighted(sub, model, block, cfg, theta0)
     W = np.zeros((ds.K * p, p))
     W[(k - 1) * p: k * p, :] = block
-    return W
+    return theta, iters, W
 
 
 def solve_weighted(
@@ -165,12 +203,11 @@ def ppi_estimate(
     ``mean(y_L) + mean(yhat_k on U) - mean(yhat_k on L)``.  Columns beyond the
     first are handled per-column by analogy (recorded in diagnostics).
     """
-    sub = _column_view(ds, k)
-    theta, iters = solve_weighted(sub, model, np.eye(model.p), cfg)
+    theta, iters, W = _solve_column(ds, _column_view(ds, k), model, k, 1.0, cfg)
     return EstimateReport(
         theta_hat=theta,
         method="ppi",
-        weights=_embed_block(ds, model.p, k, np.eye(model.p)),
+        weights=W,
         diagnostics={"solver_iterations": iters, "prediction_column": k},
     )
 
@@ -196,7 +233,6 @@ def ppi_pp_estimate(
     """
     sub = _column_view(ds, k)
     pilot, _ = solve_score_root(model, ds.features[: ds.n], ds.labels, cfg)
-    p = model.p
     diagnostics: dict = {
         "prediction_column": k,
         "centering": centering,
@@ -205,7 +241,7 @@ def ppi_pp_estimate(
 
     omega = 0.0
     H = np.mean(model.jacobian(ds.features[: ds.n], ds.labels, pilot), axis=0)
-    if _rcond(H) < _HESSIAN_RCOND:
+    if rcond(H) < RCOND_THRESHOLD:
         diagnostics["degenerate"] = "singular_hessian"
     else:
         Hinv = np.linalg.inv(H)
@@ -221,15 +257,10 @@ def ppi_pp_estimate(
         except SingularGram:
             diagnostics["degenerate"] = "singular_gram"
 
-    theta, iters = solve_weighted(sub, model, omega * np.eye(p), cfg, theta0=pilot)
+    theta, iters, W = _solve_column(ds, sub, model, k, omega, cfg, theta0=pilot)
     diagnostics["solver_iterations"] = iters
     diagnostics["omega"] = omega
-    return EstimateReport(
-        theta_hat=theta,
-        method="ppi_pp",
-        weights=_embed_block(ds, p, k, omega * np.eye(p)),
-        diagnostics=diagnostics,
-    )
+    return EstimateReport(theta_hat=theta, method="ppi_pp", weights=W, diagnostics=diagnostics)
 
 
 def sada_estimate(
@@ -238,7 +269,6 @@ def sada_estimate(
     cfg: SolverConfig | None = None,
     centering: bool = True,
     ridge_scale: float = DEFAULT_RIDGE_SCALE,
-    second_pass: bool = False,
 ) -> EstimateReport:
     """Safe-and-adaptive aggregation across all prediction columns.
 
@@ -246,11 +276,6 @@ def sada_estimate(
     the pilot, scaled by (N-n)/N to the population convention, (3) root of
     the weighted estimating equation.  Weight-estimation failure degrades to
     the naive estimate with a diagnostic instead of raising.
-
-    Args:
-        second_pass: re-estimate the weights at the first-pass solution and
-            solve once more (off by default; the standard protocol is a
-            single pass).
     """
     pilot, pilot_iters = solve_score_root(model, ds.features[: ds.n], ds.labels, cfg)
     p = model.p
@@ -277,19 +302,5 @@ def sada_estimate(
         )
 
     theta, iters = solve_weighted(ds, model, W, cfg, theta0=pilot)
-    if second_pass:
-        W = scale * estimate_general_weights(
-            ds, model, theta, centering=centering, ridge_scale=ridge_scale
-        )
-        theta, iters = solve_weighted(ds, model, W, cfg, theta0=theta)
-        diagnostics["second_pass"] = True
     diagnostics["solver_iterations"] = iters
     return EstimateReport(theta_hat=theta, method="sada", weights=W, diagnostics=diagnostics)
-
-
-def _rcond(M: np.ndarray) -> float:
-    svals = np.linalg.svd(M, compute_uv=False)
-    top = float(svals[0])
-    if top == 0.0:
-        return 0.0
-    return float(svals[-1]) / top

@@ -17,18 +17,24 @@ with n the labeled count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
 from .data import Dataset
-from .errors import SingularHessian, ZeroGram
-from .estimators import EstimateReport, Intervals
-from .models import ScoreModel
+from .errors import ConfigError, SingularHessian, ZeroGram
+from .estimators import (
+    EstimateReport,
+    Intervals,
+    naive_estimate,
+    oracle_estimate,
+    parse_method,
+    ppi_estimate,
+    ppi_pp_estimate,
+    sada_estimate,
+)
+from .models import RCOND_THRESHOLD, ScoreModel, rcond
 from .quantiles import chi2_quantile, normal_quantile
-from .weighting import DEFAULT_RIDGE_SCALE, moment_estimates, regularize_gram
-
-_HESSIAN_RCOND = 1e-12
+from .weighting import DEFAULT_RIDGE_SCALE, moment_estimates, solve_gram
 
 
 @dataclass(frozen=True)
@@ -71,10 +77,9 @@ def estimate_sigma_g(
     """
     moments = moment_estimates(ds, model, theta_hat, centering=centering)
     try:
-        gram_reg = regularize_gram(moments.gram, ridge_scale)
+        solved = solve_gram(moments.gram, moments.cross, ridge_scale)
     except ZeroGram:
         return np.zeros((model.p, model.p))
-    solved = np.linalg.pinv(gram_reg, rcond=_HESSIAN_RCOND, hermitian=True) @ moments.cross
     sigma_g = moments.cross.T @ solved
     return 0.5 * (sigma_g + sigma_g.T)
 
@@ -138,10 +143,17 @@ def covariance_and_intervals(
     Raises:
         SingularHessian: H is not invertible at the working tolerance.
     """
+    return _sandwich_intervals(parts.H_hat, parts.sigma_opt, theta_hat, n, level)
+
+
+def _sandwich_intervals(
+    H: np.ndarray, sigma: np.ndarray, theta_hat: np.ndarray, n: int, level: float
+) -> tuple[np.ndarray, Intervals, dict]:
+    """Floor the diagonal of sigma, form Omega = Hinv sigma Hinv', then the intervals."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    sigma_opt, floored = _floor_diagonal(parts.sigma_opt)
-    omega = _sandwich(parts.H_hat, sigma_opt)
+    sigma, floored = _floor_diagonal(sigma)
+    omega = _sandwich(H, sigma)
     intervals = intervals_from_covariance(omega, theta_hat, n, level)
     diagnostics = {"floored_components": floored} if floored else {}
     return omega, intervals, diagnostics
@@ -181,7 +193,7 @@ def confidence_region(
             zero-variance component).
     """
     p = omega.shape[0]
-    if _rcond(omega) < _HESSIAN_RCOND:
+    if rcond(omega) < RCOND_THRESHOLD:
         raise SingularHessian("covariance matrix is singular; no ellipsoidal region")
     return EllipsoidRegion(
         center=np.asarray(theta_hat, dtype=float),
@@ -209,16 +221,12 @@ def attach_inference(
     theta = report.theta_hat
     if report.method == "sada" and "weight_fallback" not in report.diagnostics:
         parts = sandwich_parts(ds, model, theta, centering, ridge_scale)
-        omega, intervals, extra = covariance_and_intervals(parts, theta, ds.n, level)
+        H, sigma = parts.H_hat, parts.sigma_opt
     else:
         H = estimate_hessian(ds, model, theta)
-        if _rcond(H) < _HESSIAN_RCOND:
-            raise SingularHessian("estimated Hessian is singular")
         W = report.weights if report.weights is not None else np.zeros((ds.K * model.p, model.p))
-        sigma, floored = _floor_diagonal(weighted_sigma(ds, model, theta, W, centering))
-        omega = _sandwich(H, sigma)
-        intervals = intervals_from_covariance(omega, theta, ds.n, level)
-        extra = {"floored_components": floored} if floored else {}
+        sigma = weighted_sigma(ds, model, theta, W, centering)
+    omega, intervals, extra = _sandwich_intervals(H, sigma, theta, ds.n, level)
     diagnostics = dict(report.diagnostics)
     diagnostics.update(extra)
     return replace(report, covariance=omega, intervals=intervals, diagnostics=diagnostics)
@@ -234,16 +242,44 @@ def _floor_diagonal(sigma: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def _sandwich(H: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    if _rcond(H) < _HESSIAN_RCOND:
+    if rcond(H) < RCOND_THRESHOLD:
         raise SingularHessian("estimated Hessian is singular")
     Hinv = np.linalg.inv(H)
     omega = Hinv @ sigma @ Hinv.T
     return 0.5 * (omega + omega.T)
 
 
-def _rcond(M: np.ndarray) -> float:
-    svals = np.linalg.svd(M, compute_uv=False)
-    top = float(svals[0])
-    if top == 0.0:
-        return 0.0
-    return float(svals[-1]) / top
+def run_method(
+    ds: Dataset,
+    model: ScoreModel,
+    token: str,
+    level: float,
+    centering: bool,
+    ridge_scale: float,
+    truth: np.ndarray | None = None,
+) -> EstimateReport:
+    """Fit the method a token names (see ``parse_method``) and attach its inference.
+
+    The oracle needs ``truth``, the true labels of all N rows, and its report
+    carries no covariance or intervals.
+
+    Raises:
+        ConfigError: unknown token, a column beyond ``ds.K``, or ``oracle``
+            without ``truth``.
+    """
+    tag, k = parse_method(token)
+    if tag == "oracle":
+        if truth is None:
+            raise ConfigError("oracle method needs ground-truth labels; simulation only")
+        return oracle_estimate(ds, truth, model)
+    if k is not None and k > ds.K:
+        raise ConfigError(f"method {token!r} refers to column {k} but the data has K={ds.K}")
+    if tag == "naive":
+        report = naive_estimate(ds, model)
+    elif tag == "ppi":
+        report = ppi_estimate(ds, model, k)
+    elif tag == "ppi_pp":
+        report = ppi_pp_estimate(ds, model, k, centering=centering, ridge_scale=ridge_scale)
+    else:
+        report = sada_estimate(ds, model, centering=centering, ridge_scale=ridge_scale)
+    return attach_inference(report, ds, model, level, centering, ridge_scale)

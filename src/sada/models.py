@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import NonConvergence, SingularJacobian
 
-#: Reciprocal condition number below which a Newton Jacobian is treated as singular.
+#: Reciprocal condition number below which a Jacobian, Hessian or covariance
+#: is treated as singular; also the relative cutoff of the gram pseudo-inverse.
 RCOND_THRESHOLD = 1e-12
 
 
@@ -117,7 +118,8 @@ def solve_estimating_equation(
         (theta_hat, iterations).
 
     Raises:
-        SingularJacobian: Jacobian reciprocal condition number below 1e-12.
+        SingularJacobian: Jacobian reciprocal condition number below
+            RCOND_THRESHOLD.
         NonConvergence: tolerance not met within max_iters, or step halving
             stalled without reducing the residual.
     """
@@ -129,7 +131,7 @@ def solve_estimating_equation(
         if norm <= cfg.abs_tol:
             return theta, iteration
         J = np.asarray(jac(theta), dtype=float)
-        if not np.all(np.isfinite(J)) or _rcond(J) < RCOND_THRESHOLD:
+        if not np.all(np.isfinite(J)) or rcond(J) < RCOND_THRESHOLD:
             raise SingularJacobian(
                 f"Jacobian is singular at iteration {iteration} (rcond < {RCOND_THRESHOLD:g})"
             )
@@ -174,9 +176,9 @@ def solve_score_root(
     return solve_estimating_equation(residual, jac, theta0, cfg)
 
 
-def _rcond(J: np.ndarray) -> float:
+def rcond(M: np.ndarray) -> float:
     """Reciprocal 2-norm condition number (0 for exactly singular)."""
-    svals = np.linalg.svd(J, compute_uv=False)
+    svals = np.linalg.svd(M, compute_uv=False)
     top = float(svals[0])
     if top == 0.0:
         return 0.0

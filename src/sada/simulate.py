@@ -3,10 +3,8 @@
 Every replicate draws its own RNG substream from ``SeedSequence(seed,
 spawn_key=(rep_index,))``, so results are bit-identical no matter how the
 replicates are distributed over worker processes.  Aggregation is a single
-deterministic reduction over rep-indexed arrays.
-
-Method tokens: ``naive``, ``sada``, ``oracle``, ``ppi:<k>``, ``ppi_pp:<k>``
-with 1-based prediction column k (bare ``ppi`` / ``ppi_pp`` mean column 1).
+deterministic reduction over rep-indexed arrays.  Methods are named by the
+tokens of ``estimators.parse_method``.
 """
 from __future__ import annotations
 
@@ -18,14 +16,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, SadaError
-from .estimators import (
-    naive_estimate,
-    oracle_estimate,
-    ppi_estimate,
-    ppi_pp_estimate,
-    sada_estimate,
-)
-from .inference import attach_inference
+from .estimators import parse_method
+from .inference import run_method
 from .models import ScoreModel, mean_model, ols_model
 from .weighting import DEFAULT_RIDGE_SCALE
 
@@ -163,34 +155,12 @@ def _theta_star_for(kind: str, cfg) -> np.ndarray:
     return np.asarray(cfg.theta_star, dtype=float)
 
 
-def parse_method(token: str) -> tuple[str, int | None]:
-    """Split a method token into (tag, prediction column or None)."""
-    name, _, col = token.partition(":")
-    name = name.strip()
-    if name in ("naive", "sada", "oracle"):
-        if col:
-            raise ConfigError(f"method {name!r} takes no column index: {token!r}")
-        return name, None
-    if name in ("ppi", "ppi_pp"):
-        if not col:
-            return name, 1
-        try:
-            k = int(col)
-        except ValueError:
-            raise ConfigError(f"bad column index in method token {token!r}") from None
-        if k < 1:
-            raise ConfigError(f"column index must be >= 1 in {token!r}")
-        return name, k
-    raise ConfigError(f"unknown method {token!r}")
-
-
 @dataclass(frozen=True)
 class SimStudyResult:
     """Aggregated Monte Carlo results for one study configuration.
 
     Per-method arrays are indexed by parameter component; ``estimates``
-    carries the raw per-replication estimates for replay and plotting, and
-    ``rep_seeds`` the substream spawn keys (one per replicate).
+    carries the raw per-replication estimates for replay and plotting.
     """
 
     kind: str
@@ -205,37 +175,30 @@ class SimStudyResult:
     rel_efficiency: dict = field(default_factory=dict)
     coverage: dict = field(default_factory=dict)
     failures: dict = field(default_factory=dict)
-    rep_seeds: tuple = ()
 
 
 def _run_one_rep(kind: str, cfg, methods: Sequence[str], level: float,
                  centering: bool, ridge_scale: float, rep: int, strict: bool):
-    """Run every method on one replicate; returns {token: (theta, lo, hi) | None}."""
+    """Run every method on one replicate; returns {token: (theta, lo, hi) | None}.
+
+    A configuration error is the same for every replicate, so it is raised,
+    never counted as a failed fit.
+    """
     ds, truth = _STUDIES[kind](cfg, rep)
     model = _model_for(kind)
     out = {}
     for token in methods:
-        tag, k = parse_method(token)
         try:
-            if tag == "naive":
-                rep_out = naive_estimate(ds, model)
-            elif tag == "ppi":
-                rep_out = ppi_estimate(ds, model, k)
-            elif tag == "ppi_pp":
-                rep_out = ppi_pp_estimate(ds, model, k, centering=centering, ridge_scale=ridge_scale)
-            elif tag == "sada":
-                rep_out = sada_estimate(ds, model, centering=centering, ridge_scale=ridge_scale)
-            else:
-                rep_out = oracle_estimate(ds, truth, model)
-            if tag == "oracle":
-                out[token] = (rep_out.theta_hat, None, None)
-            else:
-                rep_out = attach_inference(rep_out, ds, model, level, centering, ridge_scale)
-                out[token] = (rep_out.theta_hat, rep_out.intervals.lower, rep_out.intervals.upper)
+            report = run_method(ds, model, token, level, centering, ridge_scale, truth)
+        except ConfigError:
+            raise
         except SadaError:
             if strict:
                 raise
             out[token] = None
+            continue
+        iv = report.intervals
+        out[token] = (report.theta_hat, None, None) if iv is None else (report.theta_hat, iv.lower, iv.upper)
     return out
 
 
@@ -325,7 +288,6 @@ def _run_study(
         rel_efficiency=rel_eff,
         coverage=coverage,
         failures=failures,
-        rep_seeds=tuple(range(reps)),
     )
 
 

@@ -22,13 +22,10 @@ import numpy as np
 
 from .data import Dataset, stacked_score_matrix
 from .errors import SingularGram, ZeroGram
-from .models import ScoreModel, SolverConfig, solve_score_root
+from .models import RCOND_THRESHOLD, ScoreModel, SolverConfig, solve_score_root
 
 #: Default ridge multiplier: lambda = ridge_scale * trace(gram) / dim.
 DEFAULT_RIDGE_SCALE = 1e-8
-
-#: Relative singular-value cutoff for the pseudo-inverse of the gram matrix.
-_PINV_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,14 +78,14 @@ def regularize_gram(gram: np.ndarray, ridge_scale: float = DEFAULT_RIDGE_SCALE) 
     return gram + lam * np.eye(dim)
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray, ridge_scale: float) -> np.ndarray:
+def solve_gram(gram: np.ndarray, rhs: np.ndarray, ridge_scale: float) -> np.ndarray:
     """Solve (gram + ridge) @ x = rhs via a symmetric pseudo-inverse.
 
     The pseudo-inverse keeps exactly collinear prediction columns usable
     (minimum-norm solution) when the ridge is disabled.
     """
     reg = regularize_gram(gram, ridge_scale)
-    solution = np.linalg.pinv(reg, rcond=_PINV_RCOND, hermitian=True) @ rhs
+    solution = np.linalg.pinv(reg, rcond=RCOND_THRESHOLD, hermitian=True) @ rhs
     if not np.all(np.isfinite(solution)):
         raise SingularGram("weight solve produced non-finite values")
     return solution
@@ -117,7 +114,7 @@ def estimate_mean_weights(
     gram = preds_centered.T @ preds_centered / ds.N
     cross = preds_centered[: ds.n].T @ labels_centered / ds.n
     factor = (ds.N - ds.n) / ds.N
-    return factor * _solve_gram(gram, cross, ridge_scale)
+    return factor * solve_gram(gram, cross, ridge_scale)
 
 
 def estimate_general_weights(
@@ -153,4 +150,4 @@ def estimate_general_weights(
     if not np.all(np.isfinite(theta_pilot)):
         raise ValueError("theta_pilot must be finite")
     moments = moment_estimates(ds, model, theta_pilot, centering=centering)
-    return _solve_gram(moments.gram, moments.cross, ridge_scale)
+    return solve_gram(moments.gram, moments.cross, ridge_scale)

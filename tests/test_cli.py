@@ -105,6 +105,45 @@ def test_numerical_failure_exits_four(tmp_path, capsys):
     assert "SingularJacobian" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["simulate", "--workers", "1"], ["simulate", "--workers", "2"], ["estimate"]])
+def test_column_beyond_k_exits_two(tmp_path, capsys, command):
+    # the synthetic study and the CSV both have K = 2
+    if command[0] == "simulate":
+        args = command + ["--reps", "4", "--gamma-grid", "0.5", "--total-rows", "40", "--labeled-rows", "10"]
+    else:
+        args = command + [str(make_csv(tmp_path, K=2))]
+    assert main(args + ["--methods", "naive,ppi:3", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("ConfigError: method 'ppi:3' refers to column 3")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare", "simulate"])
+@pytest.mark.parametrize(
+    "flags", [["--level", "1.5"], ["--level", "0"], ["--ridge-scale", "-1"], ["--ridge-scale", "nan"]]
+)
+def test_out_of_range_level_or_ridge_scale_exits_two(tmp_path, capsys, command, flags):
+    args = [command] if command == "simulate" else [command, str(make_csv(tmp_path))]
+    assert main(args + flags + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("ConfigError:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_of_range_level_in_config_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("level = 1.5\n")
+    out = tmp_path / "out"
+    assert main(["estimate", str(make_csv(tmp_path)), "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("ConfigError:")
+
+
+def test_compare_has_no_methods_flag(tmp_path, capsys):
+    csv_path = make_csv(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", str(csv_path), "--methods", "naive"])
+    assert exc.value.code == 2
+    assert "--methods" in capsys.readouterr().err
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nlevel = 0.9\nreps = 7\nmethods = naive,sada\n")

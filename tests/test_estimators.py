@@ -204,16 +204,6 @@ def test_sada_projection_form():
     assert abs(rep.theta_hat[0] - proj) <= 1e-12
 
 
-def test_sada_second_pass_flag():
-    rng = np.random.default_rng(8)
-    ds, _ = mean_dataset(rng)
-    one = sada_estimate(ds, mean_model())
-    two = sada_estimate(ds, mean_model(), second_pass=True)
-    assert two.diagnostics.get("second_pass") is True
-    # second pass re-tunes at the new root but stays close
-    assert abs(one.theta_hat[0] - two.theta_hat[0]) < 0.05
-
-
 # --- oracle ---
 
 def test_oracle_mean_is_full_average():

@@ -12,7 +12,7 @@ from sada import (
     ols_coverage_study,
     run_replications,
 )
-from sada.simulate import parse_method
+from sada.estimators import parse_method
 
 
 def test_gamma_one_makes_first_prediction_exact():
