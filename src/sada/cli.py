@@ -1,8 +1,9 @@
 """Command-line surface: ``sada estimate | simulate | compare``.
 
-Configuration comes from an optional key=value file (``--config``) with
-command-line flags taking precedence.  Exit codes: 0 success, 2 config
-error, 3 data error, 4 numerical failure.
+Configuration comes from an optional key=value file (``--config``) whose
+keys are the command's own option names; command-line flags take
+precedence.  Exit codes: 0 success, 2 config error, 3 data error,
+4 numerical failure.
 """
 from __future__ import annotations
 
@@ -158,6 +159,9 @@ def _build_model(name: str, d: int):
 
 
 def _common_meta(args, config, command: str) -> dict:
+    foreign = sorted(set(config) - set(vars(args)))
+    if foreign:
+        raise ConfigError(f"{command} takes no config key {', '.join(map(repr, foreign))}")
     level = _as_float(_resolve("level", args.level, config), "level")
     if not 0.0 < level < 1.0:
         raise ConfigError(f"level must be in (0, 1), got {level!r}")
@@ -169,7 +173,6 @@ def _common_meta(args, config, command: str) -> dict:
         "level": level,
         "centering": _as_bool(_resolve("centering", args.centering, config), "centering"),
         "ridge_scale": ridge_scale,
-        "seed": _as_int(_resolve("seed", args.seed, config), "seed"),
         "out": str(_resolve("out", args.out, config)),
     }
 
@@ -255,7 +258,7 @@ def cmd_simulate(args) -> int:
         n=_as_int(_resolve("labeled_rows", args.labeled_rows, config), "labeled_rows"),
         gamma=0.0,
         reps=_as_int(_resolve("reps", args.reps, config), "reps"),
-        seed=meta["seed"],
+        seed=_as_int(_resolve("seed", args.seed, config), "seed"),
     )
     gammas = parse_gamma_grid(str(_resolve("gamma_grid", args.gamma_grid, config)))
     tokens = _parse_methods(_resolve("methods", args.methods, config), DEFAULT_METHODS)
@@ -299,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--config", help="key = value configuration file")
         sp.add_argument("--level", type=float, help="confidence level (default 0.95)")
-        sp.add_argument("--seed", type=int, help="RNG seed")
         sp.add_argument("--centering", choices=["on", "off"], help="moment centering")
         sp.add_argument("--ridge-scale", dest="ridge_scale", type=float, help="gram ridge multiplier")
         sp.add_argument("--out", help="output directory")
@@ -320,6 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp_sim = sub.add_parser("simulate", help="synthetic efficiency study")
     add_common(sp_sim)
     sp_sim.add_argument("--methods", help="comma-separated method tokens")
+    sp_sim.add_argument("--seed", type=int, help="RNG seed")
     sp_sim.add_argument("--reps", type=int, help="Monte Carlo replications per gamma")
     sp_sim.add_argument("--gamma-grid", dest="gamma_grid", help="comma list or start:stop:count")
     sp_sim.add_argument("--workers", type=int, help="worker processes")

@@ -29,7 +29,6 @@ from .errors import ConfigError, SingularGram
 from .models import (
     RCOND_THRESHOLD,
     ScoreModel,
-    SolverConfig,
     rcond,
     solve_estimating_equation,
     solve_score_root,
@@ -111,7 +110,7 @@ def _column_view(ds: Dataset, k: int) -> Dataset:
 
 def _solve_column(
     ds: Dataset, sub: Dataset, model: ScoreModel, k: int, omega: float,
-    cfg: SolverConfig | None, theta0: np.ndarray | None = None,
+    theta0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """Root with weight omega * I on column k, whose view is ``sub``.
 
@@ -120,7 +119,7 @@ def _solve_column(
     """
     p = model.p
     block = omega * np.eye(p)
-    theta, iters = solve_weighted(sub, model, block, cfg, theta0)
+    theta, iters = solve_weighted(sub, model, block, theta0)
     W = np.zeros((ds.K * p, p))
     W[(k - 1) * p: k * p, :] = block
     return theta, iters, W
@@ -130,7 +129,6 @@ def solve_weighted(
     ds: Dataset,
     model: ScoreModel,
     W: np.ndarray,
-    cfg: SolverConfig | None = None,
     theta0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Solve the weighted estimating equation for a fixed weight matrix W.
@@ -152,7 +150,7 @@ def solve_weighted(
     X_lab, y_lab = ds.features[:n], ds.labels
 
     if not W.any():
-        return solve_score_root(model, X_lab, y_lab, cfg, theta0)
+        return solve_score_root(model, X_lab, y_lab, theta0)
 
     def residual(theta):
         r = np.mean(model.score(X_lab, y_lab, theta), axis=0)
@@ -161,49 +159,47 @@ def solve_weighted(
         return r + W.T @ diff
 
     def jac(theta):
-        J = np.mean(model.jacobian(X_lab, y_lab, theta), axis=0)
         J_diff = np.empty((ds.K * p, p))
         for k in range(ds.K):
-            Jk = np.asarray(model.jacobian(ds.features, ds.predictions[:, k], theta))
-            J_diff[k * p:(k + 1) * p] = Jk[n:].mean(axis=0) - Jk[:n].mean(axis=0)
-        return J + W.T @ J_diff
+            yhat = ds.predictions[:, k]
+            J_diff[k * p:(k + 1) * p] = (
+                model.jacobian(ds.features[n:], yhat[n:], theta)
+                - model.jacobian(X_lab, yhat[:n], theta)
+            )
+        return model.jacobian(X_lab, y_lab, theta) + W.T @ J_diff
 
-    return solve_estimating_equation(residual, jac, theta0 if theta0 is not None else np.zeros(p), cfg)
+    return solve_estimating_equation(residual, jac, theta0 if theta0 is not None else np.zeros(p))
 
 
-def naive_estimate(ds: Dataset, model: ScoreModel, cfg: SolverConfig | None = None) -> EstimateReport:
+def naive_estimate(ds: Dataset, model: ScoreModel) -> EstimateReport:
     """Labeled-data-only estimator: root of the plain sample score equation."""
-    theta, iters = solve_score_root(model, ds.features[: ds.n], ds.labels, cfg)
+    theta, iters = solve_score_root(model, ds.features[: ds.n], ds.labels)
     return EstimateReport(
         theta_hat=theta, method="naive", diagnostics={"solver_iterations": iters}
     )
 
 
-def oracle_estimate(
-    ds: Dataset, truth: np.ndarray, model: ScoreModel, cfg: SolverConfig | None = None
-) -> EstimateReport:
+def oracle_estimate(ds: Dataset, truth: np.ndarray, model: ScoreModel) -> EstimateReport:
     """Infeasible benchmark using the true labels of all N rows (simulation use)."""
     truth = np.asarray(truth, dtype=float)
     if truth.shape != (ds.N,):
         raise ValueError(f"truth must have length N={ds.N}")
     if not np.all(np.isfinite(truth)):
         raise ValueError("truth contains non-finite values")
-    theta, iters = solve_score_root(model, ds.features, truth, cfg)
+    theta, iters = solve_score_root(model, ds.features, truth)
     return EstimateReport(
         theta_hat=theta, method="oracle", diagnostics={"solver_iterations": iters}
     )
 
 
-def ppi_estimate(
-    ds: Dataset, model: ScoreModel, k: int = 1, cfg: SolverConfig | None = None
-) -> EstimateReport:
+def ppi_estimate(ds: Dataset, model: ScoreModel, k: int = 1) -> EstimateReport:
     """Prediction-powered estimator with identity weight on prediction column k.
 
     For the mean model this is
     ``mean(y_L) + mean(yhat_k on U) - mean(yhat_k on L)``.  Columns beyond the
     first are handled per-column by analogy (recorded in diagnostics).
     """
-    theta, iters, W = _solve_column(ds, _column_view(ds, k), model, k, 1.0, cfg)
+    theta, iters, W = _solve_column(ds, _column_view(ds, k), model, k, 1.0)
     return EstimateReport(
         theta_hat=theta,
         method="ppi",
@@ -216,7 +212,6 @@ def ppi_pp_estimate(
     ds: Dataset,
     model: ScoreModel,
     k: int = 1,
-    cfg: SolverConfig | None = None,
     centering: bool = True,
     ridge_scale: float = DEFAULT_RIDGE_SCALE,
 ) -> EstimateReport:
@@ -232,7 +227,7 @@ def ppi_pp_estimate(
     p = 1 this coincides with SADA restricted to column k.
     """
     sub = _column_view(ds, k)
-    pilot, _ = solve_score_root(model, ds.features[: ds.n], ds.labels, cfg)
+    pilot, _ = solve_score_root(model, ds.features[: ds.n], ds.labels)
     diagnostics: dict = {
         "prediction_column": k,
         "centering": centering,
@@ -240,7 +235,7 @@ def ppi_pp_estimate(
     }
 
     omega = 0.0
-    H = np.mean(model.jacobian(ds.features[: ds.n], ds.labels, pilot), axis=0)
+    H = model.jacobian(ds.features[: ds.n], ds.labels, pilot)
     if rcond(H) < RCOND_THRESHOLD:
         diagnostics["degenerate"] = "singular_hessian"
     else:
@@ -257,7 +252,7 @@ def ppi_pp_estimate(
         except SingularGram:
             diagnostics["degenerate"] = "singular_gram"
 
-    theta, iters, W = _solve_column(ds, sub, model, k, omega, cfg, theta0=pilot)
+    theta, iters, W = _solve_column(ds, sub, model, k, omega, theta0=pilot)
     diagnostics["solver_iterations"] = iters
     diagnostics["omega"] = omega
     return EstimateReport(theta_hat=theta, method="ppi_pp", weights=W, diagnostics=diagnostics)
@@ -266,7 +261,6 @@ def ppi_pp_estimate(
 def sada_estimate(
     ds: Dataset,
     model: ScoreModel,
-    cfg: SolverConfig | None = None,
     centering: bool = True,
     ridge_scale: float = DEFAULT_RIDGE_SCALE,
 ) -> EstimateReport:
@@ -277,7 +271,7 @@ def sada_estimate(
     the weighted estimating equation.  Weight-estimation failure degrades to
     the naive estimate with a diagnostic instead of raising.
     """
-    pilot, pilot_iters = solve_score_root(model, ds.features[: ds.n], ds.labels, cfg)
+    pilot, pilot_iters = solve_score_root(model, ds.features[: ds.n], ds.labels)
     p = model.p
     scale = (ds.N - ds.n) / ds.N
     diagnostics: dict = {
@@ -301,6 +295,6 @@ def sada_estimate(
             diagnostics=diagnostics,
         )
 
-    theta, iters = solve_weighted(ds, model, W, cfg, theta0=pilot)
+    theta, iters = solve_weighted(ds, model, W, theta0=pilot)
     diagnostics["solver_iterations"] = iters
     return EstimateReport(theta_hat=theta, method="sada", weights=W, diagnostics=diagnostics)

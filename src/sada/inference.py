@@ -54,7 +54,7 @@ class SandwichParts:
 
 def estimate_hessian(ds: Dataset, model: ScoreModel, theta_hat: np.ndarray) -> np.ndarray:
     """Labeled-sample average of the score Jacobian at theta_hat."""
-    return np.mean(model.jacobian(ds.features[: ds.n], ds.labels, theta_hat), axis=0)
+    return model.jacobian(ds.features[: ds.n], ds.labels, theta_hat)
 
 
 def estimate_sigma_nv(ds: Dataset, model: ScoreModel, theta_hat: np.ndarray) -> np.ndarray:

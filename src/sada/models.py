@@ -1,10 +1,12 @@
 """Built-in score models and the Newton-type estimating-equation solver.
 
 A score model bundles the score function s(x, y; theta) and its Jacobian
-with respect to theta.  Evaluations broadcast over observations: passing a
-single row (x of shape (d,), scalar y) returns a (p,) score and (p, p)
-Jacobian; passing a batch (x of shape (m, d), y of shape (m,)) returns
-(m, p) and (m, p, p).
+with respect to theta.  ``score`` is evaluated per row: a single row (x of
+shape (d,), scalar y) gives a (p,) score, a batch (x of shape (m, d), y of
+shape (m,)) gives (m, p).  ``jacobian`` returns the mean Jacobian over the
+rows it is given, always (p, p); a single row is a batch of one.  Every
+consumer (the Newton step, the Hessian of the sandwich) needs only that
+mean, so no per-row (m, p, p) tensor is ever built.
 
 Sign convention: ``jacobian`` is the derivative of the score itself, so for
 the mean model it is the constant -1.  Downstream sandwich formulas use the
@@ -31,7 +33,8 @@ class ScoreModel:
     Attributes:
         p: parameter dimension.
         score: (x, y, theta) -> per-row score(s), see module docstring.
-        jacobian: (x, y, theta) -> per-row score Jacobian(s) d s / d theta'.
+        jacobian: (x, y, theta) -> (p, p) mean over the given rows of the
+            score Jacobian d s / d theta'.
         name: short identifier used in reports.
     """
 
@@ -66,10 +69,7 @@ def mean_model() -> ScoreModel:
         return (y - theta[0])[:, None]
 
     def jacobian(x, y, theta):
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 0:
-            return np.array([[-1.0]])
-        return np.full((y.shape[0], 1, 1), -1.0)
+        return np.array([[-1.0]])
 
     return ScoreModel(p=1, score=score, jacobian=jacobian, name="mean")
 
@@ -87,10 +87,8 @@ def ols_model(d: int) -> ScoreModel:
         return (y - x @ theta)[:, None] * x
 
     def jacobian(x, y, theta):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return -np.outer(x, x)
-        return -x[:, :, None] * x[:, None, :]
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return -(x.T @ x) / x.shape[0]
 
     return ScoreModel(p=d, score=score, jacobian=jacobian, name="ols")
 
@@ -110,7 +108,7 @@ def solve_estimating_equation(
 
     Args:
         residual: theta -> length-p residual vector.
-        jac: theta -> (p, p) residual Jacobian.
+        jac: theta -> (p, p) residual Jacobian, p = len(theta0).
         theta0: starting point.
         cfg: solver controls; defaults to SolverConfig().
 
@@ -118,6 +116,8 @@ def solve_estimating_equation(
         (theta_hat, iterations).
 
     Raises:
+        ValueError: ``jac`` returned a shape other than (p, p), e.g. one
+            Jacobian per row instead of their mean.
         SingularJacobian: Jacobian reciprocal condition number below
             RCOND_THRESHOLD.
         NonConvergence: tolerance not met within max_iters, or step halving
@@ -131,6 +131,11 @@ def solve_estimating_equation(
         if norm <= cfg.abs_tol:
             return theta, iteration
         J = np.asarray(jac(theta), dtype=float)
+        if J.shape != (theta.size, theta.size):
+            raise ValueError(
+                f"Jacobian shape {J.shape} != {(theta.size, theta.size)}: the Jacobian "
+                "must be the mean over the rows it is given, not one matrix per row"
+            )
         if not np.all(np.isfinite(J)) or rcond(J) < RCOND_THRESHOLD:
             raise SingularJacobian(
                 f"Jacobian is singular at iteration {iteration} (rcond < {RCOND_THRESHOLD:g})"
@@ -160,7 +165,6 @@ def solve_score_root(
     model: ScoreModel,
     X: np.ndarray,
     y: np.ndarray,
-    cfg: SolverConfig | None = None,
     theta0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Solve the plain sample score equation mean_i s(x_i, y_i; theta) = 0."""
@@ -170,10 +174,7 @@ def solve_score_root(
     def residual(theta):
         return np.mean(model.score(X, y, theta), axis=0)
 
-    def jac(theta):
-        return np.mean(model.jacobian(X, y, theta), axis=0)
-
-    return solve_estimating_equation(residual, jac, theta0, cfg)
+    return solve_estimating_equation(residual, lambda theta: model.jacobian(X, y, theta), theta0)
 
 
 def rcond(M: np.ndarray) -> float:

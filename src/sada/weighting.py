@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset, stacked_score_matrix
 from .errors import SingularGram, ZeroGram
-from .models import RCOND_THRESHOLD, ScoreModel, SolverConfig, solve_score_root
+from .models import RCOND_THRESHOLD, ScoreModel, solve_score_root
 
 #: Default ridge multiplier: lambda = ridge_scale * trace(gram) / dim.
 DEFAULT_RIDGE_SCALE = 1e-8
@@ -123,7 +123,6 @@ def estimate_general_weights(
     theta_pilot: np.ndarray | None = None,
     centering: bool = True,
     ridge_scale: float = DEFAULT_RIDGE_SCALE,
-    cfg: SolverConfig | None = None,
 ) -> np.ndarray:
     """General stacked-score weight plug-in (no (N-n)/N factor).
 
@@ -135,7 +134,6 @@ def estimate_general_weights(
         centering: center the moments (default) or keep the raw uncentered
             form.
         ridge_scale: ridge multiplier for the gram matrix.
-        cfg: solver controls for the default pilot solve.
 
     Returns:
         (K*p, p) weight matrix; callers wanting the population convention
@@ -145,7 +143,7 @@ def estimate_general_weights(
         SingularGram: stacked scores carry no usable variation.
     """
     if theta_pilot is None:
-        theta_pilot, _ = solve_score_root(model, ds.features[: ds.n], ds.labels, cfg)
+        theta_pilot, _ = solve_score_root(model, ds.features[: ds.n], ds.labels)
     theta_pilot = np.asarray(theta_pilot, dtype=float)
     if not np.all(np.isfinite(theta_pilot)):
         raise ValueError("theta_pilot must be finite")

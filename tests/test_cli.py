@@ -250,3 +250,25 @@ def test_compare_constant_predictions_collapse_to_naive(tmp_path):
     estimates = {ln.split(",")[0]: float(ln.split(",")[est_idx]) for ln in lines[1:]}
     for method, est in estimates.items():
         assert abs(est - estimates["naive"]) < 1e-10, method
+
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("compare", "methods = naive"), ("simulate", "model = ols"), ("estimate", "reps = 3"), ("estimate", None)],
+)
+def test_option_of_another_command_exits_two(tmp_path, capsys, command, config):
+    # each config key is another command's option; without a config, --seed is simulate's
+    args = [command] if command == "simulate" else [command, str(make_csv(tmp_path))]
+    args += ["--out", str(tmp_path / "out")]
+    if config is None:
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--seed", "1"])
+        code, name = exc.value.code, "--seed"
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(config + "\n")
+        code, name = main(args + ["--config", str(path)]), repr(config.split()[0])
+    assert code == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -3,6 +3,7 @@ import pytest
 
 from sada import (
     NonConvergence,
+    ScoreModel,
     SingularJacobian,
     SolverConfig,
     mean_model,
@@ -40,10 +41,10 @@ def test_batched_evaluation_matches_per_row():
     theta = rng.standard_normal(3)
     S = m.score(X, y, theta)
     J = m.jacobian(X, y, theta)
-    assert S.shape == (6, 3) and J.shape == (6, 3, 3)
+    assert S.shape == (6, 3) and J.shape == (3, 3)
     for i in range(6):
         assert np.allclose(S[i], m.score(X[i], y[i], theta))
-        assert np.allclose(J[i], m.jacobian(X[i], y[i], theta))
+    assert np.allclose(J, np.mean([m.jacobian(X[i], y[i], theta) for i in range(6)], axis=0))
 
 
 def test_jacobians_match_finite_differences():
@@ -63,6 +64,39 @@ def test_jacobians_match_finite_differences():
                 fd[:, j] = (model.score(x, y, theta + step) - model.score(x, y, theta - step)) / (2 * eps)
             scale = max(1.0, float(np.abs(J).max()))
             assert np.allclose(J, fd, atol=1e-5 * scale)
+
+
+def test_batch_jacobian_is_finite_difference_of_mean_score():
+    rng = np.random.default_rng(4)
+    eps = 1e-6
+    for model, d in ((mean_model(), 1), (ols_model(3), 3)):
+        X = rng.standard_normal((8, d))
+        y = rng.standard_normal(8)
+        theta = rng.standard_normal(model.p)
+        J = model.jacobian(X, y, theta)
+        assert J.shape == (model.p, model.p)
+        fd = np.empty((model.p, model.p))
+        for j in range(model.p):
+            step = np.zeros(model.p)
+            step[j] = eps
+            fd[:, j] = (
+                model.score(X, y, theta + step).mean(0) - model.score(X, y, theta - step).mean(0)
+            ) / (2 * eps)
+        assert np.allclose(J, fd, atol=1e-5 * max(1.0, float(np.abs(J).max())))
+
+
+def test_per_row_jacobian_model_is_rejected():
+    # a Jacobian per row, (m, p, p), instead of their (p, p) mean
+    base = ols_model(2)
+    per_row = ScoreModel(
+        p=2,
+        score=base.score,
+        jacobian=lambda x, y, theta: -x[:, :, None] * x[:, None, :],
+    )
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((7, 2))
+    with pytest.raises(ValueError, match=r"\(2, 2\).*mean over the rows"):
+        solve_score_root(per_row, X, rng.standard_normal(7))
 
 
 def test_solver_mean_labels_one_step():
