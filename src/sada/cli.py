@@ -37,13 +37,12 @@ from .models import mean_model, ols_model
 from .simulate import DEFAULT_METHODS, SyntheticConfig, efficiency_curve
 from .weighting import DEFAULT_RIDGE_SCALE
 
-_DATA_ERRORS = (
-    SchemaError,
-    ParseError,
-    DimensionMismatch,
-    NonFiniteValue,
-    NoLabeledRows,
-    NoUnlabeledRows,
+# Exit code by error class; the first match wins, so SadaError takes the rest.
+_EXIT_CODES = (
+    (ConfigError, 2),
+    ((SchemaError, ParseError, DimensionMismatch, NonFiniteValue, NoLabeledRows,
+      NoUnlabeledRows, FileNotFoundError, IsADirectoryError), 3),
+    (SadaError, 4),
 )
 
 _DEFAULTS = {
@@ -66,8 +65,12 @@ _DEFAULTS = {
 
 def read_config_file(path: str | Path) -> dict:
     """Parse a plain-text ``key = value`` configuration file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     out: dict = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -168,12 +171,15 @@ def _common_meta(args, config, command: str) -> dict:
     ridge_scale = _as_float(_resolve("ridge_scale", args.ridge_scale, config), "ridge_scale")
     if not (np.isfinite(ridge_scale) and ridge_scale >= 0.0):
         raise ConfigError(f"ridge_scale must be a finite number >= 0, got {ridge_scale!r}")
+    out = str(_resolve("out", args.out, config))
+    if Path(out).exists() and not Path(out).is_dir():
+        raise ConfigError(f"out {out!r} exists and is not a directory")
     return {
         "command": command,
         "level": level,
         "centering": _as_bool(_resolve("centering", args.centering, config), "centering"),
         "ridge_scale": ridge_scale,
-        "out": str(_resolve("out", args.out, config)),
+        "out": out,
     }
 
 
@@ -263,6 +269,8 @@ def cmd_simulate(args) -> int:
     gammas = parse_gamma_grid(str(_resolve("gamma_grid", args.gamma_grid, config)))
     tokens = _parse_methods(_resolve("methods", args.methods, config), DEFAULT_METHODS)
     workers = _as_int(_resolve("workers", args.workers, config), "workers")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     strict = args.strict or _as_bool(config.get("strict", False), "strict")
 
     rows = efficiency_curve(
@@ -339,18 +347,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (SadaError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except _DATA_ERRORS as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
-        print(f"FileNotFoundError: {exc}", file=sys.stderr)
-        return 3
-    except SadaError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+        return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
 
 
 if __name__ == "__main__":

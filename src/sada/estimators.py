@@ -97,32 +97,34 @@ class EstimateReport:
             raise ValueError("estimate is not finite")
 
 
-def _column_view(ds: Dataset, k: int) -> Dataset:
-    """Dataset restricted to prediction column k (1-based); skips revalidation."""
+def _column_weight(ds: Dataset, p: int, k: int, omega: float) -> np.ndarray:
+    """(K*p, p) weight matrix with omega * I in block k (1-based), zero elsewhere."""
     if not 1 <= k <= ds.K:
         raise ValueError(f"prediction index k={k} outside 1..{ds.K}")
-    return Dataset(
-        features=ds.features,
-        labels=ds.labels,
-        predictions=ds.predictions[:, [k - 1]],
-    )
-
-
-def _solve_column(
-    ds: Dataset, sub: Dataset, model: ScoreModel, k: int, omega: float,
-    theta0: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Root with weight omega * I on column k, whose view is ``sub``.
-
-    Returns (theta_hat, iterations, W), W being omega * I in block k of an
-    otherwise-zero (K*p, p) weight matrix over all of ``ds``'s columns.
-    """
-    p = model.p
-    block = omega * np.eye(p)
-    theta, iters = solve_weighted(sub, model, block, theta0)
     W = np.zeros((ds.K * p, p))
-    W[(k - 1) * p: k * p, :] = block
-    return theta, iters, W
+    W[(k - 1) * p: k * p] = omega * np.eye(p)
+    return W
+
+
+def _used_columns(ds: Dataset, W: np.ndarray, p: int) -> tuple[Dataset, np.ndarray]:
+    """Restrict ``ds`` to the prediction columns whose (p, p) block of W is non-zero.
+
+    A column with a zero block adds nothing to the weighted equation or to its
+    covariance.  W is (K*p, p) or, when p = 1, a length-K vector.  Returns the
+    restricted dataset and the used blocks stacked; ``ds`` itself when W uses
+    every column.
+    """
+    W = np.asarray(W, dtype=float)
+    if W.ndim == 1:
+        W = W[:, None]
+    if W.shape != (ds.K * p, p):
+        raise ValueError(f"weight matrix shape {W.shape} != {(ds.K * p, p)}")
+    blocks = W.reshape(ds.K, p, p)
+    used = blocks.any(axis=(1, 2))
+    if used.all():
+        return ds, W
+    sub = Dataset(features=ds.features, labels=ds.labels, predictions=ds.predictions[:, used])
+    return sub, blocks[used].reshape(-1, p)
 
 
 def solve_weighted(
@@ -134,18 +136,15 @@ def solve_weighted(
     """Solve the weighted estimating equation for a fixed weight matrix W.
 
     W may be given as a (K*p, p) matrix or, when p = 1, a length-K vector.
-    With W = 0 this reproduces the naive estimator; with K = 1 and W = I it
-    reproduces PPI.
+    A prediction column whose block of W is zero is never scored.  With W = 0
+    this reproduces the naive estimator; with K = 1 and W = I it reproduces
+    PPI.
 
     Returns:
         (theta_hat, iterations).
     """
-    W = np.asarray(W, dtype=float)
-    if W.ndim == 1:
-        W = W[:, None]
     p = model.p
-    if W.shape != (ds.K * p, p):
-        raise ValueError(f"weight matrix shape {W.shape} != {(ds.K * p, p)}")
+    ds, W = _used_columns(ds, W, p)
     n = ds.n
     X_lab, y_lab = ds.features[:n], ds.labels
 
@@ -199,7 +198,8 @@ def ppi_estimate(ds: Dataset, model: ScoreModel, k: int = 1) -> EstimateReport:
     ``mean(y_L) + mean(yhat_k on U) - mean(yhat_k on L)``.  Columns beyond the
     first are handled per-column by analogy (recorded in diagnostics).
     """
-    theta, iters, W = _solve_column(ds, _column_view(ds, k), model, k, 1.0)
+    W = _column_weight(ds, model.p, k, 1.0)
+    theta, iters = solve_weighted(ds, model, W)
     return EstimateReport(
         theta_hat=theta,
         method="ppi",
@@ -226,7 +226,7 @@ def ppi_pp_estimate(
     variance or Hessian yields omega = 0, i.e. the naive estimator.  For
     p = 1 this coincides with SADA restricted to column k.
     """
-    sub = _column_view(ds, k)
+    sub, _ = _used_columns(ds, _column_weight(ds, model.p, k, 1.0), model.p)
     pilot, _ = solve_score_root(model, ds.features[: ds.n], ds.labels)
     diagnostics: dict = {
         "prediction_column": k,
@@ -252,7 +252,8 @@ def ppi_pp_estimate(
         except SingularGram:
             diagnostics["degenerate"] = "singular_gram"
 
-    theta, iters, W = _solve_column(ds, sub, model, k, omega, theta0=pilot)
+    W = _column_weight(ds, model.p, k, omega)
+    theta, iters = solve_weighted(ds, model, W, theta0=pilot)
     diagnostics["solver_iterations"] = iters
     diagnostics["omega"] = omega
     return EstimateReport(theta_hat=theta, method="ppi_pp", weights=W, diagnostics=diagnostics)

@@ -25,6 +25,7 @@ from .errors import ConfigError, SingularHessian, ZeroGram
 from .estimators import (
     EstimateReport,
     Intervals,
+    _used_columns,
     naive_estimate,
     oracle_estimate,
     parse_method,
@@ -111,12 +112,11 @@ def weighted_sigma(
     """Middle matrix of the sandwich for a FIXED weight matrix W.
 
     Sigma(W) = Sigma_nv + N/(N-n) W'VW - C'W - W'C, with V and C the stacked
-    auto- and cross-moment plug-ins.  At W = 0 this is exactly Sigma_nv.
+    auto- and cross-moment plug-ins, built only over the prediction columns
+    whose block of W is non-zero.  At W = 0 this is exactly Sigma_nv.
     """
+    ds, W = _used_columns(ds, W, model.p)
     sigma_nv = estimate_sigma_nv(ds, model, theta_hat)
-    W = np.asarray(W, dtype=float)
-    if W.ndim == 1:
-        W = W[:, None]
     if not W.any():
         return sigma_nv
     moments = moment_estimates(ds, model, theta_hat, centering=centering)
@@ -152,8 +152,14 @@ def _sandwich_intervals(
     """Floor the diagonal of sigma, form Omega = Hinv sigma Hinv', then the intervals."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    sigma, floored = _floor_diagonal(sigma)
-    omega = _sandwich(H, sigma)
+    floored = [int(j) for j in np.flatnonzero(np.diag(sigma) < 0.0)]
+    sigma = sigma.copy()
+    sigma[floored, floored] = 0.0
+    if rcond(H) < RCOND_THRESHOLD:
+        raise SingularHessian("estimated Hessian is singular")
+    Hinv = np.linalg.inv(H)
+    omega = Hinv @ sigma @ Hinv.T
+    omega = 0.5 * (omega + omega.T)
     intervals = intervals_from_covariance(omega, theta_hat, n, level)
     diagnostics = {"floored_components": floored} if floored else {}
     return omega, intervals, diagnostics
@@ -230,23 +236,6 @@ def attach_inference(
     diagnostics = dict(report.diagnostics)
     diagnostics.update(extra)
     return replace(report, covariance=omega, intervals=intervals, diagnostics=diagnostics)
-
-
-def _floor_diagonal(sigma: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Floor negative diagonal entries at zero; report which components."""
-    sigma = sigma.copy()
-    floored = [int(j) for j in np.flatnonzero(np.diag(sigma) < 0.0)]
-    for j in floored:
-        sigma[j, j] = 0.0
-    return sigma, floored
-
-
-def _sandwich(H: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    if rcond(H) < RCOND_THRESHOLD:
-        raise SingularHessian("estimated Hessian is singular")
-    Hinv = np.linalg.inv(H)
-    omega = Hinv @ sigma @ Hinv.T
-    return 0.5 * (omega + omega.T)
 
 
 def run_method(

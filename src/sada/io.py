@@ -2,8 +2,8 @@
 
 CSV schema: feature columns are prefixed ``x_``, the label column is ``y``
 (an empty cell marks an unlabeled row), prediction columns are prefixed
-``yhat_`` and their lexical order defines k = 1..K.  Files are UTF-8,
-comma-separated, header row required, ``.`` decimal point.
+``yhat_`` and their lexical order defines k = 1..K.  Files are UTF-8 (a BOM
+is skipped), comma-separated, header row required, ``.`` decimal point.
 
 Machine tables carry full precision (17 significant digits); human tables
 use 4.
@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -53,12 +53,13 @@ def load_dataset_csv(path: str | Path) -> LoadedCsv:
 
     Raises:
         SchemaError: missing header, no yhat_ column, or duplicated names.
-        ParseError: a non-numeric or empty x_/yhat_ cell (with location).
+        ParseError: a non-numeric or empty x_/yhat_ cell (with location), or
+            a file that is not UTF-8 text.
         Validation errors from the dataset layer (all rows labeled, etc.).
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = _csv_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -108,6 +109,13 @@ def load_dataset_csv(path: str | Path) -> LoadedCsv:
         feature_columns=tuple(feature_cols),
         prediction_columns=tuple(pred_cols),
     )
+
+
+def _csv_rows(path: Path, fh) -> Iterator[list[str]]:
+    try:
+        yield from csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_cell(path: Path, line_no: int, column: str, cell: str) -> float:

@@ -272,3 +272,57 @@ def test_option_of_another_command_exits_two(tmp_path, capsys, command, config):
     assert code == 2
     assert name in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _non_utf8_csv(tmp_path):
+    path = make_csv(tmp_path, name="latin1.csv")
+    path.write_bytes(path.read_bytes().replace(b"x_1", b"x_\xe91", 1))
+    return path
+
+
+@pytest.mark.parametrize(
+    "case, code, error",
+    [
+        ("csv not utf-8", 3, "ParseError"),
+        ("csv is a directory", 3, "IsADirectoryError"),
+        ("config not utf-8", 2, "ConfigError"),
+        ("out is a file", 2, "ConfigError"),
+    ],
+)
+def test_unreadable_input_exits_with_its_code(tmp_path, capsys, case, code, error):
+    csv_path, out, config = make_csv(tmp_path), tmp_path / "out", []
+    if case == "csv not utf-8":
+        csv_path = _non_utf8_csv(tmp_path)
+    elif case == "csv is a directory":
+        csv_path = tmp_path / "dir.csv"
+        csv_path.mkdir()
+    elif case == "config not utf-8":
+        (tmp_path / "run.cfg").write_bytes(b"level = 0.9 # \xff\n")
+        config = ["--config", str(tmp_path / "run.cfg")]
+    else:
+        out.write_text("not a directory\n")
+    assert main(["estimate", str(csv_path), "--out", str(out), *config]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error}:")
+    if case == "csv not utf-8":
+        assert str(csv_path) in err
+
+
+@pytest.mark.parametrize("source", ["--workers 0", "--workers -3", "config workers = 0"])
+def test_simulate_workers_below_one_exits_two(tmp_path, capsys, source):
+    args = ["simulate", "--reps", "2", "--gamma-grid", "0.5", "--out", str(tmp_path / "out")]
+    if source.startswith("config"):
+        config = tmp_path / "run.cfg"
+        config.write_text(source.removeprefix("config ") + "\n")
+        args += ["--config", str(config)]
+    else:
+        args += source.split()
+    assert main(args) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_with_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_text("level = 0.9\n", encoding="utf-8-sig")
+    assert read_config_file(path) == {"level": "0.9"}

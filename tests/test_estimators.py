@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from sada import (
+    DEFAULT_RIDGE_SCALE,
     Dataset,
     EstimateReport,
+    ScoreModel,
+    attach_inference,
     mean_model,
     naive_estimate,
     ols_model,
@@ -13,6 +16,7 @@ from sada import (
     sada_estimate,
     solve_weighted,
 )
+from sada.inference import run_method
 
 
 def mean_dataset(rng, N=200, n=60, theta=0.5, perfect_first=False):
@@ -278,3 +282,61 @@ def test_sada_invariant_to_prediction_column_order():
 def test_report_rejects_non_finite_estimate():
     with pytest.raises(ValueError):
         EstimateReport(theta_hat=np.array([np.nan]), method="naive")
+
+
+# --- which prediction columns a per-column method touches ---
+
+def ols_dataset(rng, N=240, n=80, K=3):
+    X = np.column_stack([np.ones(N), rng.standard_normal(N)])
+    y = X @ np.array([0.5, -1.0]) + rng.standard_normal(N)
+    preds = np.column_stack([(1.0 - 0.3 * k) * y + (0.3 + 0.4 * k) * rng.standard_normal(N)
+                             for k in range(K)])
+    return Dataset.from_arrays(X, y[:n], preds)
+
+
+def column_recording(model, ds):
+    """Wrap ``model`` so every call records which prediction column its y came from."""
+    touched = set()
+
+    def record(y):
+        for k in range(ds.K):
+            col = ds.predictions[:, k]
+            if any(np.array_equal(y, part) for part in (col, col[: ds.n], col[ds.n:])):
+                touched.add(k + 1)
+
+    def score(x, y, theta):
+        record(y)
+        return model.score(x, y, theta)
+
+    def jacobian(x, y, theta):
+        record(y)
+        return model.jacobian(x, y, theta)
+
+    return ScoreModel(p=model.p, score=score, jacobian=jacobian, name=model.name), touched
+
+
+@pytest.mark.parametrize("make_model", [mean_model, lambda: ols_model(2)])
+@pytest.mark.parametrize("estimator", [ppi_estimate, ppi_pp_estimate])
+def test_per_column_method_never_scores_another_column(make_model, estimator):
+    ds = ols_dataset(np.random.default_rng(15))
+    for k in range(1, ds.K + 1):
+        model, touched = column_recording(make_model(), ds)
+        attach_inference(estimator(ds, model, k), ds, model)
+        assert touched == {k}
+
+
+@pytest.mark.parametrize("make_model", [mean_model, lambda: ols_model(2)])
+def test_permuting_prediction_columns_permutes_per_column_methods(make_model):
+    ds = ols_dataset(np.random.default_rng(16))
+    perm = [2, 0, 1]  # column j + 1 of the permuted data is column perm[j] + 1 of ds
+    permuted = Dataset.from_arrays(ds.features, ds.labels, ds.predictions[:, perm])
+    model = make_model()
+    pairs = [("sada", "sada")]
+    for j, src in enumerate(perm):
+        pairs += [(f"ppi:{j + 1}", f"ppi:{src + 1}"), (f"ppi_pp:{j + 1}", f"ppi_pp:{src + 1}")]
+    for token_permuted, token in pairs:
+        a = run_method(permuted, model, token_permuted, 0.95, True, DEFAULT_RIDGE_SCALE)
+        b = run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+        for got, want in ((a.theta_hat, b.theta_hat), (a.intervals.lower, b.intervals.lower),
+                          (a.intervals.upper, b.intervals.upper)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), token

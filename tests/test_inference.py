@@ -306,3 +306,12 @@ def test_attach_inference_on_weight_fallback_gives_naive_width():
     assert np.allclose(fallback.covariance, naive.covariance)
     assert np.allclose(fallback.intervals.lower, naive.intervals.lower)
     assert np.allclose(fallback.intervals.upper, naive.intervals.upper)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (4, 1), (2,), (4,)])
+def test_weighted_sigma_rejects_a_misshaped_weight_matrix(shape):
+    rng = np.random.default_rng(17)
+    X = np.column_stack([np.ones(40), rng.standard_normal(40)])
+    ds = Dataset.from_arrays(X, rng.standard_normal(15), rng.standard_normal((40, 2)))
+    with pytest.raises(ValueError, match="weight matrix shape"):
+        weighted_sigma(ds, ols_model(2), np.zeros(2), np.ones(shape))

@@ -131,3 +131,14 @@ def test_human_table_uses_four_significant_digits():
     table = format_human_table(["method", "value"], [["sada", 0.123456789]])
     assert "0.1235" in table
     assert "0.123456789" not in table
+
+
+def test_byte_order_mark_keeps_the_first_column(tmp_path):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    text = "x_1,x_2,y,yhat_1\n1.0,0.5,2.5,2.4\n1.0,-0.3,,3.1\n1.0,1.2,1.5,1.6\n1.0,0.1,,0.9\n"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    loaded = load_dataset_csv(bom)
+    assert loaded.feature_columns == ("x_1", "x_2")
+    assert loaded.dataset == load_dataset_csv(plain).dataset
