@@ -172,8 +172,9 @@ def _common_meta(args, config, command: str) -> dict:
     if not (np.isfinite(ridge_scale) and ridge_scale >= 0.0):
         raise ConfigError(f"ridge_scale must be a finite number >= 0, got {ridge_scale!r}")
     out = str(_resolve("out", args.out, config))
-    if Path(out).exists() and not Path(out).is_dir():
-        raise ConfigError(f"out {out!r} exists and is not a directory")
+    nearest = next((p for p in (Path(out), *Path(out).parents) if p.exists()), None)
+    if nearest is not None and not nearest.is_dir():
+        raise ConfigError(f"out {out!r}: {str(nearest)!r} exists and is not a directory")
     return {
         "command": command,
         "level": level,

@@ -8,8 +8,12 @@ tokens of ``estimators.parse_method``.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,6 +26,13 @@ from .models import ScoreModel, mean_model, ols_model
 from .weighting import DEFAULT_RIDGE_SCALE
 
 DEFAULT_METHODS = ("naive", "ppi:1", "ppi:2", "ppi_pp:1", "ppi_pp:2", "sada")
+
+
+def _check_design(cfg) -> None:
+    if not 1 <= cfg.n < cfg.N:
+        raise ConfigError(f"need 1 <= n < N, got n={cfg.n}, N={cfg.N}")
+    if cfg.reps < 1:
+        raise ConfigError(f"reps must be >= 1, got {cfg.reps}")
 
 
 @dataclass(frozen=True)
@@ -44,10 +55,7 @@ class SyntheticConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not 1 <= self.n < self.N:
-            raise ConfigError(f"need 1 <= n < N, got n={self.n}, N={self.N}")
-        if self.reps < 1:
-            raise ConfigError(f"reps must be >= 1, got {self.reps}")
+        _check_design(self)
 
 
 @dataclass(frozen=True)
@@ -62,8 +70,7 @@ class ConditionalMeanConfig:
     noise_sd: float = 1.0
 
     def __post_init__(self):
-        if not 1 <= self.n < self.N:
-            raise ConfigError(f"need 1 <= n < N, got n={self.n}, N={self.N}")
+        _check_design(self)
 
 
 @dataclass(frozen=True)
@@ -84,8 +91,7 @@ class OlsCoverageConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.n < self.N:
-            raise ConfigError(f"need 1 <= n < N, got n={self.n}, N={self.N}")
+        _check_design(self)
 
 
 def _rng_for(seed: int, rep_index: int) -> np.random.Generator:
@@ -177,8 +183,8 @@ class SimStudyResult:
     failures: dict = field(default_factory=dict)
 
 
-def _run_one_rep(kind: str, cfg, methods: Sequence[str], level: float,
-                 centering: bool, ridge_scale: float, rep: int, strict: bool):
+def _run_one_rep(kind: str, methods: Sequence[str], level: float, centering: bool,
+                 ridge_scale: float, strict: bool, cfg, rep: int):
     """Run every method on one replicate; returns {token: (theta, lo, hi) | None}.
 
     A configuration error is the same for every replicate, so it is raised,
@@ -202,50 +208,11 @@ def _run_one_rep(kind: str, cfg, methods: Sequence[str], level: float,
     return out
 
 
-def _run_chunk(args):
-    kind, cfg, methods, level, centering, ridge_scale, rep_indices, strict = args
-    return [
-        _run_one_rep(kind, cfg, methods, level, centering, ridge_scale, rep, strict)
-        for rep in rep_indices
-    ]
-
-
-def _run_study(
-    kind: str,
-    cfg,
-    methods: Sequence[str],
-    level: float,
-    centering: bool,
-    ridge_scale: float,
-    workers: int,
-    strict: bool,
-) -> SimStudyResult:
-    tokens = list(dict.fromkeys(methods))
-    if "naive" not in tokens:
-        tokens = ["naive"] + tokens  # baseline for relative efficiencies
-    for token in tokens:
-        parse_method(token)
+def _aggregate(kind: str, cfg, tokens: list[str], rep_rows: Iterable[dict]) -> SimStudyResult:
+    """Reduce one config's replicate rows, in rep order, to its summary."""
     theta_star = _theta_star_for(kind, cfg)
     p = theta_star.shape[0]
     reps = cfg.reps
-
-    rep_rows: list = [None] * reps
-    if workers <= 1:
-        rep_rows = _run_chunk((kind, cfg, tokens, level, centering, ridge_scale, range(reps), strict))
-    else:
-        chunks = [c for c in np.array_split(np.arange(reps), workers * 4) if c.size]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = {
-                pool.submit(
-                    _run_chunk,
-                    (kind, cfg, tokens, level, centering, ridge_scale, chunk.tolist(), strict),
-                ): chunk
-                for chunk in chunks
-            }
-            for job, chunk in jobs.items():
-                for rep, row in zip(chunk.tolist(), job.result()):
-                    rep_rows[rep] = row
-
     estimates = {t: np.full((reps, p), np.nan) for t in tokens}
     covered = {t: np.full((reps, p), np.nan) for t in tokens}
     failures = {t: 0 for t in tokens}
@@ -291,6 +258,44 @@ def _run_study(
     )
 
 
+def _run_studies(
+    kind: str,
+    cfgs: Sequence,
+    methods: Sequence[str],
+    level: float,
+    centering: bool,
+    ridge_scale: float,
+    workers: int,
+    strict: bool,
+) -> list[SimStudyResult]:
+    """Run every replicate of every config through one ordered map, then
+    reduce each config from its slice of the results.
+
+    More than one worker uses one process pool for the whole call, with about
+    four chunks of replicates per worker and no more processes than CPUs or
+    chunks.
+    """
+    if not methods:
+        raise ConfigError("methods must be nonempty")
+    tokens = list(dict.fromkeys(methods))
+    if "naive" not in tokens:
+        tokens = ["naive"] + tokens  # baseline for relative efficiencies
+    for token in tokens:
+        parse_method(token)
+    run = partial(_run_one_rep, kind, tokens, level, centering, ridge_scale, strict)
+    jobs = [(cfg, rep) for cfg in cfgs for rep in range(cfg.reps)]
+    workers = max(1, min(workers, os.cpu_count() or 1))
+    chunksize = -(-len(jobs) // (workers * 4))
+    workers = min(workers, -(-len(jobs) // chunksize))  # no more processes than chunks
+    with ExitStack() as stack:
+        if workers <= 1:
+            rows = map(run, *zip(*jobs))
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            rows = pool.map(run, *zip(*jobs), chunksize=chunksize)
+        return [_aggregate(kind, cfg, tokens, islice(rows, cfg.reps)) for cfg in cfgs]
+
+
 def run_replications(
     cfg: SyntheticConfig,
     methods: Sequence[str] = DEFAULT_METHODS,
@@ -306,9 +311,7 @@ def run_replications(
     Per-replicate estimator failures are excluded and counted unless
     ``strict`` is set, in which case they raise.
     """
-    if not methods:
-        raise ConfigError("methods must be nonempty")
-    return _run_study("synthetic", cfg, methods, level, centering, ridge_scale, workers, strict)
+    return _run_studies("synthetic", [cfg], methods, level, centering, ridge_scale, workers, strict)[0]
 
 
 @dataclass(frozen=True)
@@ -335,35 +338,29 @@ def efficiency_curve(
     workers: int = 1,
     strict: bool = False,
 ) -> list[CurveRow]:
-    """One run_replications per gamma, emitted as a long-format table."""
-    gammas = list(gammas)
-    if not gammas:
+    """The synthetic study at each gamma, emitted as a long-format table.
+
+    Every config is built before any replicate runs, so a bad gamma anywhere
+    in the grid fails first; all replicates then share one run.
+    """
+    cfgs = [replace(cfg_base, gamma=float(gamma)) for gamma in gammas]
+    if not cfgs:
         raise ConfigError("gamma grid must be nonempty")
-    rows: list[CurveRow] = []
-    for gamma in gammas:
-        res = run_replications(
-            replace(cfg_base, gamma=float(gamma)),
-            methods,
-            level=level,
-            centering=centering,
-            ridge_scale=ridge_scale,
-            workers=workers,
-            strict=strict,
+    results = _run_studies("synthetic", cfgs, methods, level, centering, ridge_scale, workers, strict)
+    return [
+        CurveRow(
+            gamma=cfg.gamma,
+            method=token,
+            rel_efficiency=float(res.rel_efficiency[token][0]),
+            coverage=float(res.coverage[token][0]),
+            sd=float(res.sd[token][0]),
+            mean=float(res.mean[token][0]),
+            bias=float(res.bias[token][0]),
+            failures=res.failures[token],
         )
-        for token in res.methods:
-            rows.append(
-                CurveRow(
-                    gamma=float(gamma),
-                    method=token,
-                    rel_efficiency=float(res.rel_efficiency[token][0]),
-                    coverage=float(res.coverage[token][0]),
-                    sd=float(res.sd[token][0]),
-                    mean=float(res.mean[token][0]),
-                    bias=float(res.bias[token][0]),
-                    failures=res.failures[token],
-                )
-            )
-    return rows
+        for cfg, res in zip(cfgs, results)
+        for token in res.methods
+    ]
 
 
 def conditional_mean_study(
@@ -374,7 +371,7 @@ def conditional_mean_study(
     strict: bool = False,
 ) -> SimStudyResult:
     """Monte Carlo check of the efficiency bound under a conditional-mean prediction."""
-    return _run_study("conditional_mean", cfg, methods, level, True, DEFAULT_RIDGE_SCALE, workers, strict)
+    return _run_studies("conditional_mean", [cfg], methods, level, True, DEFAULT_RIDGE_SCALE, workers, strict)[0]
 
 
 def ols_coverage_study(
@@ -385,4 +382,4 @@ def ols_coverage_study(
     strict: bool = False,
 ) -> SimStudyResult:
     """Coverage study for the linear-regression coefficients."""
-    return _run_study("ols", cfg, methods, level, True, DEFAULT_RIDGE_SCALE, workers, strict)
+    return _run_studies("ols", [cfg], methods, level, True, DEFAULT_RIDGE_SCALE, workers, strict)[0]

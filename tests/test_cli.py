@@ -308,6 +308,17 @@ def test_unreadable_input_exits_with_its_code(tmp_path, capsys, case, code, erro
         assert str(csv_path) in err
 
 
+@pytest.mark.parametrize("command", ["estimate", "compare", "simulate"])
+def test_out_under_a_regular_file_exits_two(tmp_path, capsys, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    args = [command, str(make_csv(tmp_path))]
+    if command == "simulate":
+        args = ["simulate", "--reps", "2", "--gamma-grid", "0.5"]
+    assert main([*args, "--out", str(blocker / "sub")]) == 2
+    assert capsys.readouterr().err.startswith("ConfigError:")
+
+
 @pytest.mark.parametrize("source", ["--workers 0", "--workers -3", "config workers = 0"])
 def test_simulate_workers_below_one_exits_two(tmp_path, capsys, source):
     args = ["simulate", "--reps", "2", "--gamma-grid", "0.5", "--out", str(tmp_path / "out")]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sada import (
     DEFAULT_RIDGE_SCALE,
@@ -340,3 +342,21 @@ def test_permuting_prediction_columns_permutes_per_column_methods(make_model):
         for got, want in ((a.theta_hat, b.theta_hat), (a.intervals.lower, b.intervals.lower),
                           (a.intervals.upper, b.intervals.upper)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), token
+
+
+# --- properties over many inputs ---
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(seed=st.integers(0, 2**32 - 1), c=st.floats(-1e3, 1e3))
+def test_ols_intercept_is_shift_equivariant(seed, c):
+    ds = ols_dataset(np.random.default_rng(seed))
+    shifted = Dataset.from_arrays(ds.features, ds.labels + c, ds.predictions + c)
+    model = ols_model(2)
+    tokens = ["naive", "sada"] + [f"{m}:{k}" for m in ("ppi", "ppi_pp") for k in range(1, ds.K + 1)]
+    for token in tokens:
+        base = run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+        moved = run_method(shifted, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+        want = base.theta_hat + np.array([c, 0.0])
+        assert np.max(np.abs(moved.theta_hat - want)) <= 1e-9 * (1.0 + abs(c)), token
+        gap = np.max(np.abs(moved.covariance - base.covariance))
+        assert gap <= 1e-9 * np.max(np.abs(base.covariance)), token

@@ -1,6 +1,10 @@
+import os
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
+from sada import simulate
 from sada import (
     ConditionalMeanConfig,
     ConfigError,
@@ -50,6 +54,10 @@ def test_config_validation():
         SyntheticConfig(n=200, N=200)
     with pytest.raises(ConfigError):
         SyntheticConfig(reps=0)
+    for config in (ConditionalMeanConfig, OlsCoverageConfig):
+        for reps in (0, -3):
+            with pytest.raises(ConfigError):
+                config(reps=reps)
 
 
 def test_parse_method_tokens():
@@ -137,3 +145,65 @@ def test_ols_coverage_study_smoke():
     assert 0.75 <= res.coverage["naive"][1] <= 1.0
     assert abs(res.bias["sada"][1]) < 0.05
     assert res.failures["sada"] == 0
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool by one that runs its jobs in this process and
+    records the ``max_workers`` of every pool built."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            assert chunksize >= 1
+            return map(fn, *iterables)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU never starts a pool")
+def test_efficiency_curve_builds_one_pool(pool_sizes):
+    cfg = SyntheticConfig(reps=4, seed=2)
+    pooled = efficiency_curve(cfg, [0.0, 0.5, 1.0], ["sada"], workers=2)
+    assert pool_sizes == [2]
+    assert pooled == efficiency_curve(cfg, [0.0, 0.5, 1.0], ["sada"], workers=1)
+    assert pool_sizes == [2]
+
+
+def test_pool_is_capped_at_cpus_and_chunks(pool_sizes):
+    cfg = SyntheticConfig(reps=3, seed=4)
+    capped = run_replications(cfg, ["sada"], workers=64)
+    assert len(pool_sizes) <= 1
+    assert all(size <= min(os.cpu_count() or 1, 3) for size in pool_sizes)
+    serial = run_replications(cfg, ["sada"], workers=1)
+    for token in serial.methods:
+        assert np.array_equal(capped.estimates[token], serial.estimates[token])
+        assert capped.sd[token][0] == serial.sd[token][0]
+
+
+def test_bad_gamma_anywhere_in_grid_fails_before_any_replicate(monkeypatch):
+    drawn = []
+
+    def recording(cfg, rep):
+        drawn.append((cfg.gamma, rep))
+        return generate_synthetic(cfg, rep)
+
+    monkeypatch.setitem(simulate._STUDIES, "synthetic", recording)
+    with pytest.raises(ConfigError, match="gamma"):
+        efficiency_curve(SyntheticConfig(reps=2), [0.5, 1.5], ["sada"])
+    assert drawn == []
