@@ -29,6 +29,7 @@ from .errors import ConfigError, SingularGram
 from .models import (
     RCOND_THRESHOLD,
     ScoreModel,
+    _solve_affine,
     rcond,
     solve_estimating_equation,
     solve_score_root,
@@ -140,6 +141,15 @@ def solve_weighted(
     this reproduces the naive estimator; with K = 1 and W = I it reproduces
     PPI.
 
+    For a model with a design the equation is b - G theta = 0 with
+
+        G = G_L + (sum_k W_k)' (G_U - G_L),
+        b = Z_L'y / n + sum_k W_k' (P_U - P_L)[:, k],
+
+    G_R = Z_R'Z_R / m_R and P_R = Z_R'Yhat_R / m_R on the labeled (L) and
+    unlabeled (U) rows, and is solved in closed form; any other model goes
+    through Newton from theta0.
+
     Returns:
         (theta_hat, iterations).
     """
@@ -150,6 +160,18 @@ def solve_weighted(
 
     if not W.any():
         return solve_score_root(model, X_lab, y_lab, theta0)
+    if theta0 is None:
+        theta0 = np.zeros(p)
+
+    if model.design is not None:
+        Z = model.design(ds.features)
+        Z_L, Z_U = Z[:n], Z[n:]
+        G_L = Z_L.T @ Z_L / n
+        G_U = Z_U.T @ Z_U / (ds.N - n)
+        P_diff = Z_U.T @ ds.predictions[n:] / (ds.N - n) - Z_L.T @ ds.predictions[:n] / n
+        G = G_L + W.reshape(ds.K, p, p).sum(axis=0).T @ (G_U - G_L)
+        b = Z_L.T @ y_lab / n + W.T @ P_diff.T.reshape(-1)
+        return _solve_affine(G, b, theta0)
 
     def residual(theta):
         r = np.mean(model.score(X_lab, y_lab, theta), axis=0)
@@ -167,7 +189,7 @@ def solve_weighted(
             )
         return model.jacobian(X_lab, y_lab, theta) + W.T @ J_diff
 
-    return solve_estimating_equation(residual, jac, theta0 if theta0 is not None else np.zeros(p))
+    return solve_estimating_equation(residual, jac, theta0)
 
 
 def naive_estimate(ds: Dataset, model: ScoreModel) -> EstimateReport:

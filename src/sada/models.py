@@ -1,4 +1,4 @@
-"""Built-in score models and the Newton-type estimating-equation solver.
+"""Built-in score models and the solvers of their estimating equations.
 
 A score model bundles the score function s(x, y; theta) and its Jacobian
 with respect to theta.  ``score`` is evaluated per row: a single row (x of
@@ -11,6 +11,10 @@ mean, so no per-row (m, p, p) tensor is ever built.
 Sign convention: ``jacobian`` is the derivative of the score itself, so for
 the mean model it is the constant -1.  Downstream sandwich formulas use the
 inverse of its expectation directly, with no sign flip.
+
+A model with a ``design`` (both built-ins) has a score affine in theta, so its
+equations are solved exactly by one p x p linear solve; any other model is
+solved by damped Newton (``solve_estimating_equation``).
 """
 from __future__ import annotations
 
@@ -36,12 +40,16 @@ class ScoreModel:
         jacobian: (x, y, theta) -> (p, p) mean over the given rows of the
             score Jacobian d s / d theta'.
         name: short identifier used in reports.
+        design: x -> z, per row like ``score``, declaring the least-squares
+            score s = z (y - z'theta) that ``score`` and ``jacobian`` compute
+            (z = 1 for the mean, z = x for OLS); None for Newton.
     """
 
     p: int
     score: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     name: str = "custom"
+    design: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -59,38 +67,41 @@ class SolverConfig:
             raise ValueError("abs_tol must be positive")
 
 
-def mean_model() -> ScoreModel:
-    """Score model for the outcome mean: s(x, y; theta) = y - theta, p = 1."""
+def _least_squares_model(p: int, design: Callable[[np.ndarray], np.ndarray], name: str) -> ScoreModel:
+    """Score model s = z (y - z'theta), z = design(x), with its score and Jacobian."""
 
     def score(x, y, theta):
+        z = design(x)
         y = np.asarray(y, dtype=float)
-        if y.ndim == 0:
-            return np.array([float(y) - theta[0]])
-        return (y - theta[0])[:, None]
+        if z.ndim == 1:
+            return (float(y) - z @ theta) * z
+        return (y - z @ theta)[:, None] * z
 
     def jacobian(x, y, theta):
-        return np.array([[-1.0]])
+        z = np.atleast_2d(design(x))
+        return -(z.T @ z) / z.shape[0]
 
-    return ScoreModel(p=1, score=score, jacobian=jacobian, name="mean")
+    return ScoreModel(p=p, score=score, jacobian=jacobian, name=name, design=design)
+
+
+def _intercept(x) -> np.ndarray:
+    return np.ones(np.shape(x)[:-1] + (1,))
+
+
+def _features(x) -> np.ndarray:
+    return np.asarray(x, dtype=float)
+
+
+def mean_model() -> ScoreModel:
+    """Score model for the outcome mean: s(x, y; theta) = y - theta, p = 1."""
+    return _least_squares_model(1, _intercept, "mean")
 
 
 def ols_model(d: int) -> ScoreModel:
     """Score model for linear regression: s(x, y; theta) = (y - x'theta) x, p = d."""
     if d < 1:
         raise ValueError("ols_model requires d >= 1")
-
-    def score(x, y, theta):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim == 1:
-            return (float(y) - x @ theta) * x
-        return (y - x @ theta)[:, None] * x
-
-    def jacobian(x, y, theta):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return -(x.T @ x) / x.shape[0]
-
-    return ScoreModel(p=d, score=score, jacobian=jacobian, name="ols")
+    return _least_squares_model(d, _features, "ols")
 
 
 def solve_estimating_equation(
@@ -103,8 +114,8 @@ def solve_estimating_equation(
 
     The step direction solves ``jac(theta) @ step = -residual(theta)``; when a
     full step does not decrease the residual norm the step is halved, up to
-    ``cfg.damping`` times.  Affine residuals (both built-in models) converge in
-    one step.
+    ``cfg.damping`` times.  Used for models without a design; the built-in
+    models are solved in closed form instead.
 
     Args:
         residual: theta -> length-p residual vector.
@@ -136,10 +147,7 @@ def solve_estimating_equation(
                 f"Jacobian shape {J.shape} != {(theta.size, theta.size)}: the Jacobian "
                 "must be the mean over the rows it is given, not one matrix per row"
             )
-        if not np.all(np.isfinite(J)) or rcond(J) < RCOND_THRESHOLD:
-            raise SingularJacobian(
-                f"Jacobian is singular at iteration {iteration} (rcond < {RCOND_THRESHOLD:g})"
-            )
+        _check_jacobian(J, iteration)
         step = np.linalg.solve(J, -r)
         scale = 1.0
         for _ in range(cfg.damping + 1):
@@ -161,15 +169,40 @@ def solve_estimating_equation(
     )
 
 
+def _check_jacobian(J: np.ndarray, iteration: int) -> None:
+    if not np.all(np.isfinite(J)) or rcond(J) < RCOND_THRESHOLD:
+        raise SingularJacobian(
+            f"Jacobian is singular at iteration {iteration} (rcond < {RCOND_THRESHOLD:g})"
+        )
+
+
+def _solve_affine(G: np.ndarray, b: np.ndarray, theta0: np.ndarray) -> tuple[np.ndarray, int]:
+    """Root of the affine residual b - G theta: the exact step from theta0, one iteration.
+
+    Raises:
+        SingularJacobian: G fails the same test as the Newton Jacobian.
+    """
+    _check_jacobian(G, 0)
+    theta0 = np.asarray(theta0, dtype=float)
+    return theta0 + np.linalg.solve(G, b - G @ theta0), 1
+
+
 def solve_score_root(
     model: ScoreModel,
     X: np.ndarray,
     y: np.ndarray,
     theta0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Solve the plain sample score equation mean_i s(x_i, y_i; theta) = 0."""
+    """Solve the plain sample score equation mean_i s(x_i, y_i; theta) = 0.
+
+    A model with a design is solved in closed form from G = Z'Z/m and
+    b = Z'y/m; any other by Newton from theta0 (zeros by default).
+    """
     if theta0 is None:
         theta0 = np.zeros(model.p)
+    if model.design is not None:
+        Z = model.design(X)
+        return _solve_affine(Z.T @ Z / Z.shape[0], Z.T @ y / Z.shape[0], theta0)
 
     def residual(theta):
         return np.mean(model.score(X, y, theta), axis=0)

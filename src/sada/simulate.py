@@ -29,6 +29,9 @@ DEFAULT_METHODS = ("naive", "ppi:1", "ppi:2", "ppi_pp:1", "ppi_pp:2", "sada")
 
 
 def _check_design(cfg) -> None:
+    """Reject a study config whose replicates cannot be drawn; gamma only where it has one."""
+    if not 0.0 <= getattr(cfg, "gamma", 0.0) <= 1.0:
+        raise ConfigError(f"gamma must be in [0, 1], got {cfg.gamma}")
     if not 1 <= cfg.n < cfg.N:
         raise ConfigError(f"need 1 <= n < N, got n={cfg.n}, N={cfg.N}")
     if cfg.reps < 1:
@@ -53,8 +56,6 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
         _check_design(self)
 
 

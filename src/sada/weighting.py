@@ -55,7 +55,7 @@ def moment_estimates(
     S_all = stacked_score_matrix(model, ds.features, ds.predictions, theta)
     s_lab = np.asarray(model.score(ds.features[: ds.n], ds.labels, theta), dtype=float)
     if centering:
-        S_all = S_all - S_all.mean(axis=0)
+        S_all -= S_all.mean(axis=0)  # S_all is freshly built, so centre it in place
         s_lab = s_lab - s_lab.mean(axis=0)
     gram = S_all.T @ S_all / ds.N
     cross = S_all[: ds.n].T @ s_lab / ds.n

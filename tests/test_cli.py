@@ -105,6 +105,25 @@ def test_numerical_failure_exits_four(tmp_path, capsys):
     assert "SingularJacobian" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["mean", "ols"])
+def test_estimate_on_labels_in_the_hundreds_of_millions(tmp_path, capsys, model):
+    # the solve must not depend on the units of y
+    rng = np.random.default_rng(6)
+    lines = ["x_1,x_2,y,yhat_1,yhat_2"]
+    for i in range(200):
+        x = float(rng.standard_normal())
+        y = 2.5e8 + 1e6 * (x + rng.standard_normal())
+        label = repr(y) if i < 60 else ""
+        yhat_1 = y + 4e5 * rng.standard_normal()
+        yhat_2 = 2.5e8 + 1e6 * rng.standard_normal()
+        lines.append(f"1.0,{x!r},{label},{yhat_1!r},{yhat_2!r}")
+    path = tmp_path / "large.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["estimate", str(path), "--model", model, "--out", str(tmp_path / "out")]) == 0
+    rows = read_estimates(tmp_path / "out")
+    assert abs(rows[("sada", 1)][0] - 2.5e8) < 1e6
+
+
 @pytest.mark.parametrize("command", [["simulate", "--workers", "1"], ["simulate", "--workers", "2"], ["estimate"]])
 def test_column_beyond_k_exits_two(tmp_path, capsys, command):
     # the synthetic study and the CSV both have K = 2

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from sada import (
     sada_estimate,
     solve_weighted,
 )
+import sada.estimators
+import sada.models
 from sada.inference import run_method
 
 
@@ -360,3 +364,98 @@ def test_ols_intercept_is_shift_equivariant(seed, c):
         assert np.max(np.abs(moved.theta_hat - want)) <= 1e-9 * (1.0 + abs(c)), token
         gap = np.max(np.abs(moved.covariance - base.covariance))
         assert gap <= 1e-9 * np.max(np.abs(base.covariance)), token
+
+
+def compare_tokens(K):
+    return ["naive", "sada"] + [f"{m}:{k}" for m in ("ppi", "ppi_pp") for k in range(1, K + 1)]
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e8])
+@pytest.mark.parametrize("make_model", [mean_model, lambda: ols_model(2)])
+def test_every_method_is_equivariant_to_the_units_of_y(make_model, c):
+    # scaling y and every yhat by c scales theta_hat by c and the covariance by c^2
+    model = make_model()
+    for seed in range(4):
+        ds = ols_dataset(np.random.default_rng(100 + seed))
+        scaled = Dataset.from_arrays(ds.features, c * ds.labels, c * ds.predictions)
+        for token in compare_tokens(ds.K):
+            base = run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+            moved = run_method(scaled, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+            for got, want in ((moved.theta_hat / c, base.theta_hat),
+                              (moved.covariance / c**2, base.covariance)):
+                assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (seed, token)
+
+
+# --- the closed-form path of the built-in models ---
+
+@pytest.mark.parametrize("make_model", [mean_model, lambda: ols_model(2)])
+def test_closed_form_matches_newton(make_model):
+    model = make_model()
+    newton = dataclasses.replace(model, design=None)
+    ds = ols_dataset(np.random.default_rng(17))
+    for token in compare_tokens(ds.K):
+        a = run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+        b = run_method(ds, newton, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+        for got, want in ((a.theta_hat, b.theta_hat), (a.covariance, b.covariance),
+                          (a.intervals.lower, b.intervals.lower),
+                          (a.intervals.upper, b.intervals.upper)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), token
+
+
+def test_built_in_models_never_reach_newton(monkeypatch):
+    def newton(*args, **kwargs):
+        raise AssertionError("a built-in model reached solve_estimating_equation")
+
+    monkeypatch.setattr(sada.models, "solve_estimating_equation", newton)
+    monkeypatch.setattr(sada.estimators, "solve_estimating_equation", newton)
+    rng = np.random.default_rng(18)
+    ds = ols_dataset(rng)
+    truth = np.concatenate([ds.labels, rng.standard_normal(ds.N - ds.n)])
+    for model in (mean_model(), ols_model(2)):
+        for token in compare_tokens(ds.K) + ["oracle"]:
+            report = run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE, truth=truth)
+            assert report.diagnostics["solver_iterations"] == 1, token
+
+
+# --- a nonlinear custom model keeps the Newton path ---
+
+def logistic_model(d):
+    """Logistic regression: s = x (y - sigmoid(x'theta)); no design, so Newton solves it."""
+
+    def score(x, y, theta):
+        x = np.asarray(x, dtype=float)
+        return (np.asarray(y, dtype=float) - 1.0 / (1.0 + np.exp(-(x @ theta))))[..., None] * x
+
+    def jacobian(x, y, theta):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        mu = 1.0 / (1.0 + np.exp(-(x @ theta)))
+        return -(x.T * (mu * (1.0 - mu))) @ x / x.shape[0]
+
+    return ScoreModel(p=d, score=score, jacobian=jacobian, name="logistic")
+
+
+def logistic_dataset(rng, N=600, n=200):
+    X = np.column_stack([np.ones(N), rng.standard_normal(N)])
+    prob = 1.0 / (1.0 + np.exp(-(X @ np.array([-0.3, 1.2]))))
+    y = (rng.random(N) < prob).astype(float)
+    preds = np.column_stack([np.clip(prob + 0.1 * rng.standard_normal(N), 0.0, 1.0),
+                             rng.random(N)])
+    return Dataset.from_arrays(X, y[:n], preds)
+
+
+def test_logistic_model_is_solved_by_newton():
+    ds = logistic_dataset(np.random.default_rng(19))
+    model = logistic_model(2)
+    X, y = ds.features[: ds.n], ds.labels
+    beta = np.zeros(2)
+    for _ in range(30):  # iteratively reweighted least squares
+        mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
+        beta = beta + np.linalg.solve((X.T * (mu * (1.0 - mu))) @ X, X.T @ (y - mu))
+    naive = naive_estimate(ds, model)
+    assert np.max(np.abs(naive.theta_hat - beta)) <= 1e-10 * np.max(np.abs(beta))
+    for token in ("ppi:1", "ppi_pp:1", "sada"):
+        report = run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+        assert np.all(np.isfinite(report.theta_hat)), token
+        lower, upper = report.intervals.lower, report.intervals.upper
+        assert np.all(np.isfinite(lower)) and np.all(np.isfinite(upper)), token
+        assert np.all(lower <= report.theta_hat) and np.all(report.theta_hat <= upper), token

@@ -58,6 +58,9 @@ def test_config_validation():
         for reps in (0, -3):
             with pytest.raises(ConfigError):
                 config(reps=reps)
+    for gamma in (2.5, -0.1, float("nan")):
+        with pytest.raises(ConfigError):
+            OlsCoverageConfig(N=200, n=60, reps=20, gamma=gamma, seed=1)
 
 
 def test_parse_method_tokens():
