@@ -29,6 +29,11 @@ from .errors import NonConvergence, SingularJacobian
 #: is treated as singular; also the relative cutoff of the gram pseudo-inverse.
 RCOND_THRESHOLD = 1e-12
 
+#: Newton stops once a full step is at most this fraction of ||theta||.  With
+#: the exact Jacobian Newton converges quadratically, so the error left after
+#: such a step is at round-off, in whatever units theta has.
+STEP_RTOL = float(np.sqrt(np.finfo(float).eps))
+
 
 @dataclass(frozen=True)
 class ScoreModel:
@@ -110,12 +115,15 @@ def solve_estimating_equation(
     theta0: np.ndarray,
     cfg: SolverConfig | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Find theta with ||residual(theta)|| <= abs_tol by damped Newton steps.
+    """Find a root of ``residual`` by damped Newton steps.
 
     The step direction solves ``jac(theta) @ step = -residual(theta)``; when a
     full step does not decrease the residual norm the step is halved, up to
-    ``cfg.damping`` times.  Used for models without a design; the built-in
-    models are solved in closed form instead.
+    ``cfg.damping`` times.  The solve stops when ||residual(theta)|| <=
+    ``cfg.abs_tol``, or, whatever the units of theta, when the full step is
+    at most ``STEP_RTOL * ||theta||``; that step is then taken.  Used for
+    models without a design; the built-in models are solved in closed form
+    instead.
 
     Args:
         residual: theta -> length-p residual vector.
@@ -149,6 +157,8 @@ def solve_estimating_equation(
             )
         _check_jacobian(J, iteration)
         step = np.linalg.solve(J, -r)
+        if np.linalg.norm(step) <= STEP_RTOL * np.linalg.norm(theta):
+            return theta + step, iteration + 1
         scale = 1.0
         for _ in range(cfg.damping + 1):
             candidate = theta + scale * step

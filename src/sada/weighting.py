@@ -27,6 +27,10 @@ from .models import RCOND_THRESHOLD, ScoreModel, solve_score_root
 #: Default ridge multiplier: lambda = ridge_scale * trace(gram) / dim.
 DEFAULT_RIDGE_SCALE = 1e-8
 
+#: Rows of stacked scores that ``moment_estimates`` builds at a time, so that
+#: apart from the dataset its memory is O(CHUNK_ROWS * K * p) for any N.
+CHUNK_ROWS = 16384
+
 
 @dataclass(frozen=True)
 class MomentEstimates:
@@ -51,14 +55,43 @@ def moment_estimates(
     theta: np.ndarray,
     centering: bool = True,
 ) -> MomentEstimates:
-    """Compute the gram and cross moments entering the weight plug-in."""
-    S_all = stacked_score_matrix(model, ds.features, ds.predictions, theta)
-    s_lab = np.asarray(model.score(ds.features[: ds.n], ds.labels, theta), dtype=float)
+    """Compute the gram and cross moments entering the weight plug-in.
+
+    The stacked scores are built and accumulated ``CHUNK_ROWS`` rows at a
+    time, so the (N, K*p) stacked matrix is never formed.  Every chunk is
+    centred at one shift, the first chunk's column mean, before its products
+    are taken, so columns far from zero or of very different scales do not
+    cancel; the gram is then corrected by the outer product of the mean's
+    remaining offset from the shift.  The cross moment needs no correction,
+    because the labeled scores it multiplies are centred and sum to zero.
+    With one chunk (N <= CHUNK_ROWS) the shift is the exact mean and nothing
+    is corrected.
+    """
+    n, N = ds.n, ds.N
+    s_lab = np.asarray(model.score(ds.features[:n], ds.labels, theta), dtype=float)
     if centering:
-        S_all -= S_all.mean(axis=0)  # S_all is freshly built, so centre it in place
         s_lab = s_lab - s_lab.mean(axis=0)
-    gram = S_all.T @ S_all / ds.N
-    cross = S_all[: ds.n].T @ s_lab / ds.n
+    corrected = centering and N > CHUNK_ROWS
+    ones = np.ones(CHUNK_ROWS) if corrected else None
+    for lo in range(0, N, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, N)
+        S = stacked_score_matrix(model, ds.features[lo:hi], ds.predictions[lo:hi], theta)
+        if centering:
+            if lo == 0:
+                shift = S.mean(axis=0)
+            S -= shift  # S is freshly built, so centre it in place
+        chunk_gram = S.T @ S
+        chunk_total = ones[: hi - lo] @ S if corrected else 0.0  # column sums, by BLAS
+        chunk_cross = S[: n - lo].T @ s_lab[lo:hi] if lo < n else 0.0
+        if lo == 0:  # not 0 + terms, which turns -0.0 into 0.0: one chunk stays bit-identical
+            gram, total, cross = chunk_gram, chunk_total, chunk_cross
+        else:
+            gram, total, cross = gram + chunk_gram, total + chunk_total, cross + chunk_cross
+    gram = gram / N
+    if corrected:
+        offset = total / N
+        gram -= np.outer(offset, offset)
+    cross = cross / n
     gram = 0.5 * (gram + gram.T)
     return MomentEstimates(gram=gram, cross=cross, centering=centering)
 

@@ -402,6 +402,24 @@ def test_closed_form_matches_newton(make_model):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), token
 
 
+@pytest.mark.parametrize("make_model", [mean_model, lambda: ols_model(2)])
+def test_newton_does_not_depend_on_the_units_of_y(make_model):
+    # at y ~ 2.5e8 the residual never gets below an absolute tolerance
+    rng = np.random.default_rng(20)
+    N, n = 400, 120
+    X = np.column_stack([np.ones(N), rng.standard_normal(N)])
+    y = 2.5e8 + 1e6 * (X[:, 1] + rng.standard_normal(N))
+    preds = np.column_stack([y + 1e6 * rng.standard_normal(N), y + 3e6 * rng.standard_normal(N)])
+    ds = Dataset.from_arrays(X, y[:n], preds)
+    model = make_model()
+    newton = dataclasses.replace(model, design=None)
+    for token in ("naive", "ppi:1", "ppi_pp:1", "sada"):
+        a = run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+        b = run_method(ds, newton, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+        for got, want in ((b.theta_hat, a.theta_hat), (b.covariance, a.covariance)):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), token
+
+
 def test_built_in_models_never_reach_newton(monkeypatch):
     def newton(*args, **kwargs):
         raise AssertionError("a built-in model reached solve_estimating_equation")

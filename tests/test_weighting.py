@@ -1,7 +1,14 @@
+import dataclasses
+import operator
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+import sada.weighting
 from sada import (
+    DEFAULT_RIDGE_SCALE,
     Dataset,
     SingularGram,
     ZeroGram,
@@ -10,8 +17,11 @@ from sada import (
     mean_model,
     moment_estimates,
     naive_estimate,
+    ols_model,
     regularize_gram,
 )
+from sada.data import stacked_score_matrix
+from sada.inference import run_method
 
 # Frozen from the independent oracle (explicit loops + Cramer's rule) on the
 # fixed 6-row dataset below: omega = (N-n)/N * Vhat^{-1} chat with
@@ -223,3 +233,98 @@ def test_single_column_weight_equals_ratio_form():
     ) / ds.n
     var = float(np.mean((ds.predictions[:, 0] - ds.predictions[:, 0].mean()) ** 2))
     assert abs(w[0] - (ds.N - ds.n) / ds.N * cov / var) < 1e-12
+
+
+# --- moments accumulated in row chunks ---
+
+def scaled_dataset(rng, N, n, scaled):
+    """OLS-style data with K = 3 columns; ``scaled`` puts column 1 at 1e12 (offset 3e13) and column 2 at 1e-12."""
+    X = np.column_stack([np.ones(N), rng.standard_normal((N, 2))])
+    y = X @ np.array([0.5, -1.0, 2.0]) + rng.standard_normal(N)
+    preds = np.column_stack([y + s * rng.standard_normal(N) for s in (0.5, 1.0, 2.0)])
+    if scaled:
+        preds[:, 1] = 1e12 * preds[:, 1] + 3e13
+        preds[:, 2] *= 1e-12
+    return Dataset.from_arrays(X, y[:n], preds)
+
+
+def exact_moments(ds, model, theta, centering):
+    """Gram and cross of the stacked scores in exact arithmetic, centred at the exact means.
+
+    Every float is an integer multiple of 2**-1074, so the sums and products
+    are done on those integers and rounded once at the end.
+    """
+    def integers(rows, m):
+        cols = [[num * (2**1074 // den) for num, den in map(float.as_integer_ratio, col)]
+                for col in np.asarray(rows, dtype=float).T.tolist()]
+        # m * (value - mean) when centring, else m * value
+        return [[m * v - (sum(col) if centering else 0) for v in col] for col in cols]
+
+    def moment(a, b, scale):
+        return float(Fraction(sum(map(operator.mul, a, b)), scale * 4**1074))
+
+    S = integers(stacked_score_matrix(model, ds.features, ds.predictions, theta), ds.N)
+    s = integers(model.score(ds.features[: ds.n], ds.labels, theta), ds.n)
+    gram = [[moment(a, b, ds.N**3) for b in S] for a in S]
+    cross = [[moment(a[: ds.n], b, ds.N * ds.n**2) for b in s] for a in S]
+    return np.array(gram), np.array(cross)
+
+
+def scale_free(gram, cross, root):
+    """Gram entries over sqrt(G_ii G_jj); cross rows over sqrt(G_ii), then over the largest entry."""
+    cross = cross / root[:, None]
+    return gram / np.outer(root, root), cross / np.max(np.abs(cross))
+
+
+CHUNK_MODELS = {
+    "mean": mean_model,
+    "ols": lambda: ols_model(3),
+    "ols_newton": lambda: dataclasses.replace(ols_model(3), design=None),
+}
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("centering", [True, False])
+@pytest.mark.parametrize("model_name", sorted(CHUNK_MODELS))
+@pytest.mark.parametrize("shape", ["straddle", "last_row_unlabeled", "n_just_above_Kp"])
+def test_moments_do_not_depend_on_the_chunk_size(monkeypatch, shape, model_name, centering, scaled):
+    model = CHUNK_MODELS[model_name]()
+    # with chunks of 7 and 64 rows, n = 100 lies inside a chunk and past the first one
+    N, n = {"straddle": (150, 100), "last_row_unlabeled": (150, 149),
+            "n_just_above_Kp": (150, 3 * model.p + 1)}[shape]
+    ds = scaled_dataset(np.random.default_rng(21), N, n, scaled)
+    pilot = naive_estimate(ds, model).theta_hat
+    # The exact moments are the reference, not the one-chunk result: that one
+    # keeps the uncorrected two-pass centring, whose rounded mean leaves ~1e-8
+    # on the mean model's 1e-12 column (a score offset 5e11 times its spread).
+    gram, cross = exact_moments(ds, model, pilot, centering)
+    root = np.sqrt(np.diag(gram))
+    gram, cross = scale_free(gram, cross, root)
+    report = run_method(ds, model, "sada", 0.95, centering, DEFAULT_RIDGE_SCALE)
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk)
+        moments = moment_estimates(ds, model, pilot, centering=centering)
+        gram_c, cross_c = scale_free(moments.gram, moments.cross, root)
+        assert np.max(np.abs(gram_c - gram)) <= 1e-12, chunk
+        assert np.max(np.abs(cross_c - cross)) <= 1e-12, chunk
+        report_c = run_method(ds, model, "sada", 0.95, centering, DEFAULT_RIDGE_SCALE)
+        for got, want in ((report_c.theta_hat, report.theta_hat),
+                          (report_c.covariance, report.covariance)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), chunk
+
+
+def test_moments_never_build_the_stacked_matrix():
+    rng = np.random.default_rng(22)
+    N, n, K, d = 200_000, 20_000, 5, 3
+    X = np.column_stack([np.ones(N), rng.standard_normal((N, d - 1))])
+    y = X @ np.array([0.5, -1.0, 2.0]) + rng.standard_normal(N)
+    ds = Dataset.from_arrays(X, y[:n], y[:, None] + rng.standard_normal((N, K)))
+    model = ols_model(d)
+    theta = naive_estimate(ds, model).theta_hat
+    tracemalloc.start()
+    try:
+        moment_estimates(ds, model, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * N * K * d * 8  # half of one (N, K*p) float64 array
