@@ -1,7 +1,7 @@
 """Safe and adaptive aggregation of multiple black-box prediction columns
 for semi-supervised M-estimation."""
 
-from .data import Dataset, stacked_score, stacked_score_matrix, validate_dataset
+from .data import Dataset, stacked_score_matrix, validate_dataset
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -40,7 +40,6 @@ from .inference import (
 )
 from .models import (
     ScoreModel,
-    SolverConfig,
     mean_model,
     ols_model,
     solve_estimating_equation,
@@ -62,7 +61,6 @@ from .weighting import (
     DEFAULT_RIDGE_SCALE,
     MomentEstimates,
     estimate_general_weights,
-    estimate_mean_weights,
     moment_estimates,
     regularize_gram,
 )

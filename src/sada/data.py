@@ -1,4 +1,4 @@
-"""Dataset container and the stacked-score construction shared by all estimators.
+"""Dataset container and the stacked-score matrix behind the plug-in moments.
 
 Row convention: the first ``n`` rows are labeled, rows ``n+1 .. N`` are
 unlabeled.  Loaders reorder on ingestion so the math never carries a mask.
@@ -119,25 +119,11 @@ def validate_dataset(raw: Dataset) -> Dataset:
     return Dataset(features=features, labels=labels, predictions=predictions)
 
 
-def stacked_score(model, x: np.ndarray, preds: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Stack the score evaluated at each prediction for one observation.
-
-    Block k (length p) of the returned length-K*p vector is the score at
-    prediction column k, i.e. ``model.score(x, preds[k], theta)``.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[0] != model.p:
-        raise DimensionMismatch(f"theta has length {theta.shape[0]}, expected {model.p}")
-    preds = np.asarray(preds, dtype=float)
-    blocks = [np.asarray(model.score(x, yk, theta), dtype=float).reshape(-1) for yk in preds]
-    return np.concatenate(blocks)
-
-
 def stacked_score_matrix(model, X: np.ndarray, predictions: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Per-row stacked scores for a block of observations.
 
-    Returns an (m, K*p) matrix whose row i is ``stacked_score`` at row i.
-    Column block k spans columns ``k*p .. (k+1)*p``.
+    Returns an (m, K*p) matrix whose column block k (columns
+    ``k*p .. (k+1)*p``) is ``model.score`` at prediction column k.
     """
     m, K = predictions.shape
     p = model.p

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, stacked_score_matrix
+from .data import Dataset
 from .errors import ConfigError, SingularGram
 from .models import (
     RCOND_THRESHOLD,
@@ -148,7 +148,8 @@ def solve_weighted(
 
     G_R = Z_R'Z_R / m_R and P_R = Z_R'Yhat_R / m_R on the labeled (L) and
     unlabeled (U) rows, and is solved in closed form; any other model goes
-    through Newton from theta0.
+    through Newton from theta0, scoring one prediction column at a time so
+    that no (N, K*p) stacked matrix is built.
 
     Returns:
         (theta_hat, iterations).
@@ -173,23 +174,23 @@ def solve_weighted(
         b = Z_L.T @ y_lab / n + W.T @ P_diff.T.reshape(-1)
         return _solve_affine(G, b, theta0)
 
-    def residual(theta):
-        r = np.mean(model.score(X_lab, y_lab, theta), axis=0)
-        S = stacked_score_matrix(model, ds.features, ds.predictions, theta)
-        diff = S[n:].mean(axis=0) - S[:n].mean(axis=0)
-        return r + W.T @ diff
+    X_U, blocks = ds.features[n:], W.reshape(ds.K, p, p)
 
-    def jac(theta):
-        J_diff = np.empty((ds.K * p, p))
-        for k in range(ds.K):
-            yhat = ds.predictions[:, k]
-            J_diff[k * p:(k + 1) * p] = (
-                model.jacobian(ds.features[n:], yhat[n:], theta)
-                - model.jacobian(X_lab, yhat[:n], theta)
-            )
-        return model.jacobian(X_lab, y_lab, theta) + W.T @ J_diff
+    def weighted(f, theta):
+        """f(L, y) + sum_k W_k' [f(U, yhat_k) - f(L, yhat_k)], one prediction column at a time."""
+        out = f(X_lab, y_lab, theta)
+        for W_k, yhat in zip(blocks, ds.predictions.T):
+            out = out + W_k.T @ (f(X_U, yhat[n:], theta) - f(X_lab, yhat[:n], theta))
+        return out
 
-    return solve_estimating_equation(residual, jac, theta0)
+    def mean_score(x, y, theta):
+        return np.mean(model.score(x, y, theta), axis=0)
+
+    return solve_estimating_equation(
+        lambda theta: weighted(mean_score, theta),
+        lambda theta: weighted(model.jacobian, theta),
+        theta0,
+    )
 
 
 def naive_estimate(ds: Dataset, model: ScoreModel) -> EstimateReport:

@@ -267,18 +267,16 @@ def write_estimate_reports(
     reports: Sequence[EstimateReport],
     out_dir: str | Path,
     meta: dict,
-    json_name: str = "report.json",
-    csv_name: str = "estimates.csv",
 ) -> tuple[Path, Path]:
-    """Write the structured JSON report and the flat estimates CSV."""
+    """Write ``report.json`` (the structured report) and ``estimates.csv`` (flat) to out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    json_path = out_dir / json_name
+    json_path = out_dir / "report.json"
     payload = dict(meta)
     payload["records"] = [_report_record(r) for r in reports]
     json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    csv_path = out_dir / csv_name
+    csv_path = out_dir / "estimates.csv"
     with csv_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "component", "estimate", "stderr", "ci_lower", "ci_upper"])
@@ -297,12 +295,11 @@ def write_estimate_reports(
 def write_compare_table(
     entries: Sequence[tuple[str, EstimateReport, float]],
     out_dir: str | Path,
-    csv_name: str = "compare.csv",
 ) -> Path:
-    """Method-by-method comparison sorted by estimated variance (ascending)."""
+    """Write ``compare.csv``: method by method, sorted by estimated variance (ascending)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / csv_name
+    path = out_dir / "compare.csv"
     p = len(entries[0][1].theta_hat)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

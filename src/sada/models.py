@@ -34,6 +34,12 @@ RCOND_THRESHOLD = 1e-12
 #: such a step is at round-off, in whatever units theta has.
 STEP_RTOL = float(np.sqrt(np.finfo(float).eps))
 
+#: Newton controls: iteration budget, residual-norm tolerance, and the number
+#: of times a step that does not decrease the residual norm is halved.
+MAX_ITERS = 50
+ABS_TOL = 1e-10
+MAX_HALVINGS = 20
+
 
 @dataclass(frozen=True)
 class ScoreModel:
@@ -55,21 +61,6 @@ class ScoreModel:
     jacobian: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     name: str = "custom"
     design: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Newton solver controls: iteration budget, residual tolerance, step halvings."""
-
-    max_iters: int = 50
-    abs_tol: float = 1e-10
-    damping: int = 20
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
 
 
 def _least_squares_model(p: int, design: Callable[[np.ndarray], np.ndarray], name: str) -> ScoreModel:
@@ -113,14 +104,13 @@ def solve_estimating_equation(
     residual: Callable[[np.ndarray], np.ndarray],
     jac: Callable[[np.ndarray], np.ndarray],
     theta0: np.ndarray,
-    cfg: SolverConfig | None = None,
 ) -> tuple[np.ndarray, int]:
     """Find a root of ``residual`` by damped Newton steps.
 
     The step direction solves ``jac(theta) @ step = -residual(theta)``; when a
     full step does not decrease the residual norm the step is halved, up to
-    ``cfg.damping`` times.  The solve stops when ||residual(theta)|| <=
-    ``cfg.abs_tol``, or, whatever the units of theta, when the full step is
+    ``MAX_HALVINGS`` times.  The solve stops when ||residual(theta)|| <=
+    ``ABS_TOL``, or, whatever the units of theta, when the full step is
     at most ``STEP_RTOL * ||theta||``; that step is then taken.  Used for
     models without a design; the built-in models are solved in closed form
     instead.
@@ -129,7 +119,6 @@ def solve_estimating_equation(
         residual: theta -> length-p residual vector.
         jac: theta -> (p, p) residual Jacobian, p = len(theta0).
         theta0: starting point.
-        cfg: solver controls; defaults to SolverConfig().
 
     Returns:
         (theta_hat, iterations).
@@ -139,15 +128,14 @@ def solve_estimating_equation(
             Jacobian per row instead of their mean.
         SingularJacobian: Jacobian reciprocal condition number below
             RCOND_THRESHOLD.
-        NonConvergence: tolerance not met within max_iters, or step halving
+        NonConvergence: tolerance not met within MAX_ITERS, or step halving
             stalled without reducing the residual.
     """
-    cfg = cfg or SolverConfig()
     theta = np.asarray(theta0, dtype=float).copy()
     r = np.asarray(residual(theta), dtype=float)
     norm = float(np.linalg.norm(r))
-    for iteration in range(cfg.max_iters):
-        if norm <= cfg.abs_tol:
+    for iteration in range(MAX_ITERS):
+        if norm <= ABS_TOL:
             return theta, iteration
         J = np.asarray(jac(theta), dtype=float)
         if J.shape != (theta.size, theta.size):
@@ -160,11 +148,11 @@ def solve_estimating_equation(
         if np.linalg.norm(step) <= STEP_RTOL * np.linalg.norm(theta):
             return theta + step, iteration + 1
         scale = 1.0
-        for _ in range(cfg.damping + 1):
+        for _ in range(MAX_HALVINGS + 1):
             candidate = theta + scale * step
             r_new = np.asarray(residual(candidate), dtype=float)
             norm_new = float(np.linalg.norm(r_new))
-            if norm_new < norm or norm_new <= cfg.abs_tol:
+            if norm_new < norm or norm_new <= ABS_TOL:
                 theta, r, norm = candidate, r_new, norm_new
                 break
             scale *= 0.5
@@ -172,10 +160,10 @@ def solve_estimating_equation(
             raise NonConvergence(
                 f"step halving stalled at iteration {iteration} (residual norm {norm:.3e})"
             )
-    if norm <= cfg.abs_tol:
-        return theta, cfg.max_iters
+    if norm <= ABS_TOL:
+        return theta, MAX_ITERS
     raise NonConvergence(
-        f"no convergence after {cfg.max_iters} iterations (residual norm {norm:.3e})"
+        f"no convergence after {MAX_ITERS} iterations (residual norm {norm:.3e})"
     )
 
 

@@ -1,14 +1,9 @@
 """Estimation of the optimal aggregation weights.
 
-Two plug-in routes are provided:
-
-* ``estimate_mean_weights`` -- the mean-estimation closed form operating
-  directly on the prediction columns.  It includes the (N-n)/N factor, so it
-  returns the weight vector that is applied as-is.
-* ``estimate_general_weights`` -- the general stacked-score plug-in
-  ``[mean_N S S']^{-1} [mean_n S s']`` for an arbitrary score model.  It does
-  NOT include the (N-n)/N factor; the estimator pipeline applies that factor
-  explicitly so both routes agree with the population optimum.
+``estimate_general_weights`` is the stacked-score plug-in
+``[mean_N S S']^{-1} [mean_n S s']`` for any score model, built from the
+moments of ``moment_estimates``.  It does NOT include the (N-n)/N factor; the
+estimator pipeline applies that factor explicitly.
 
 Moments are centered by default (stacked scores by their all-N mean, plain
 scores by their labeled-sample mean); ``centering=False`` keeps the raw
@@ -64,33 +59,28 @@ def moment_estimates(
     cancel; the gram is then corrected by the outer product of the mean's
     remaining offset from the shift.  The cross moment needs no correction,
     because the labeled scores it multiplies are centred and sum to zero.
-    With one chunk (N <= CHUNK_ROWS) the shift is the exact mean and nothing
-    is corrected.
     """
     n, N = ds.n, ds.N
     s_lab = np.asarray(model.score(ds.features[:n], ds.labels, theta), dtype=float)
     if centering:
         s_lab = s_lab - s_lab.mean(axis=0)
-    corrected = centering and N > CHUNK_ROWS
-    ones = np.ones(CHUNK_ROWS) if corrected else None
+    ones = np.ones(min(N, CHUNK_ROWS))
+    gram = total = cross = 0.0
     for lo in range(0, N, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, N)
         S = stacked_score_matrix(model, ds.features[lo:hi], ds.predictions[lo:hi], theta)
         if centering:
             if lo == 0:
-                shift = S.mean(axis=0)
+                shift = ones @ S / (hi - lo)  # column means, by BLAS
             S -= shift  # S is freshly built, so centre it in place
-        chunk_gram = S.T @ S
-        chunk_total = ones[: hi - lo] @ S if corrected else 0.0  # column sums, by BLAS
-        chunk_cross = S[: n - lo].T @ s_lab[lo:hi] if lo < n else 0.0
-        if lo == 0:  # not 0 + terms, which turns -0.0 into 0.0: one chunk stays bit-identical
-            gram, total, cross = chunk_gram, chunk_total, chunk_cross
-        else:
-            gram, total, cross = gram + chunk_gram, total + chunk_total, cross + chunk_cross
+            total = total + ones[: hi - lo] @ S
+        gram = gram + S.T @ S
+        if lo < n:
+            cross = cross + S[: n - lo].T @ s_lab[lo:hi]
     gram = gram / N
-    if corrected:
+    if centering:
         offset = total / N
-        gram -= np.outer(offset, offset)
+        gram -= offset[:, None] * offset
     cross = cross / n
     gram = 0.5 * (gram + gram.T)
     return MomentEstimates(gram=gram, cross=cross, centering=centering)
@@ -122,32 +112,6 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray, ridge_scale: float) -> np.ndar
     if not np.all(np.isfinite(solution)):
         raise SingularGram("weight solve produced non-finite values")
     return solution
-
-
-def estimate_mean_weights(
-    ds: Dataset,
-    ridge_scale: float = DEFAULT_RIDGE_SCALE,
-) -> np.ndarray:
-    """Mean-estimation optimal weights (closed form, factor included).
-
-    Computes
-    ``(N-n)/N * [mean_N (yhat - ybar_hat)(yhat - ybar_hat)']^{-1}
-    [mean_n (yhat_i - ybar_hat)(y_i - ybar)]``
-    with the prediction mean over all N rows and the label mean over the
-    labeled rows, after ridge regularization of the gram matrix.
-
-    Returns:
-        Length-K weight vector.
-
-    Raises:
-        SingularGram: prediction columns carry no usable variation.
-    """
-    preds_centered = ds.predictions - ds.predictions.mean(axis=0)
-    labels_centered = ds.labels - ds.labels.mean()
-    gram = preds_centered.T @ preds_centered / ds.N
-    cross = preds_centered[: ds.n].T @ labels_centered / ds.n
-    factor = (ds.N - ds.n) / ds.N
-    return factor * solve_gram(gram, cross, ridge_scale)
 
 
 def estimate_general_weights(

@@ -1,0 +1,47 @@
+"""Test-only reference forms of quantities the package computes another way.
+
+``stacked_score`` is one row of ``sada.data.stacked_score_matrix``, built
+block by block; ``estimate_mean_weights`` is the mean-model weight closed form
+on the prediction columns, which ``estimate_general_weights`` must reproduce.
+"""
+import numpy as np
+
+from sada import Dataset, DimensionMismatch
+from sada.weighting import DEFAULT_RIDGE_SCALE, solve_gram
+
+
+def stacked_score(model, x: np.ndarray, preds: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Stack the score evaluated at each prediction for one observation.
+
+    Block k (length p) of the returned length-K*p vector is the score at
+    prediction column k, i.e. ``model.score(x, preds[k], theta)``.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape[0] != model.p:
+        raise DimensionMismatch(f"theta has length {theta.shape[0]}, expected {model.p}")
+    preds = np.asarray(preds, dtype=float)
+    blocks = [np.asarray(model.score(x, yk, theta), dtype=float).reshape(-1) for yk in preds]
+    return np.concatenate(blocks)
+
+
+def estimate_mean_weights(ds: Dataset, ridge_scale: float = DEFAULT_RIDGE_SCALE) -> np.ndarray:
+    """Mean-estimation optimal weights (closed form, factor included).
+
+    Computes
+    ``(N-n)/N * [mean_N (yhat - ybar_hat)(yhat - ybar_hat)']^{-1}
+    [mean_n (yhat_i - ybar_hat)(y_i - ybar)]``
+    with the prediction mean over all N rows and the label mean over the
+    labeled rows, after ridge regularization of the gram matrix.
+
+    Returns:
+        Length-K weight vector.
+
+    Raises:
+        SingularGram: prediction columns carry no usable variation.
+    """
+    preds_centered = ds.predictions - ds.predictions.mean(axis=0)
+    labels_centered = ds.labels - ds.labels.mean()
+    gram = preds_centered.T @ preds_centered / ds.N
+    cross = preds_centered[: ds.n].T @ labels_centered / ds.n
+    factor = (ds.N - ds.n) / ds.N
+    return factor * solve_gram(gram, cross, ridge_scale)

@@ -16,7 +16,6 @@ from sada import (
     SyntheticConfig,
     conditional_mean_study,
     efficiency_curve,
-    estimate_mean_weights,
     mean_model,
     ols_coverage_study,
     ols_model,
@@ -27,6 +26,8 @@ from sada import (
 )
 from sada.cli import main
 from sada.io import load_dataset_csv, write_dataset_csv
+
+from reference import estimate_mean_weights
 
 ACC_SEED = 20250808
 GAMMAS = [i / 10 for i in range(11)]

@@ -9,10 +9,11 @@ from sada import (
     NoUnlabeledRows,
     mean_model,
     ols_model,
-    stacked_score,
     stacked_score_matrix,
     validate_dataset,
 )
+
+from reference import stacked_score
 
 
 def small_dataset(N=5, n=2, K=2, seed=0):

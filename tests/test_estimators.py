@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,6 +420,24 @@ def test_newton_does_not_depend_on_the_units_of_y(make_model):
         for got, want in ((b.theta_hat, a.theta_hat), (b.covariance, a.covariance)):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), token
 
+
+def test_newton_never_builds_the_stacked_matrix():
+    rng = np.random.default_rng(23)
+    N, n, K, d = 200_000, 20_000, 5, 3
+    X = np.column_stack([np.ones(N), rng.standard_normal((N, d - 1))])
+    y = X @ np.array([0.5, -1.0, 2.0]) + rng.standard_normal(N)
+    ds = Dataset.from_arrays(X, y[:n], y[:, None] + rng.standard_normal((N, K)))
+    model = ols_model(d)
+    report = sada_estimate(ds, model)
+    newton = dataclasses.replace(model, design=None)
+    tracemalloc.start()
+    try:
+        theta, _ = solve_weighted(ds, newton, report.weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * N * K * d * 8  # half of one (N, K*p) float64 array
+    assert np.max(np.abs(theta - report.theta_hat)) <= 1e-12 * np.max(np.abs(report.theta_hat))
 
 def test_built_in_models_never_reach_newton(monkeypatch):
     def newton(*args, **kwargs):

@@ -5,7 +5,6 @@ from sada import (
     NonConvergence,
     ScoreModel,
     SingularJacobian,
-    SolverConfig,
     mean_model,
     ols_model,
     solve_estimating_equation,
@@ -126,12 +125,11 @@ def test_solver_zero_jacobian_raises():
 
 def test_solver_reports_nonconvergence():
     # residual bounded away from zero with a unit Jacobian cannot converge
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NonConvergence, match="step halving stalled"):
         solve_estimating_equation(
             lambda t: np.array([1.0 + t[0] ** 2]),
             lambda t: np.array([[1.0]]),
             np.array([0.0]),
-            SolverConfig(max_iters=5, damping=3),
         )
 
 
@@ -155,10 +153,3 @@ def test_solver_nonlinear_residual():
         np.array([0.0]),
     )
     assert abs(theta[0] - np.log(2.0)) < 1e-10
-
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(abs_tol=0.0)

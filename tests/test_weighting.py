@@ -13,7 +13,6 @@ from sada import (
     SingularGram,
     ZeroGram,
     estimate_general_weights,
-    estimate_mean_weights,
     mean_model,
     moment_estimates,
     naive_estimate,
@@ -22,6 +21,8 @@ from sada import (
 )
 from sada.data import stacked_score_matrix
 from sada.inference import run_method
+
+from reference import estimate_mean_weights
 
 # Frozen from the independent oracle (explicit loops + Cramer's rule) on the
 # fixed 6-row dataset below: omega = (N-n)/N * Vhat^{-1} chat with
@@ -294,14 +295,11 @@ def test_moments_do_not_depend_on_the_chunk_size(monkeypatch, shape, model_name,
             "n_just_above_Kp": (150, 3 * model.p + 1)}[shape]
     ds = scaled_dataset(np.random.default_rng(21), N, n, scaled)
     pilot = naive_estimate(ds, model).theta_hat
-    # The exact moments are the reference, not the one-chunk result: that one
-    # keeps the uncorrected two-pass centring, whose rounded mean leaves ~1e-8
-    # on the mean model's 1e-12 column (a score offset 5e11 times its spread).
     gram, cross = exact_moments(ds, model, pilot, centering)
     root = np.sqrt(np.diag(gram))
     gram, cross = scale_free(gram, cross, root)
     report = run_method(ds, model, "sada", 0.95, centering, DEFAULT_RIDGE_SCALE)
-    for chunk in (1, 7, 64):
+    for chunk in (1, 7, 64, sada.weighting.CHUNK_ROWS):
         monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk)
         moments = moment_estimates(ds, model, pilot, centering=centering)
         gram_c, cross_c = scale_free(moments.gram, moments.cross, root)
