@@ -1,9 +1,10 @@
 """Command-line surface: ``sada estimate | simulate | compare``.
 
-Configuration comes from an optional key=value file (``--config``) whose
-keys are the command's own option names; command-line flags take
-precedence.  Exit codes: 0 success, 2 config error, 3 data error,
-4 numerical failure.
+Each option is declared once, to argparse, with its type and default.  An
+optional key=value file (``--config``) whose keys are the command's own
+option names sets new defaults, each value converted as its flag would be;
+command-line flags take precedence.  Exit codes: 0 success, 2 config error,
+3 data error, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .io import (
 )
 from .models import mean_model, ols_model
 from .simulate import DEFAULT_METHODS, SyntheticConfig, efficiency_curve
-from .weighting import DEFAULT_RIDGE_SCALE
+from .weighting import DEFAULT_RIDGE_SCALE, check_ridge_scale
 
 # Exit code by error class; the first match wins, so SadaError takes the rest.
 _EXIT_CODES = (
@@ -45,26 +46,9 @@ _EXIT_CODES = (
     (SadaError, 4),
 )
 
-_DEFAULTS = {
-    "model": "mean",
-    "level": 0.95,
-    "seed": 0,
-    "reps": 1000,
-    "gamma_grid": "0:1:11",
-    "methods": None,  # per-command default
-    "centering": "on",
-    "ridge_scale": DEFAULT_RIDGE_SCALE,
-    "strict": False,
-    "workers": 1,
-    "out": "sada_out",
-    "theta_star": 0.5,
-    "total_rows": 200,
-    "labeled_rows": 60,
-}
-
 
 def read_config_file(path: str | Path) -> dict:
-    """Parse a plain-text ``key = value`` configuration file."""
+    """Parse a plain-text ``key = value`` file into strings; ``main`` checks and converts them."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -77,73 +61,32 @@ def read_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}: line {line_no}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _DEFAULTS:
-            raise ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
         out[key] = value
     return out
 
 
-def _resolve(key: str, flag_value, config: dict):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return _DEFAULTS[key]
-
-
-def _as_bool(value, key: str) -> bool:
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
+def _on_off(text: str) -> bool:
+    text = text.strip().lower()
     if text in ("on", "true", "1", "yes"):
         return True
     if text in ("off", "false", "0", "no"):
         return False
-    raise ConfigError(f"{key} must be on/off, got {value!r}")
-
-
-def _as_float(value, key: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-
-
-def _as_int(value, key: str) -> int:
-    try:
-        return int(str(value))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    raise argparse.ArgumentTypeError(f"expected on/off, got {text!r}")
 
 
 def parse_gamma_grid(spec: str) -> list[float]:
     """Grid spec: comma list ``0,0.5,1`` or linspace form ``start:stop:count``."""
-    spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"bad gamma grid {spec!r}; use start:stop:count")
-        start, stop = _as_float(parts[0], "gamma_grid"), _as_float(parts[1], "gamma_grid")
-        count = _as_int(parts[2], "gamma_grid")
-        if count < 1:
-            raise ConfigError("gamma grid count must be >= 1")
-        return [float(g) for g in np.linspace(start, stop, count)]
     try:
-        grid = [float(tok) for tok in spec.split(",") if tok.strip()]
+        if ":" in spec:
+            start, stop, count = spec.split(":")
+            return np.linspace(float(start), float(stop), int(count)).tolist()
+        return [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"bad gamma grid {spec!r}") from None
-    if not grid:
-        raise ConfigError("gamma grid is empty")
-    return grid
+        raise ConfigError(f"bad gamma grid {spec!r}; use a comma list or start:stop:count") from None
 
 
-def _parse_methods(spec, default: tuple[str, ...]) -> list[str]:
-    if spec is None:
-        return list(default)
-    if isinstance(spec, str):
-        tokens = [tok.strip() for tok in spec.split(",") if tok.strip()]
-    else:
-        tokens = list(spec)
+def _parse_methods(spec: str) -> list[str]:
+    tokens = [tok.strip() for tok in spec.split(",") if tok.strip()]
     if not tokens:
         raise ConfigError("methods list is empty")
     for token in tokens:
@@ -154,62 +97,70 @@ def _parse_methods(spec, default: tuple[str, ...]) -> list[str]:
 def _build_model(name: str, d: int):
     if name == "mean":
         return mean_model()
-    if name == "ols":
-        if d < 1:
-            raise ConfigError("ols model requires at least one x_ feature column")
-        return ols_model(d)
-    raise ConfigError(f"unknown model {name!r}")
+    if d < 1:
+        raise ConfigError("ols model requires at least one x_ feature column")
+    return ols_model(d)
 
 
-def _common_meta(args, config, command: str) -> dict:
-    foreign = sorted(set(config) - set(vars(args)))
+def _config_values(command_parser: argparse.ArgumentParser, command: str, config: dict) -> dict:
+    """Convert each config value as its option of the same name converts a flag."""
+    actions = {
+        a.dest: a for a in command_parser._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+    foreign = sorted(set(config) - set(actions))
     if foreign:
         raise ConfigError(f"{command} takes no config key {', '.join(map(repr, foreign))}")
-    level = _as_float(_resolve("level", args.level, config), "level")
-    if not 0.0 < level < 1.0:
-        raise ConfigError(f"level must be in (0, 1), got {level!r}")
-    ridge_scale = _as_float(_resolve("ridge_scale", args.ridge_scale, config), "ridge_scale")
-    if not (np.isfinite(ridge_scale) and ridge_scale >= 0.0):
-        raise ConfigError(f"ridge_scale must be a finite number >= 0, got {ridge_scale!r}")
-    out = str(_resolve("out", args.out, config))
-    nearest = next((p for p in (Path(out), *Path(out).parents) if p.exists()), None)
+    values = {}
+    for key, text in config.items():
+        action = actions[key]
+        convert = _on_off if action.nargs == 0 else action.type or str  # a bare flag reads on/off
+        try:
+            values[key] = convert(text)
+        except (ValueError, argparse.ArgumentTypeError, ConfigError) as exc:
+            raise ConfigError(f"config {key} = {text!r}: {exc}") from None
+        if action.choices is not None and values[key] not in action.choices:
+            raise ConfigError(f"config {key} = {text!r}: choose from {', '.join(action.choices)}")
+    return values
+
+
+def _check_common(args) -> None:
+    """Reject a bad level, ridge scale or output directory before any file is read."""
+    if not 0.0 < args.level < 1.0:
+        raise ConfigError(f"level must be in (0, 1), got {args.level!r}")
+    check_ridge_scale(args.ridge_scale)
+    nearest = next((p for p in (Path(args.out), *Path(args.out).parents) if p.exists()), None)
     if nearest is not None and not nearest.is_dir():
-        raise ConfigError(f"out {out!r}: {str(nearest)!r} exists and is not a directory")
-    return {
-        "command": command,
-        "level": level,
-        "centering": _as_bool(_resolve("centering", args.centering, config), "centering"),
-        "ridge_scale": ridge_scale,
-        "out": out,
-    }
+        raise ConfigError(f"out {args.out!r}: {str(nearest)!r} exists and is not a directory")
 
 
 def cmd_estimate(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
-    meta = _common_meta(args, config, "estimate")
+    _check_common(args)
     loaded = load_dataset_csv(args.csv)
     ds = loaded.dataset
-    model = _build_model(str(_resolve("model", args.model, config)), ds.d)
-    tokens = _parse_methods(_resolve("methods", args.methods, config), ("naive", "sada"))
+    model = _build_model(args.model, ds.d)
 
     reports = [
-        run_method(ds, model, token, meta["level"], meta["centering"], meta["ridge_scale"])
-        for token in tokens
+        run_method(ds, model, token, args.level, args.centering, args.ridge_scale)
+        for token in args.methods
     ]
-    meta.update(
-        {
-            "csv": str(args.csv),
-            "model": model.name,
-            "n_labeled": ds.n,
-            "n_total": ds.N,
-            "n_predictions": ds.K,
-            "methods": tokens,
-        }
-    )
-    json_path, csv_path = write_estimate_reports(reports, meta["out"], meta)
+    meta = {
+        "command": "estimate",
+        "level": args.level,
+        "centering": args.centering,
+        "ridge_scale": args.ridge_scale,
+        "out": args.out,
+        "csv": str(args.csv),
+        "model": model.name,
+        "n_labeled": ds.n,
+        "n_total": ds.N,
+        "n_predictions": ds.K,
+        "methods": args.methods,
+    }
+    json_path, csv_path = write_estimate_reports(reports, args.out, meta)
 
     rows = []
-    for token, report in zip(tokens, reports):
+    for token, report in zip(args.methods, reports):
         for j in range(len(report.theta_hat)):
             rows.append(
                 [
@@ -226,11 +177,10 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
-    meta = _common_meta(args, config, "compare")
+    _check_common(args)
     loaded = load_dataset_csv(args.csv)
     ds = loaded.dataset
-    model = _build_model(str(_resolve("model", args.model, config)), ds.d)
+    model = _build_model(args.model, ds.d)
 
     tokens = ["naive"]
     tokens += [f"ppi:{k}" for k in range(1, ds.K + 1)]
@@ -239,12 +189,12 @@ def cmd_compare(args) -> int:
 
     entries = []
     for token in tokens:
-        report = run_method(ds, model, token, meta["level"], meta["centering"], meta["ridge_scale"])
+        report = run_method(ds, model, token, args.level, args.centering, args.ridge_scale)
         variance = float(np.trace(np.atleast_2d(report.covariance))) / ds.n
         entries.append((token, report, variance))
     entries.sort(key=lambda e: e[2])
 
-    path = write_compare_table(entries, meta["out"])
+    path = write_compare_table(entries, args.out)
     rows = []
     for token, report, variance in entries:
         weights = ""
@@ -257,34 +207,25 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
-    meta = _common_meta(args, config, "simulate")
+    _check_common(args)
     cfg = SyntheticConfig(
-        theta_star=_as_float(_resolve("theta_star", args.theta_star, config), "theta_star"),
-        N=_as_int(_resolve("total_rows", args.total_rows, config), "total_rows"),
-        n=_as_int(_resolve("labeled_rows", args.labeled_rows, config), "labeled_rows"),
-        gamma=0.0,
-        reps=_as_int(_resolve("reps", args.reps, config), "reps"),
-        seed=_as_int(_resolve("seed", args.seed, config), "seed"),
+        theta_star=args.theta_star,
+        N=args.total_rows,
+        n=args.labeled_rows,
+        reps=args.reps,
+        seed=args.seed,
     )
-    gammas = parse_gamma_grid(str(_resolve("gamma_grid", args.gamma_grid, config)))
-    tokens = _parse_methods(_resolve("methods", args.methods, config), DEFAULT_METHODS)
-    workers = _as_int(_resolve("workers", args.workers, config), "workers")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    strict = args.strict or _as_bool(config.get("strict", False), "strict")
-
     rows = efficiency_curve(
         cfg,
-        gammas,
-        tokens,
-        level=meta["level"],
-        centering=meta["centering"],
-        ridge_scale=meta["ridge_scale"],
-        workers=workers,
-        strict=strict,
+        args.gamma_grid,
+        args.methods,
+        level=args.level,
+        centering=args.centering,
+        ridge_scale=args.ridge_scale,
+        workers=args.workers,
+        strict=args.strict,
     )
-    out_dir = Path(meta["out"])
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "results.csv"
     svg_path = out_dir / "efficiency.svg"
@@ -308,45 +249,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_command(name, func, summary):
+        sp = sub.add_parser(name, help=summary, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        sp.set_defaults(func=func)
+        return sp
+
     def add_common(sp):
-        sp.add_argument("--config", help="key = value configuration file")
-        sp.add_argument("--level", type=float, help="confidence level (default 0.95)")
-        sp.add_argument("--centering", choices=["on", "off"], help="moment centering")
-        sp.add_argument("--ridge-scale", dest="ridge_scale", type=float, help="gram ridge multiplier")
-        sp.add_argument("--out", help="output directory")
+        sp.add_argument("--config", help="key = value file of option defaults")
+        sp.add_argument("--level", type=float, default=0.95, help="confidence level")
+        sp.add_argument("--centering", type=_on_off, default="on", metavar="{on,off}",
+                        help="moment centering")
+        sp.add_argument("--ridge-scale", dest="ridge_scale", type=float, default=DEFAULT_RIDGE_SCALE,
+                        help="gram ridge multiplier")
+        sp.add_argument("--out", default="sada_out", help="output directory")
 
-    sp_est = sub.add_parser("estimate", help="estimate from a CSV file")
+    sp_est = add_command("estimate", cmd_estimate, "estimate from a CSV file")
     sp_est.add_argument("csv", help="input CSV (x_*, y, yhat_* columns)")
-    sp_est.add_argument("--model", choices=["mean", "ols"])
+    sp_est.add_argument("--model", choices=["mean", "ols"], default="mean", help="score model")
     add_common(sp_est)
-    sp_est.add_argument("--methods", help="comma-separated method tokens")
-    sp_est.set_defaults(func=cmd_estimate)
+    sp_est.add_argument("--methods", type=_parse_methods, default="naive,sada",
+                        help="comma-separated method tokens")
 
-    sp_cmp = sub.add_parser("compare", help="side-by-side method comparison on a CSV file")
+    sp_cmp = add_command("compare", cmd_compare, "side-by-side method comparison on a CSV file")
     sp_cmp.add_argument("csv")
-    sp_cmp.add_argument("--model", choices=["mean", "ols"])
+    sp_cmp.add_argument("--model", choices=["mean", "ols"], default="mean", help="score model")
     add_common(sp_cmp)
-    sp_cmp.set_defaults(func=cmd_compare)
 
-    sp_sim = sub.add_parser("simulate", help="synthetic efficiency study")
+    study = SyntheticConfig()
+    sp_sim = add_command("simulate", cmd_simulate, "synthetic efficiency study")
     add_common(sp_sim)
-    sp_sim.add_argument("--methods", help="comma-separated method tokens")
-    sp_sim.add_argument("--seed", type=int, help="RNG seed")
-    sp_sim.add_argument("--reps", type=int, help="Monte Carlo replications per gamma")
-    sp_sim.add_argument("--gamma-grid", dest="gamma_grid", help="comma list or start:stop:count")
-    sp_sim.add_argument("--workers", type=int, help="worker processes")
+    sp_sim.add_argument("--methods", type=_parse_methods, default=",".join(DEFAULT_METHODS),
+                        help="comma-separated method tokens")
+    sp_sim.add_argument("--seed", type=int, default=study.seed, help="RNG seed")
+    sp_sim.add_argument("--reps", type=int, default=study.reps, help="Monte Carlo replications per gamma")
+    sp_sim.add_argument("--gamma-grid", dest="gamma_grid", type=parse_gamma_grid, default="0:1:11",
+                        help="comma list or start:stop:count")
+    sp_sim.add_argument("--workers", type=int, default=1, help="worker processes")
     sp_sim.add_argument("--strict", action="store_true", help="abort on any replicate failure")
-    sp_sim.add_argument("--theta-star", dest="theta_star", type=float, help="true mean")
-    sp_sim.add_argument("--total-rows", dest="total_rows", type=int, help="N")
-    sp_sim.add_argument("--labeled-rows", dest="labeled_rows", type=int, help="n")
-    sp_sim.set_defaults(func=cmd_simulate)
+    sp_sim.add_argument("--theta-star", dest="theta_star", type=float, default=study.theta_star,
+                        help="true mean")
+    sp_sim.add_argument("--total-rows", dest="total_rows", type=int, default=study.N, help="N")
+    sp_sim.add_argument("--labeled-rows", dest="labeled_rows", type=int, default=study.n, help="n")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+        if args.config:
+            # config values become the command's defaults, so flags still win
+            commands = next(a for a in parser._actions if a.dest == "command")
+            command_parser = commands.choices[args.command]
+            config = read_config_file(args.config)
+            command_parser.set_defaults(**_config_values(command_parser, args.command, config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (SadaError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

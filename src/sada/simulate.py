@@ -29,13 +29,16 @@ DEFAULT_METHODS = ("naive", "ppi:1", "ppi:2", "ppi_pp:1", "ppi_pp:2", "sada")
 
 
 def _check_design(cfg) -> None:
-    """Reject a study config whose replicates cannot be drawn; gamma only where it has one."""
+    """Reject a study config whose replicates cannot be drawn; each field only where it has one."""
     if not 0.0 <= getattr(cfg, "gamma", 0.0) <= 1.0:
         raise ConfigError(f"gamma must be in [0, 1], got {cfg.gamma}")
     if not 1 <= cfg.n < cfg.N:
         raise ConfigError(f"need 1 <= n < N, got n={cfg.n}, N={cfg.N}")
     if cfg.reps < 1:
         raise ConfigError(f"reps must be >= 1, got {cfg.reps}")
+    for name in ("theta_star", "noise_sd"):
+        if not np.all(np.isfinite(getattr(cfg, name, 0.0))):
+            raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
 
 
 @dataclass(frozen=True)
@@ -278,6 +281,8 @@ def _run_studies(
     """
     if not methods:
         raise ConfigError("methods must be nonempty")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     tokens = list(dict.fromkeys(methods))
     if "naive" not in tokens:
         tokens = ["naive"] + tokens  # baseline for relative efficiencies
@@ -285,7 +290,7 @@ def _run_studies(
         parse_method(token)
     run = partial(_run_one_rep, kind, tokens, level, centering, ridge_scale, strict)
     jobs = [(cfg, rep) for cfg in cfgs for rep in range(cfg.reps)]
-    workers = max(1, min(workers, os.cpu_count() or 1))
+    workers = min(workers, os.cpu_count() or 1)
     chunksize = -(-len(jobs) // (workers * 4))
     workers = min(workers, -(-len(jobs) // chunksize))  # no more processes than chunks
     with ExitStack() as stack:

@@ -11,12 +11,13 @@ uncentered moments for comparison.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, stacked_score_matrix
-from .errors import SingularGram, ZeroGram
+from .errors import ConfigError, SingularGram, ZeroGram
 from .models import RCOND_THRESHOLD, ScoreModel, solve_score_root
 
 #: Default ridge multiplier: lambda = ridge_scale * trace(gram) / dim.
@@ -86,13 +87,21 @@ def moment_estimates(
     return MomentEstimates(gram=gram, cross=cross, centering=centering)
 
 
+def check_ridge_scale(ridge_scale: float) -> None:
+    """Raise ConfigError unless ridge_scale is a finite number >= 0, so the ridged gram stays PSD."""
+    if not (math.isfinite(ridge_scale) and ridge_scale >= 0.0):
+        raise ConfigError(f"ridge_scale must be a finite number >= 0, got {ridge_scale!r}")
+
+
 def regularize_gram(gram: np.ndarray, ridge_scale: float = DEFAULT_RIDGE_SCALE) -> np.ndarray:
     """Add a trace-scaled ridge: gram + lambda*I with lambda = ridge_scale*trace/dim.
 
     Raises:
+        ConfigError: ridge_scale is negative, NaN or infinite.
         ZeroGram: the gram matrix is identically zero, so no ridge can make
             it carry information (surfaces as SingularGram upstream).
     """
+    check_ridge_scale(ridge_scale)
     gram = np.asarray(gram, dtype=float)
     if np.all(gram == 0.0):
         raise ZeroGram("gram matrix is identically zero")

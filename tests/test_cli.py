@@ -1,4 +1,7 @@
 import json
+import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,3 +359,73 @@ def test_config_file_with_byte_order_mark(tmp_path):
     path = tmp_path / "bom.cfg"
     path.write_text("level = 0.9\n", encoding="utf-8-sig")
     assert read_config_file(path) == {"level": "0.9"}
+
+
+def test_simulate_non_finite_theta_star_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--reps", "3", "--gamma-grid", "0.5", "--theta-star", "nan", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("ConfigError: theta_star must be finite")
+    assert not out.exists()
+
+
+# one non-default value for every option of each command
+NON_DEFAULTS = {
+    "estimate": [("model", "ols"), ("level", "0.9"), ("centering", "off"), ("ridge_scale", "0.01"),
+                 ("methods", "naive,ppi:1,ppi_pp:2,sada"), ("out", "elsewhere")],
+    "compare": [("model", "ols"), ("level", "0.8"), ("centering", "off"), ("ridge_scale", "0.01"),
+                ("out", "elsewhere")],
+    "simulate": [("level", "0.9"), ("centering", "off"), ("ridge_scale", "0.01"), ("out", "elsewhere"),
+                 ("methods", "naive,ppi:1,sada"), ("seed", "4"), ("reps", "4"), ("gamma_grid", "0,1"),
+                 ("workers", "2"), ("strict", "on"), ("theta_star", "1.5"), ("total_rows", "50"),
+                 ("labeled_rows", "12")],
+}
+
+
+@pytest.mark.parametrize(
+    "command, key, value", [(c, k, v) for c, options in NON_DEFAULTS.items() for k, v in options]
+)
+def test_config_value_writes_what_the_flag_writes(tmp_path, capsys, command, key, value):
+    if key == "out":
+        value = str(tmp_path / value)
+    out = value if key == "out" else str(tmp_path / "out")
+    small = {"reps": "3", "gamma_grid": "0.5", "total_rows": "40", "labeled_rows": "10", "out": out}
+    base = [command] if command == "simulate" else [command, str(make_csv(tmp_path))]
+    for k, v in small.items():
+        if k != key and (command == "simulate" or k == "out"):
+            base += ["--" + k.replace("_", "-"), v]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    flag = ["--strict"] if key == "strict" else ["--" + key.replace("_", "-"), value]
+    written = []
+    for argv in (base + ["--config", str(config)], base + flag):
+        assert main(argv) == 0
+        files = {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+        written.append((files, capsys.readouterr().out))
+        shutil.rmtree(out)
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize(
+    "key, value", [("level", "abc"), ("workers", "two"), ("centering", "maybe"), ("strict", "maybe")]
+)
+def test_config_value_that_fails_to_convert_exits_two(tmp_path, capsys, key, value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    out = tmp_path / "out"
+    args = ["simulate", "--reps", "2", "--gamma-grid", "0.5", "--out", str(out), "--config", str(config)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError:") and key in err and value in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare", "simulate"])
+def test_help_shows_every_default(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    options = re.findall(r"^  (--[a-z-]+)", text, flags=re.M)
+    assert len(options) == (7 if command == "estimate" else 6 if command == "compare" else 14)
+    assert " ".join(text.split()).count("(default: ") == len(options)
+    assert "(default: 0.95)" in text

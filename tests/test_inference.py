@@ -3,8 +3,10 @@ import pytest
 from scipy import stats
 
 from sada import (
+    ConfigError,
     Dataset,
     SandwichParts,
+    SyntheticConfig,
     SingularHessian,
     attach_inference,
     confidence_region,
@@ -12,9 +14,11 @@ from sada import (
     estimate_hessian,
     estimate_sigma_g,
     estimate_sigma_nv,
+    generate_synthetic,
     mean_model,
     naive_estimate,
     ols_model,
+    ppi_pp_estimate,
     sada_estimate,
     sandwich_parts,
     weighted_sigma,
@@ -315,3 +319,18 @@ def test_weighted_sigma_rejects_a_misshaped_weight_matrix(shape):
     ds = Dataset.from_arrays(X, rng.standard_normal(15), rng.standard_normal((40, 2)))
     with pytest.raises(ValueError, match="weight matrix shape"):
         weighted_sigma(ds, ols_model(2), np.zeros(2), np.ones(shape))
+
+
+@pytest.mark.parametrize("ridge_scale", [-1.0, float("nan"), float("inf")])
+def test_library_rejects_a_bad_ridge_scale(ridge_scale):
+    # a negative ridge can make the regularised gram indefinite and the
+    # interval zero-width; NaN and infinity used to fall back to naive
+    ds, _ = generate_synthetic(SyntheticConfig(N=400, n=80), 0)
+    model = mean_model()
+    match = "ridge_scale must be a finite number >= 0"
+    with pytest.raises(ConfigError, match=match):
+        sada_estimate(ds, model, ridge_scale=ridge_scale)
+    with pytest.raises(ConfigError, match=match):
+        ppi_pp_estimate(ds, model, 1, ridge_scale=ridge_scale)
+    with pytest.raises(ConfigError, match=match):
+        attach_inference(sada_estimate(ds, model), ds, model, ridge_scale=ridge_scale)

@@ -61,6 +61,13 @@ def test_config_validation():
     for gamma in (2.5, -0.1, float("nan")):
         with pytest.raises(ConfigError):
             OlsCoverageConfig(N=200, n=60, reps=20, gamma=gamma, seed=1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="theta_star must be finite"):
+            SyntheticConfig(theta_star=bad)
+        with pytest.raises(ConfigError, match="theta_star must be finite"):
+            OlsCoverageConfig(theta_star=(bad, 1.0))
+        with pytest.raises(ConfigError, match="noise_sd must be finite"):
+            ConditionalMeanConfig(noise_sd=bad)
 
 
 def test_parse_method_tokens():
@@ -210,3 +217,12 @@ def test_bad_gamma_anywhere_in_grid_fails_before_any_replicate(monkeypatch):
     with pytest.raises(ConfigError, match="gamma"):
         efficiency_curve(SyntheticConfig(reps=2), [0.5, 1.5], ["sada"])
     assert drawn == []
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_raise(workers):
+    cfg = SyntheticConfig(reps=3)
+    with pytest.raises(ConfigError, match=f"workers must be >= 1, got {workers}"):
+        run_replications(cfg, ["sada"], workers=workers)
+    with pytest.raises(ConfigError, match=f"workers must be >= 1, got {workers}"):
+        efficiency_curve(cfg, [0.5], ["sada"], workers=workers)
