@@ -30,7 +30,6 @@ from .estimators import (
 from .inference import (
     SandwichParts,
     attach_inference,
-    confidence_region,
     covariance_and_intervals,
     estimate_hessian,
     estimate_sigma_g,

@@ -86,7 +86,8 @@ def parse_gamma_grid(spec: str) -> list[float]:
 
 
 def _parse_methods(spec: str) -> list[str]:
-    tokens = [tok.strip() for tok in spec.split(",") if tok.strip()]
+    """Comma-separated method tokens, each checked, repeats dropped in first-seen order."""
+    tokens = list(dict.fromkeys(tok.strip() for tok in spec.split(",") if tok.strip()))
     if not tokens:
         raise ConfigError("methods list is empty")
     for token in tokens:
@@ -140,8 +141,8 @@ def cmd_estimate(args) -> int:
     ds = loaded.dataset
     model = _build_model(args.model, ds.d)
 
-    reports = [
-        run_method(ds, model, token, args.level, args.centering, args.ridge_scale)
+    entries = [
+        (token, run_method(ds, model, token, args.level, args.centering, args.ridge_scale))
         for token in args.methods
     ]
     meta = {
@@ -157,10 +158,10 @@ def cmd_estimate(args) -> int:
         "n_predictions": ds.K,
         "methods": args.methods,
     }
-    json_path, csv_path = write_estimate_reports(reports, args.out, meta)
+    json_path, csv_path = write_estimate_reports(entries, args.out, meta)
 
     rows = []
-    for token, report in zip(args.methods, reports):
+    for token, report in entries:
         for j in range(len(report.theta_hat)):
             rows.append(
                 [

@@ -1,4 +1,4 @@
-"""Sandwich covariance and confidence intervals/regions for the estimators.
+"""Sandwich covariance and confidence intervals for the estimators.
 
 The covariance of the weighted estimator is Omega = Hinv Sigma Hinv with
 
@@ -12,11 +12,13 @@ quadratic form evaluated at W instead.  Per-component intervals are
 
     theta_j +/- sqrt(Omega_jj) * z_{1-alpha/2} / sqrt(n),
 
-with n the labeled count.
+with n the labeled count and z the standard normal quantile from
+``statistics.NormalDist``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .estimators import (
     sada_estimate,
 )
 from .models import RCOND_THRESHOLD, ScoreModel, rcond
-from .quantiles import chi2_quantile, normal_quantile
 from .weighting import DEFAULT_RIDGE_SCALE, moment_estimates, solve_gram
 
 
@@ -160,54 +161,11 @@ def _sandwich_intervals(
     Hinv = np.linalg.inv(H)
     omega = Hinv @ sigma @ Hinv.T
     omega = 0.5 * (omega + omega.T)
-    intervals = intervals_from_covariance(omega, theta_hat, n, level)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    half = z * np.sqrt(np.maximum(np.diag(omega), 0.0) / n)
+    intervals = Intervals(lower=theta_hat - half, upper=theta_hat + half, level=level)
     diagnostics = {"floored_components": floored} if floored else {}
     return omega, intervals, diagnostics
-
-
-def intervals_from_covariance(
-    omega: np.ndarray, theta_hat: np.ndarray, n: int, level: float
-) -> Intervals:
-    """Per-component normal intervals from a sandwich covariance."""
-    z = normal_quantile(0.5 + level / 2.0)
-    half = z * np.sqrt(np.maximum(np.diag(omega), 0.0) / n)
-    return Intervals(lower=theta_hat - half, upper=theta_hat + half, level=level)
-
-
-@dataclass(frozen=True)
-class EllipsoidRegion:
-    """Confidence region {theta : n (theta_hat - theta)' Omega^{-1} (theta_hat - theta) <= r}."""
-
-    center: np.ndarray
-    omega_inv: np.ndarray
-    radius: float
-    n: int
-    level: float
-
-    def contains(self, theta: np.ndarray) -> bool:
-        diff = np.asarray(theta, dtype=float) - self.center
-        return float(self.n * diff @ self.omega_inv @ diff) <= self.radius
-
-
-def confidence_region(
-    omega: np.ndarray, theta_hat: np.ndarray, n: int, level: float = 0.95
-) -> EllipsoidRegion:
-    """Chi-square ellipsoidal confidence region for the full parameter vector.
-
-    Raises:
-        SingularHessian: the covariance is not invertible (e.g. a floored
-            zero-variance component).
-    """
-    p = omega.shape[0]
-    if rcond(omega) < RCOND_THRESHOLD:
-        raise SingularHessian("covariance matrix is singular; no ellipsoidal region")
-    return EllipsoidRegion(
-        center=np.asarray(theta_hat, dtype=float),
-        omega_inv=np.linalg.inv(omega),
-        radius=chi2_quantile(level, p),
-        n=n,
-        level=level,
-    )
 
 
 def attach_inference(

@@ -264,23 +264,27 @@ def _jsonable(value):
 
 
 def write_estimate_reports(
-    reports: Sequence[EstimateReport],
+    entries: Sequence[tuple[str, EstimateReport]],
     out_dir: str | Path,
     meta: dict,
 ) -> tuple[Path, Path]:
-    """Write ``report.json`` (the structured report) and ``estimates.csv`` (flat) to out_dir."""
+    """Write ``report.json`` (the structured report) and ``estimates.csv`` (flat) to out_dir.
+
+    ``entries`` pairs each report with the method token that produced it;
+    ``estimates.csv`` names its rows by token, so ``ppi:1`` and ``ppi:2`` differ.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "report.json"
     payload = dict(meta)
-    payload["records"] = [_report_record(r) for r in reports]
+    payload["records"] = [_report_record(r) for _, r in entries]
     json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     csv_path = out_dir / "estimates.csv"
     with csv_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "component", "estimate", "stderr", "ci_lower", "ci_upper"])
-        for r in reports:
+        for token, r in entries:
             n = meta.get("n_labeled")
             for j, est in enumerate(r.theta_hat):
                 se = ""
@@ -288,7 +292,7 @@ def write_estimate_reports(
                     se = _fmt(math.sqrt(max(float(np.atleast_2d(r.covariance)[j, j]), 0.0) / n))
                 lo = _fmt(r.intervals.lower[j]) if r.intervals is not None else ""
                 hi = _fmt(r.intervals.upper[j]) if r.intervals is not None else ""
-                writer.writerow([r.method, str(j + 1), _fmt(est), se, lo, hi])
+                writer.writerow([token, str(j + 1), _fmt(est), se, lo, hi])
     return json_path, csv_path
 
 

@@ -1,11 +1,15 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sada
 from sada.cli import main, parse_gamma_grid, read_config_file
 
 
@@ -429,3 +433,38 @@ def test_help_shows_every_default(capsys, command):
     assert len(options) == (7 if command == "estimate" else 6 if command == "compare" else 14)
     assert " ".join(text.split()).count("(default: ") == len(options)
     assert "(default: 0.95)" in text
+
+
+def test_estimate_names_rows_by_method_token(tmp_path):
+    csv_path = make_csv(tmp_path, K=2)
+    out = tmp_path / "out"
+    assert main(["estimate", str(csv_path), "--methods", "ppi:1,ppi:2", "--out", str(out)]) == 0
+    lines = (out / "estimates.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == ["ppi:1", "ppi:2"]
+    report = json.loads((out / "report.json").read_text())
+    assert [r["method"] for r in report["records"]] == ["ppi", "ppi"]
+
+
+def test_estimate_drops_repeated_method_tokens(tmp_path, capsys):
+    csv_path = make_csv(tmp_path)
+    out = tmp_path / "out"
+    assert main(["estimate", str(csv_path), "--methods", "naive,naive,ppi,ppi:1", "--out", str(out)]) == 0
+    expected = ["naive", "ppi", "ppi:1"]
+    table = capsys.readouterr().out.splitlines()[2:-1]  # between the rule and the "wrote" line
+    assert [line.split()[0] for line in table] == expected
+    lines = (out / "estimates.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == expected
+    assert json.loads((out / "report.json").read_text())["methods"] == expected
+
+
+def test_cli_imports_only_numpy_beyond_the_standard_library():
+    src = str(Path(sada.__file__).resolve().parents[1])
+    probe = (
+        "import sys; before = set(sys.modules); import sada.cli; "
+        "print('\\n'.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    added = {name for name in result.stdout.split() if not (name.startswith("__") and name.endswith("__"))}
+    assert "sada" in added and "numpy" in added
+    assert added - set(sys.stdlib_module_names) - {"numpy", "sada"} == set()

@@ -9,7 +9,6 @@ from sada import (
     SyntheticConfig,
     SingularHessian,
     attach_inference,
-    confidence_region,
     covariance_and_intervals,
     estimate_hessian,
     estimate_sigma_g,
@@ -23,7 +22,6 @@ from sada import (
     sandwich_parts,
     weighted_sigma,
 )
-from sada.quantiles import chi2_quantile, normal_quantile
 
 # Frozen from the independent direct-summation oracle on the 3-point OLS
 # fixture X = [(1,0),(1,1),(1,2)], y = (1,2,2), theta = lstsq fit.
@@ -137,6 +135,16 @@ def test_interval_halfwidth_against_quantile_oracle():
     assert diag == {}
 
 
+@pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 1e-6, 1 - 1e-9])
+def test_halfwidth_is_the_normal_quantile_across_levels(level):
+    # p=1, H=-1, Sigma_opt=1, n=1 -> the half-width is z_{1/2 + level/2} itself
+    parts = SandwichParts(np.array([[-1.0]]), np.array([[1.0]]), np.array([[0.0]]), n=1, N=2)
+    _, intervals, _ = covariance_and_intervals(parts, np.array([0.0]), n=1, level=level)
+    expected = stats.norm.ppf(0.5 + level / 2.0)
+    assert abs(intervals.upper[0] - expected) <= 1e-13 * expected
+    assert intervals.lower[0] == -intervals.upper[0]
+
+
 def test_perfect_gain_shrinks_halfwidth_by_root_n_over_N():
     # Sigma_g = Sigma_nv turns Sigma_opt into (n/N) Sigma_nv
     base = SandwichParts(np.array([[-1.0]]), np.array([[2.0]]), np.array([[0.0]]), n=60, N=200)
@@ -231,45 +239,6 @@ def test_weighted_sigma_at_zero_weight_is_sigma_nv():
     theta = np.array([y[:20].mean()])
     out = weighted_sigma(ds, mean_model(), theta, np.zeros((2, 1)))
     assert np.array_equal(out, estimate_sigma_nv(ds, mean_model(), theta))
-
-
-def test_confidence_region_contains_center_and_scales():
-    omega = np.array([[2.0, 0.3], [0.3, 1.0]])
-    theta = np.array([1.0, -0.5])
-    region = confidence_region(omega, theta, n=50, level=0.95)
-    assert region.contains(theta)
-    # point on the boundary direction just inside / outside:
-    # n t^2 (Omega^{-1})_{11} = radius at the boundary along e1
-    direction = np.array([1.0, 0.0])
-    scale = np.sqrt(region.radius / (50 * region.omega_inv[0, 0]))
-    assert region.contains(theta + 0.999 * scale * direction)
-    assert not region.contains(theta + 1.001 * scale * direction)
-
-
-def test_confidence_region_singular_covariance_raises():
-    with pytest.raises(SingularHessian):
-        confidence_region(np.zeros((2, 2)), np.zeros(2), 10)
-
-
-def test_normal_quantile_accuracy():
-    ps = np.concatenate([
-        [1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.02425],
-        np.linspace(0.03, 0.97, 25),
-        [0.975, 0.99, 0.995, 1 - 1e-6, 1 - 1e-9],
-    ])
-    for p in ps:
-        assert abs(normal_quantile(float(p)) - stats.norm.ppf(p)) < 1e-8
-    with pytest.raises(ValueError):
-        normal_quantile(0.0)
-    with pytest.raises(ValueError):
-        normal_quantile(1.0)
-
-
-def test_chi2_quantile_accuracy():
-    for df in (1, 2, 3, 5, 10, 30):
-        for p in (0.05, 0.5, 0.9, 0.95, 0.99):
-            expected = stats.chi2.ppf(p, df)
-            assert abs(chi2_quantile(p, df) - expected) < 1e-6 * max(1.0, expected)
 
 
 def test_attach_inference_every_method():
