@@ -25,7 +25,7 @@ from .errors import (
     SchemaError,
 )
 from .estimators import parse_method
-from .inference import run_method
+from .inference import check_level, run_method
 from .io import (
     format_human_table,
     load_dataset_csv,
@@ -127,8 +127,7 @@ def _config_values(command_parser: argparse.ArgumentParser, command: str, config
 
 def _check_common(args) -> None:
     """Reject a bad level, ridge scale or output directory before any file is read."""
-    if not 0.0 < args.level < 1.0:
-        raise ConfigError(f"level must be in (0, 1), got {args.level!r}")
+    check_level(args.level)
     check_ridge_scale(args.ridge_scale)
     nearest = next((p for p in (Path(args.out), *Path(args.out).parents) if p.exists()), None)
     if nearest is not None and not nearest.is_dir():

@@ -143,16 +143,22 @@ def covariance_and_intervals(
 
     Raises:
         SingularHessian: H is not invertible at the working tolerance.
+        ConfigError: level outside (0, 1).
     """
     return _sandwich_intervals(parts.H_hat, parts.sigma_opt, theta_hat, n, level)
+
+
+def check_level(level: float) -> None:
+    """Raise ConfigError unless the confidence level lies in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"level must be in (0, 1), got {level!r}")
 
 
 def _sandwich_intervals(
     H: np.ndarray, sigma: np.ndarray, theta_hat: np.ndarray, n: int, level: float
 ) -> tuple[np.ndarray, Intervals, dict]:
     """Floor the diagonal of sigma, form Omega = Hinv sigma Hinv', then the intervals."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    check_level(level)
     floored = [int(j) for j in np.flatnonzero(np.diag(sigma) < 0.0)]
     sigma = sigma.copy()
     sigma[floored, floored] = 0.0
@@ -211,9 +217,10 @@ def run_method(
     carries no covariance or intervals.
 
     Raises:
-        ConfigError: unknown token, a column beyond ``ds.K``, or ``oracle``
-            without ``truth``.
+        ConfigError: unknown token, a column beyond ``ds.K``, ``oracle``
+            without ``truth``, or a level outside (0, 1).
     """
+    check_level(level)
     tag, k = parse_method(token)
     if tag == "oracle":
         if truth is None:

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -51,6 +52,12 @@ class LoadedCsv:
 def load_dataset_csv(path: str | Path) -> LoadedCsv:
     """Parse a CSV file into a validated, labeled-rows-first dataset.
 
+    The body is read by one ``np.loadtxt`` call.  Where that call fails, or
+    the file holds a line it would skip or join, the per-cell reader reads the
+    file again: it accepts the same values plus the rest of Python's float
+    syntax (``1_000``, non-ASCII digits), or raises the ParseError that names
+    the row and column.
+
     Raises:
         SchemaError: missing header, no yhat_ column, or duplicated names.
         ParseError: a non-numeric or empty x_/yhat_ cell (with location), or
@@ -59,9 +66,8 @@ def load_dataset_csv(path: str | Path) -> LoadedCsv:
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = _csv_rows(path, fh)
         try:
-            header = next(reader)
+            header = next(_csv_rows(path, fh))
         except StopIteration:
             raise SchemaError(f"{path}: empty file, header row required") from None
         header = [h.strip() for h in header]
@@ -73,35 +79,21 @@ def load_dataset_csv(path: str | Path) -> LoadedCsv:
             raise SchemaError(f"{path}: no yhat_ prediction columns found")
         if "y" not in header:
             raise SchemaError(f"{path}: no y label column found")
-        col_index = {name: header.index(name) for name in header}
+        # Table columns: the features, the predictions, then y.
+        columns = [header.index(name) for name in feature_cols + pred_cols + ["y"]]
+        table = _loadtxt_body(fh, len(header), columns)
 
-        features, labels_raw, preds = [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: row {line_no}: expected {len(header)} cells, got {len(row)}"
-                )
-            features.append(
-                [_parse_cell(path, line_no, c, row[col_index[c]]) for c in feature_cols]
-            )
-            preds.append(
-                [_parse_cell(path, line_no, c, row[col_index[c]]) for c in pred_cols]
-            )
-            y_cell = row[col_index["y"]].strip()
-            labels_raw.append(
-                None if y_cell == "" else _parse_cell(path, line_no, "y", y_cell)
-            )
-
-    labeled = [i for i, v in enumerate(labels_raw) if v is not None]
-    unlabeled = [i for i, v in enumerate(labels_raw) if v is None]
-    order = np.array(labeled + unlabeled, dtype=int)
-    n_rows = len(labels_raw)
-    features_arr = np.asarray(features, dtype=float).reshape(n_rows, len(feature_cols))
-    preds_arr = np.asarray(preds, dtype=float).reshape(n_rows, len(pred_cols))
+    if table is None:
+        table, labeled = _per_cell_body(path, header, columns)
+    else:
+        labeled = ~np.isnan(table[:, -1])
+    order = np.concatenate([np.flatnonzero(labeled), np.flatnonzero(~labeled)])
+    table = table[order]
+    d = len(feature_cols)
     dataset = Dataset.from_arrays(
-        features=features_arr[order],
-        labels=np.array([labels_raw[i] for i in labeled], dtype=float),
-        predictions=preds_arr[order],
+        features=table[:, :d],
+        labels=table[: np.count_nonzero(labeled), -1],
+        predictions=table[:, d:-1],
     )
     return LoadedCsv(
         dataset=dataset,
@@ -109,6 +101,73 @@ def load_dataset_csv(path: str | Path) -> LoadedCsv:
         feature_columns=tuple(feature_cols),
         prediction_columns=tuple(pred_cols),
     )
+
+
+def _loadtxt_body(fh, width: int, columns: list[int]) -> np.ndarray | None:
+    """The rest of ``fh`` as one table over ``columns``, y (last) NaN where
+    unlabeled, or None where the per-cell reader has to decide.
+
+    None means a cell ``loadtxt`` cannot parse, a non-finite label, a byte
+    that is not UTF-8, a row whose cell count is not the header's, or a line
+    that ``loadtxt`` skips (an empty one) or joins to the next (a quoted line
+    break).  ``loadtxt`` checks that every row has as many cells as the
+    first, and the shape check compares the first to the header.  Cells
+    outside the schema therefore convert to 0 rather than being dropped by
+    ``usecols``, which turns that per-row check off.
+    """
+    lines = 0
+
+    def body():
+        nonlocal lines
+        for lines, line in enumerate(fh, start=1):
+            yield line
+
+    rows = body()
+    first = next(rows, "")
+    if not first.strip():  # no rows, or a blank first line
+        return None
+    converters = {j: (lambda cell: 0.0) for j in range(width) if j not in columns}
+    converters[columns[-1]] = _label_cell
+    try:
+        table = np.loadtxt(
+            chain([first], rows), delimiter=",", quotechar='"', comments=None, ndmin=2,
+            converters=converters,
+        )
+    except (ValueError, UnicodeDecodeError):
+        return None
+    return table[:, columns] if table.shape == (lines, width) else None
+
+
+def _label_cell(cell: str) -> float:
+    """An empty y cell is NaN, for unlabeled; a non-finite label raises, so it never reads as unlabeled."""
+    if not cell.strip():
+        return math.nan
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite label {cell!r}")
+    return value
+
+
+def _per_cell_body(path: Path, header: list[str], columns: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The body cell by cell with ``csv.reader`` and ``float``: the table of
+    ``_loadtxt_body`` and the labeled-row mask, or a ParseError that names the
+    row and column."""
+    rows, labeled = [], []
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = _csv_rows(path, fh)
+        next(reader)
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: row {line_no}: expected {len(header)} cells, got {len(row)}"
+                )
+            values = [_parse_cell(path, line_no, header[j], row[j]) for j in columns[:-1]]
+            y_cell = row[columns[-1]].strip()
+            labeled.append(y_cell != "")
+            values.append(_parse_cell(path, line_no, "y", y_cell) if y_cell else math.nan)
+            rows.append(values)
+    table = np.array(rows, dtype=float).reshape(len(rows), len(columns))
+    return table, np.array(labeled, dtype=bool)
 
 
 def _csv_rows(path: Path, fh) -> Iterator[list[str]]:

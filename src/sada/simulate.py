@@ -21,9 +21,9 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, SadaError
 from .estimators import parse_method
-from .inference import run_method
+from .inference import check_level, run_method
 from .models import ScoreModel, mean_model, ols_model
-from .weighting import DEFAULT_RIDGE_SCALE
+from .weighting import DEFAULT_RIDGE_SCALE, check_ridge_scale
 
 DEFAULT_METHODS = ("naive", "ppi:1", "ppi:2", "ppi_pp:1", "ppi_pp:2", "sada")
 
@@ -283,6 +283,8 @@ def _run_studies(
         raise ConfigError("methods must be nonempty")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    check_level(level)
+    check_ridge_scale(ridge_scale)
     tokens = list(dict.fromkeys(methods))
     if "naive" not in tokens:
         tokens = ["naive"] + tokens  # baseline for relative efficiencies

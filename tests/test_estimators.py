@@ -11,6 +11,7 @@ from sada import (
     Dataset,
     EstimateReport,
     ScoreModel,
+    SingularJacobian,
     attach_inference,
     mean_model,
     naive_estimate,
@@ -496,3 +497,44 @@ def test_logistic_model_is_solved_by_newton():
         lower, upper = report.intervals.lower, report.intervals.upper
         assert np.all(np.isfinite(lower)) and np.all(np.isfinite(upper)), token
         assert np.all(lower <= report.theta_hat) and np.all(report.theta_hat <= upper), token
+
+
+# --- degenerate inputs: a finite answer, or the documented error ---
+
+DEGENERATE_CASES = [
+    "constant_column", "all_constant", "duplicated_columns", "scaled_by_1e12", "scaled_by_1e-12",
+    "exact_column", "n_is_3", "one_unlabeled_row",
+]
+
+
+def degenerate_dataset(case, rng, N=200, n=60):
+    """x = (1, N(0, 1)) and two prediction columns, shaped as ``case`` names."""
+    n = {"n_is_3": 3, "one_unlabeled_row": N - 1}.get(case, n)
+    X = np.column_stack([np.ones(N), rng.standard_normal(N)])
+    y = X @ np.array([0.5, -1.0]) + rng.standard_normal(N)
+    good, noise = y + 0.5 * rng.standard_normal(N), rng.standard_normal(N)
+    preds = {
+        "constant_column": [good, np.full(N, 2.0)],
+        "all_constant": [np.full(N, 2.0), np.full(N, -1.0)],
+        "duplicated_columns": [good, good],
+        "scaled_by_1e12": [1e12 * good, 1e12 * noise],
+        "scaled_by_1e-12": [1e-12 * good, 1e-12 * noise],
+        "exact_column": [y, noise],
+    }.get(case, [good, noise])
+    return Dataset.from_arrays(X, y[:n], np.column_stack(preds))
+
+
+@pytest.mark.parametrize("token", ["naive", "ppi:1", "ppi:2", "ppi_pp:1", "ppi_pp:2", "sada"])
+@pytest.mark.parametrize("case", DEGENERATE_CASES)
+@pytest.mark.parametrize("make_model", [mean_model, lambda: ols_model(2)], ids=["mean", "ols"])
+def test_degenerate_inputs_give_finite_estimates_and_intervals(make_model, case, token):
+    model = make_model()
+    ds = degenerate_dataset(case, np.random.default_rng(31))
+    if case == "one_unlabeled_row" and model.p == 2 and token.startswith("ppi:"):
+        # PPI's Jacobian is the gram of the unlabeled rows, of rank 1 here
+        with pytest.raises(SingularJacobian):
+            run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+        return
+    report = run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+    assert np.all(np.isfinite(report.theta_hat))
+    assert np.all(np.isfinite(report.intervals.lower)) and np.all(np.isfinite(report.intervals.upper))

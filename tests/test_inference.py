@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import sada.simulate
 from sada import (
+    DEFAULT_RIDGE_SCALE,
     ConfigError,
     Dataset,
     SandwichParts,
@@ -10,6 +12,7 @@ from sada import (
     SingularHessian,
     attach_inference,
     covariance_and_intervals,
+    efficiency_curve,
     estimate_hessian,
     estimate_sigma_g,
     estimate_sigma_nv,
@@ -22,6 +25,7 @@ from sada import (
     sandwich_parts,
     weighted_sigma,
 )
+from sada.inference import run_method
 
 # Frozen from the independent direct-summation oracle on the 3-point OLS
 # fixture X = [(1,0),(1,1),(1,2)], y = (1,2,2), theta = lstsq fit.
@@ -303,3 +307,29 @@ def test_library_rejects_a_bad_ridge_scale(ridge_scale):
         ppi_pp_estimate(ds, model, 1, ridge_scale=ridge_scale)
     with pytest.raises(ConfigError, match=match):
         attach_inference(sada_estimate(ds, model), ds, model, ridge_scale=ridge_scale)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan")])
+def test_library_rejects_a_level_outside_zero_one(monkeypatch, level):
+    ds, _ = generate_synthetic(SyntheticConfig(N=400, n=80), 0)
+    model = mean_model()
+    match = r"level must be in \(0, 1\)"
+    with pytest.raises(ConfigError, match=match):
+        run_method(ds, model, "sada", level, True, DEFAULT_RIDGE_SCALE)
+    with pytest.raises(ConfigError, match=match):
+        attach_inference(naive_estimate(ds, model), ds, model, level)
+
+    monkeypatch.setattr(sada.simulate, "_run_one_rep", no_replicate)
+    with pytest.raises(ConfigError, match=match):
+        efficiency_curve(SyntheticConfig(reps=5, seed=1), [0.5], ["naive", "sada"], level=level)
+
+
+def no_replicate(*args):
+    raise AssertionError("a replicate ran")
+
+
+@pytest.mark.parametrize("ridge_scale", [-1.0, float("nan")])
+def test_studies_reject_a_bad_ridge_scale_before_any_replicate(monkeypatch, ridge_scale):
+    monkeypatch.setattr(sada.simulate, "_run_one_rep", no_replicate)
+    with pytest.raises(ConfigError, match="ridge_scale must be a finite number >= 0"):
+        efficiency_curve(SyntheticConfig(reps=5, seed=1), [0.5], ["naive", "sada"], ridge_scale=ridge_scale)
