@@ -141,13 +141,12 @@ def cmd_estimate(args) -> int:
     model = _build_model(args.model, ds.d)
 
     entries = [
-        (token, run_method(ds, model, token, args.level, args.centering, args.ridge_scale))
+        (token, run_method(ds, model, token, level=args.level, ridge_scale=args.ridge_scale))
         for token in args.methods
     ]
     meta = {
         "command": "estimate",
         "level": args.level,
-        "centering": args.centering,
         "ridge_scale": args.ridge_scale,
         "out": args.out,
         "csv": str(args.csv),
@@ -189,7 +188,7 @@ def cmd_compare(args) -> int:
 
     entries = []
     for token in tokens:
-        report = run_method(ds, model, token, args.level, args.centering, args.ridge_scale)
+        report = run_method(ds, model, token, level=args.level, ridge_scale=args.ridge_scale)
         variance = float(np.trace(np.atleast_2d(report.covariance))) / ds.n
         entries.append((token, report, variance))
     entries.sort(key=lambda e: e[2])
@@ -220,7 +219,6 @@ def cmd_simulate(args) -> int:
         args.gamma_grid,
         args.methods,
         level=args.level,
-        centering=args.centering,
         ridge_scale=args.ridge_scale,
         workers=args.workers,
         strict=args.strict,
@@ -257,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--config", help="key = value file of option defaults")
         sp.add_argument("--level", type=float, default=0.95, help="confidence level")
-        sp.add_argument("--centering", type=_on_off, default="on", metavar="{on,off}",
-                        help="moment centering")
         sp.add_argument("--ridge-scale", dest="ridge_scale", type=float, default=DEFAULT_RIDGE_SCALE,
                         help="gram ridge multiplier")
         sp.add_argument("--out", default="sada_out", help="output directory")

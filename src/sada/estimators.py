@@ -82,8 +82,8 @@ class Intervals:
 class EstimateReport:
     """Point estimate plus optional weights, covariance and intervals.
 
-    ``diagnostics`` records the conventions used (centering, ridge scale,
-    weight scaling), solver iteration counts, and any fallback events.
+    ``diagnostics`` records the conventions used (ridge scale, weight
+    scaling), solver iteration counts, and any fallback events.
     """
 
     theta_hat: np.ndarray
@@ -235,7 +235,6 @@ def ppi_pp_estimate(
     ds: Dataset,
     model: ScoreModel,
     k: int = 1,
-    centering: bool = True,
     ridge_scale: float = DEFAULT_RIDGE_SCALE,
 ) -> EstimateReport:
     """PPI with a scalar tuning weight on prediction column k.
@@ -253,7 +252,6 @@ def ppi_pp_estimate(
     pilot, _ = solve_score_root(model, ds.features[: ds.n], ds.labels)
     diagnostics: dict = {
         "prediction_column": k,
-        "centering": centering,
         "ridge_scale": ridge_scale,
     }
 
@@ -264,7 +262,7 @@ def ppi_pp_estimate(
     else:
         Hinv = np.linalg.inv(H)
         try:
-            moments = moment_estimates(sub, model, pilot, centering=centering)
+            moments = moment_estimates(sub, model, pilot)
             gram_reg = regularize_gram(moments.gram, ridge_scale)
             denom = float(np.trace(Hinv @ gram_reg @ Hinv))
             numer = float(np.trace(Hinv @ moments.cross @ Hinv))
@@ -285,7 +283,6 @@ def ppi_pp_estimate(
 def sada_estimate(
     ds: Dataset,
     model: ScoreModel,
-    centering: bool = True,
     ridge_scale: float = DEFAULT_RIDGE_SCALE,
 ) -> EstimateReport:
     """Safe-and-adaptive aggregation across all prediction columns.
@@ -299,16 +296,13 @@ def sada_estimate(
     p = model.p
     scale = (ds.N - ds.n) / ds.N
     diagnostics: dict = {
-        "centering": centering,
         "ridge_scale": ridge_scale,
         "pilot_iterations": pilot_iters,
         "weight_scale": scale,
     }
 
     try:
-        W = scale * estimate_general_weights(
-            ds, model, pilot, centering=centering, ridge_scale=ridge_scale
-        )
+        W = scale * estimate_general_weights(ds, model, pilot, ridge_scale=ridge_scale)
     except SingularGram as exc:
         diagnostics["weight_fallback"] = f"{type(exc).__name__}: {exc}"
         diagnostics["solver_iterations"] = 0

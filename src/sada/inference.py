@@ -69,7 +69,6 @@ def estimate_sigma_g(
     ds: Dataset,
     model: ScoreModel,
     theta_hat: np.ndarray,
-    centering: bool = True,
     ridge_scale: float = DEFAULT_RIDGE_SCALE,
 ) -> np.ndarray:
     """Efficiency-gain matrix: cross' x gram^{-1} x cross, PSD by construction.
@@ -77,7 +76,7 @@ def estimate_sigma_g(
     An identically-zero gram (all prediction columns constant) means the
     stacked scores carry no signal at all, so the gain is the zero matrix.
     """
-    moments = moment_estimates(ds, model, theta_hat, centering=centering)
+    moments = moment_estimates(ds, model, theta_hat)
     try:
         solved = solve_gram(moments.gram, moments.cross, ridge_scale)
     except ZeroGram:
@@ -90,14 +89,13 @@ def sandwich_parts(
     ds: Dataset,
     model: ScoreModel,
     theta_hat: np.ndarray,
-    centering: bool = True,
     ridge_scale: float = DEFAULT_RIDGE_SCALE,
 ) -> SandwichParts:
     """Assemble H, Sigma_nv and Sigma_g at theta_hat."""
     return SandwichParts(
         H_hat=estimate_hessian(ds, model, theta_hat),
         sigma_nv=estimate_sigma_nv(ds, model, theta_hat),
-        sigma_g=estimate_sigma_g(ds, model, theta_hat, centering, ridge_scale),
+        sigma_g=estimate_sigma_g(ds, model, theta_hat, ridge_scale),
         n=ds.n,
         N=ds.N,
     )
@@ -108,7 +106,6 @@ def weighted_sigma(
     model: ScoreModel,
     theta_hat: np.ndarray,
     W: np.ndarray,
-    centering: bool = True,
 ) -> np.ndarray:
     """Middle matrix of the sandwich for a FIXED weight matrix W.
 
@@ -120,7 +117,7 @@ def weighted_sigma(
     sigma_nv = estimate_sigma_nv(ds, model, theta_hat)
     if not W.any():
         return sigma_nv
-    moments = moment_estimates(ds, model, theta_hat, centering=centering)
+    moments = moment_estimates(ds, model, theta_hat)
     quad = ds.N / (ds.N - ds.n) * W.T @ moments.gram @ W
     cross_term = moments.cross.T @ W
     sigma = sigma_nv + quad - cross_term - cross_term.T
@@ -179,7 +176,6 @@ def attach_inference(
     ds: Dataset,
     model: ScoreModel,
     level: float = 0.95,
-    centering: bool = True,
     ridge_scale: float = DEFAULT_RIDGE_SCALE,
 ) -> EstimateReport:
     """Return a copy of the report with covariance and intervals filled in.
@@ -190,12 +186,12 @@ def attach_inference(
     """
     theta = report.theta_hat
     if report.method == "sada" and "weight_fallback" not in report.diagnostics:
-        parts = sandwich_parts(ds, model, theta, centering, ridge_scale)
+        parts = sandwich_parts(ds, model, theta, ridge_scale)
         H, sigma = parts.H_hat, parts.sigma_opt
     else:
         H = estimate_hessian(ds, model, theta)
         W = report.weights if report.weights is not None else np.zeros((ds.K * model.p, model.p))
-        sigma = weighted_sigma(ds, model, theta, W, centering)
+        sigma = weighted_sigma(ds, model, theta, W)
     omega, intervals, extra = _sandwich_intervals(H, sigma, theta, ds.n, level)
     diagnostics = dict(report.diagnostics)
     diagnostics.update(extra)
@@ -206,8 +202,8 @@ def run_method(
     ds: Dataset,
     model: ScoreModel,
     token: str,
+    *,
     level: float,
-    centering: bool,
     ridge_scale: float,
     truth: np.ndarray | None = None,
 ) -> EstimateReport:
@@ -233,7 +229,7 @@ def run_method(
     elif tag == "ppi":
         report = ppi_estimate(ds, model, k)
     elif tag == "ppi_pp":
-        report = ppi_pp_estimate(ds, model, k, centering=centering, ridge_scale=ridge_scale)
+        report = ppi_pp_estimate(ds, model, k, ridge_scale=ridge_scale)
     else:
-        report = sada_estimate(ds, model, centering=centering, ridge_scale=ridge_scale)
-    return attach_inference(report, ds, model, level, centering, ridge_scale)
+        report = sada_estimate(ds, model, ridge_scale=ridge_scale)
+    return attach_inference(report, ds, model, level, ridge_scale)

@@ -60,8 +60,9 @@ def load_dataset_csv(path: str | Path) -> LoadedCsv:
 
     Raises:
         SchemaError: missing header, no yhat_ column, or duplicated names.
-        ParseError: a non-numeric or empty x_/yhat_ cell (with location), or
-            a file that is not UTF-8 text.
+        ParseError: a non-numeric or empty x_/yhat_ cell (with location), a
+            line that ``csv.reader`` rejects (with its line number), or a file
+            that is not UTF-8 text.
         Validation errors from the dataset layer (all rows labeled, etc.).
     """
     path = Path(path)
@@ -171,10 +172,13 @@ def _per_cell_body(path: Path, header: list[str], columns: list[int]) -> tuple[n
 
 
 def _csv_rows(path: Path, fh) -> Iterator[list[str]]:
+    reader = csv.reader(fh)
     try:
-        yield from csv.reader(fh)
+        yield from reader
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _parse_cell(path: Path, line_no: int, column: str, cell: str) -> float:

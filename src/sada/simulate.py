@@ -187,8 +187,8 @@ class SimStudyResult:
     failures: dict = field(default_factory=dict)
 
 
-def _run_one_rep(kind: str, methods: Sequence[str], level: float, centering: bool,
-                 ridge_scale: float, strict: bool, cfg, rep: int):
+def _run_one_rep(kind: str, methods: Sequence[str], level: float, ridge_scale: float,
+                 strict: bool, cfg, rep: int):
     """Run every method on one replicate; returns {token: (theta, lo, hi) | None}.
 
     A configuration error is the same for every replicate, so it is raised,
@@ -199,7 +199,7 @@ def _run_one_rep(kind: str, methods: Sequence[str], level: float, centering: boo
     out = {}
     for token in methods:
         try:
-            report = run_method(ds, model, token, level, centering, ridge_scale, truth)
+            report = run_method(ds, model, token, level=level, ridge_scale=ridge_scale, truth=truth)
         except ConfigError:
             raise
         except SadaError:
@@ -267,7 +267,6 @@ def _run_studies(
     cfgs: Sequence,
     methods: Sequence[str],
     level: float,
-    centering: bool,
     ridge_scale: float,
     workers: int,
     strict: bool,
@@ -290,7 +289,7 @@ def _run_studies(
         tokens = ["naive"] + tokens  # baseline for relative efficiencies
     for token in tokens:
         parse_method(token)
-    run = partial(_run_one_rep, kind, tokens, level, centering, ridge_scale, strict)
+    run = partial(_run_one_rep, kind, tokens, level, ridge_scale, strict)
     jobs = [(cfg, rep) for cfg in cfgs for rep in range(cfg.reps)]
     workers = min(workers, os.cpu_count() or 1)
     chunksize = -(-len(jobs) // (workers * 4))
@@ -308,7 +307,6 @@ def run_replications(
     cfg: SyntheticConfig,
     methods: Sequence[str] = DEFAULT_METHODS,
     level: float = 0.95,
-    centering: bool = True,
     ridge_scale: float = DEFAULT_RIDGE_SCALE,
     workers: int = 1,
     strict: bool = False,
@@ -319,7 +317,7 @@ def run_replications(
     Per-replicate estimator failures are excluded and counted unless
     ``strict`` is set, in which case they raise.
     """
-    return _run_studies("synthetic", [cfg], methods, level, centering, ridge_scale, workers, strict)[0]
+    return _run_studies("synthetic", [cfg], methods, level, ridge_scale, workers, strict)[0]
 
 
 @dataclass(frozen=True)
@@ -341,7 +339,6 @@ def efficiency_curve(
     gammas: Iterable[float],
     methods: Sequence[str] = DEFAULT_METHODS,
     level: float = 0.95,
-    centering: bool = True,
     ridge_scale: float = DEFAULT_RIDGE_SCALE,
     workers: int = 1,
     strict: bool = False,
@@ -354,7 +351,7 @@ def efficiency_curve(
     cfgs = [replace(cfg_base, gamma=float(gamma)) for gamma in gammas]
     if not cfgs:
         raise ConfigError("gamma grid must be nonempty")
-    results = _run_studies("synthetic", cfgs, methods, level, centering, ridge_scale, workers, strict)
+    results = _run_studies("synthetic", cfgs, methods, level, ridge_scale, workers, strict)
     return [
         CurveRow(
             gamma=cfg.gamma,
@@ -379,7 +376,7 @@ def conditional_mean_study(
     strict: bool = False,
 ) -> SimStudyResult:
     """Monte Carlo check of the efficiency bound under a conditional-mean prediction."""
-    return _run_studies("conditional_mean", [cfg], methods, level, True, DEFAULT_RIDGE_SCALE, workers, strict)[0]
+    return _run_studies("conditional_mean", [cfg], methods, level, DEFAULT_RIDGE_SCALE, workers, strict)[0]
 
 
 def ols_coverage_study(
@@ -390,4 +387,4 @@ def ols_coverage_study(
     strict: bool = False,
 ) -> SimStudyResult:
     """Coverage study for the linear-regression coefficients."""
-    return _run_studies("ols", [cfg], methods, level, True, DEFAULT_RIDGE_SCALE, workers, strict)[0]
+    return _run_studies("ols", [cfg], methods, level, DEFAULT_RIDGE_SCALE, workers, strict)[0]

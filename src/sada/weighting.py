@@ -5,9 +5,9 @@
 moments of ``moment_estimates``.  It does NOT include the (N-n)/N factor; the
 estimator pipeline applies that factor explicitly.
 
-Moments are centered by default (stacked scores by their all-N mean, plain
-scores by their labeled-sample mean); ``centering=False`` keeps the raw
-uncentered moments for comparison.
+Every moment is centred: stacked scores by their all-N mean, plain scores by
+their labeled-sample mean.  Raw second moments would add the squared
+prediction bias to the variance, the very bias that the weighting absorbs.
 """
 from __future__ import annotations
 
@@ -33,25 +33,21 @@ class MomentEstimates:
     """Plug-in moments of the stacked scores.
 
     Attributes:
-        gram: (K*p, K*p) second-moment (or covariance) of the stacked score
-            over all N rows.
-        cross: (K*p, p) moment of stacked score times plain score over the
-            labeled rows.
-        centering: whether centered moments were used.
+        gram: (K*p, K*p) covariance of the stacked score over all N rows.
+        cross: (K*p, p) cross-covariance of stacked score and plain score
+            over the labeled rows.
     """
 
     gram: np.ndarray
     cross: np.ndarray
-    centering: bool
 
 
 def moment_estimates(
     ds: Dataset,
     model: ScoreModel,
     theta: np.ndarray,
-    centering: bool = True,
 ) -> MomentEstimates:
-    """Compute the gram and cross moments entering the weight plug-in.
+    """Compute the centred gram and cross moments entering the weight plug-in.
 
     The stacked scores are built and accumulated ``CHUNK_ROWS`` rows at a
     time, so the (N, K*p) stacked matrix is never formed.  Every chunk is
@@ -63,28 +59,24 @@ def moment_estimates(
     """
     n, N = ds.n, ds.N
     s_lab = np.asarray(model.score(ds.features[:n], ds.labels, theta), dtype=float)
-    if centering:
-        s_lab = s_lab - s_lab.mean(axis=0)
+    s_lab = s_lab - s_lab.mean(axis=0)
     ones = np.ones(min(N, CHUNK_ROWS))
     gram = total = cross = 0.0
     for lo in range(0, N, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, N)
         S = stacked_score_matrix(model, ds.features[lo:hi], ds.predictions[lo:hi], theta)
-        if centering:
-            if lo == 0:
-                shift = ones @ S / (hi - lo)  # column means, by BLAS
-            S -= shift  # S is freshly built, so centre it in place
-            total = total + ones[: hi - lo] @ S
+        if lo == 0:
+            shift = ones @ S / (hi - lo)  # column means, by BLAS
+        S -= shift  # S is freshly built, so centre it in place
+        total = total + ones[: hi - lo] @ S
         gram = gram + S.T @ S
         if lo < n:
             cross = cross + S[: n - lo].T @ s_lab[lo:hi]
-    gram = gram / N
-    if centering:
-        offset = total / N
-        gram -= offset[:, None] * offset
+    offset = total / N
+    gram = gram / N - offset[:, None] * offset
     cross = cross / n
     gram = 0.5 * (gram + gram.T)
-    return MomentEstimates(gram=gram, cross=cross, centering=centering)
+    return MomentEstimates(gram=gram, cross=cross)
 
 
 def check_ridge_scale(ridge_scale: float) -> None:
@@ -127,18 +119,15 @@ def estimate_general_weights(
     ds: Dataset,
     model: ScoreModel,
     theta_pilot: np.ndarray | None = None,
-    centering: bool = True,
     ridge_scale: float = DEFAULT_RIDGE_SCALE,
 ) -> np.ndarray:
-    """General stacked-score weight plug-in (no (N-n)/N factor).
+    """General stacked-score weight plug-in (no (N-n)/N factor), from centred moments.
 
     Args:
         ds: validated dataset.
         model: score model defining s and its Jacobian.
         theta_pilot: parameter at which scores are evaluated; defaults to the
             naive labeled-data root.
-        centering: center the moments (default) or keep the raw uncentered
-            form.
         ridge_scale: ridge multiplier for the gram matrix.
 
     Returns:
@@ -153,5 +142,5 @@ def estimate_general_weights(
     theta_pilot = np.asarray(theta_pilot, dtype=float)
     if not np.all(np.isfinite(theta_pilot)):
         raise ValueError("theta_pilot must be finite")
-    moments = moment_estimates(ds, model, theta_pilot, centering=centering)
+    moments = moment_estimates(ds, model, theta_pilot)
     return solve_gram(moments.gram, moments.cross, ridge_scale)

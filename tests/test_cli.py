@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -48,7 +49,6 @@ def test_estimate_writes_reports_and_sada_interval_no_wider(tmp_path, capsys):
     assert main(["estimate", str(csv_path), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert [r["method"] for r in report["records"]] == ["naive", "sada"]
-    assert report["centering"] is True
     rows = read_estimates(out)
     naive_width = rows[("naive", 1)][2] - rows[("naive", 1)][1]
     sada_width = rows[("sada", 1)][2] - rows[("sada", 1)][1]
@@ -92,6 +92,20 @@ def test_data_error_exits_three(tmp_path, capsys):
     assert main(["estimate", str(bad)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("ParseError:") and "row 2" in err
+
+
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_cell_over_the_csv_field_limit_exits_three(tmp_path, capsys, where):
+    # the 1_000 cell sends the body to the per-cell reader, which uses csv.reader
+    huge = "1" * 200_000
+    header = f"x_1,y,yhat_1,{huge}" if where == "header" else "x_1,y,yhat_1,note"
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{header}\n1_000,2.5,2.4,a\n2.0,,3.1,{huge}\n")
+    assert main(["estimate", str(bad), "--out", str(tmp_path / "out")]) == 3
+    line = 1 if where == "header" else 3
+    assert capsys.readouterr().err == (
+        f"ParseError: {bad}: line {line}: field larger than field limit ({csv.field_size_limit()})\n"
+    )
 
 
 def test_missing_file_exits_three(tmp_path, capsys):
@@ -300,6 +314,22 @@ def test_option_of_another_command_exits_two(tmp_path, capsys, command, config):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "compare", "simulate"])
+def test_centering_is_no_option_of_any_command(tmp_path, capsys, command):
+    # moments are always centred, so neither the flag nor the config key exists
+    args = [command] if command == "simulate" else [command, str(make_csv(tmp_path))]
+    args += ["--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--centering", "off"])
+    assert exc.value.code == 2
+    assert "--centering" in capsys.readouterr().err
+    path = tmp_path / "run.cfg"
+    path.write_text("centering = off\n")
+    assert main(args + ["--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"ConfigError: {command} takes no config key 'centering'\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _non_utf8_csv(tmp_path):
     path = make_csv(tmp_path, name="latin1.csv")
     path.write_bytes(path.read_bytes().replace(b"x_1", b"x_\xe91", 1))
@@ -374,11 +404,10 @@ def test_simulate_non_finite_theta_star_exits_two(tmp_path, capsys):
 
 # one non-default value for every option of each command
 NON_DEFAULTS = {
-    "estimate": [("model", "ols"), ("level", "0.9"), ("centering", "off"), ("ridge_scale", "0.01"),
+    "estimate": [("model", "ols"), ("level", "0.9"), ("ridge_scale", "0.01"),
                  ("methods", "naive,ppi:1,ppi_pp:2,sada"), ("out", "elsewhere")],
-    "compare": [("model", "ols"), ("level", "0.8"), ("centering", "off"), ("ridge_scale", "0.01"),
-                ("out", "elsewhere")],
-    "simulate": [("level", "0.9"), ("centering", "off"), ("ridge_scale", "0.01"), ("out", "elsewhere"),
+    "compare": [("model", "ols"), ("level", "0.8"), ("ridge_scale", "0.01"), ("out", "elsewhere")],
+    "simulate": [("level", "0.9"), ("ridge_scale", "0.01"), ("out", "elsewhere"),
                  ("methods", "naive,ppi:1,sada"), ("seed", "4"), ("reps", "4"), ("gamma_grid", "0,1"),
                  ("workers", "2"), ("strict", "on"), ("theta_star", "1.5"), ("total_rows", "50"),
                  ("labeled_rows", "12")],
@@ -410,7 +439,7 @@ def test_config_value_writes_what_the_flag_writes(tmp_path, capsys, command, key
 
 
 @pytest.mark.parametrize(
-    "key, value", [("level", "abc"), ("workers", "two"), ("centering", "maybe"), ("strict", "maybe")]
+    "key, value", [("level", "abc"), ("workers", "two"), ("strict", "maybe")]
 )
 def test_config_value_that_fails_to_convert_exits_two(tmp_path, capsys, key, value):
     config = tmp_path / "run.cfg"
@@ -430,7 +459,7 @@ def test_help_shows_every_default(capsys, command):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     options = re.findall(r"^  (--[a-z-]+)", text, flags=re.M)
-    assert len(options) == (7 if command == "estimate" else 6 if command == "compare" else 14)
+    assert len(options) == (6 if command == "estimate" else 5 if command == "compare" else 13)
     assert " ".join(text.split()).count("(default: ") == len(options)
     assert "(default: 0.95)" in text
 

@@ -343,8 +343,8 @@ def test_permuting_prediction_columns_permutes_per_column_methods(make_model):
     for j, src in enumerate(perm):
         pairs += [(f"ppi:{j + 1}", f"ppi:{src + 1}"), (f"ppi_pp:{j + 1}", f"ppi_pp:{src + 1}")]
     for token_permuted, token in pairs:
-        a = run_method(permuted, model, token_permuted, 0.95, True, DEFAULT_RIDGE_SCALE)
-        b = run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+        a = run_method(permuted, model, token_permuted, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+        b = run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
         for got, want in ((a.theta_hat, b.theta_hat), (a.intervals.lower, b.intervals.lower),
                           (a.intervals.upper, b.intervals.upper)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), token
@@ -360,8 +360,8 @@ def test_ols_intercept_is_shift_equivariant(seed, c):
     model = ols_model(2)
     tokens = ["naive", "sada"] + [f"{m}:{k}" for m in ("ppi", "ppi_pp") for k in range(1, ds.K + 1)]
     for token in tokens:
-        base = run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
-        moved = run_method(shifted, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+        base = run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+        moved = run_method(shifted, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
         want = base.theta_hat + np.array([c, 0.0])
         assert np.max(np.abs(moved.theta_hat - want)) <= 1e-9 * (1.0 + abs(c)), token
         gap = np.max(np.abs(moved.covariance - base.covariance))
@@ -381,8 +381,8 @@ def test_every_method_is_equivariant_to_the_units_of_y(make_model, c):
         ds = ols_dataset(np.random.default_rng(100 + seed))
         scaled = Dataset.from_arrays(ds.features, c * ds.labels, c * ds.predictions)
         for token in compare_tokens(ds.K):
-            base = run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
-            moved = run_method(scaled, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+            base = run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+            moved = run_method(scaled, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
             for got, want in ((moved.theta_hat / c, base.theta_hat),
                               (moved.covariance / c**2, base.covariance)):
                 assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (seed, token)
@@ -396,8 +396,8 @@ def test_closed_form_matches_newton(make_model):
     newton = dataclasses.replace(model, design=None)
     ds = ols_dataset(np.random.default_rng(17))
     for token in compare_tokens(ds.K):
-        a = run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
-        b = run_method(ds, newton, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+        a = run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+        b = run_method(ds, newton, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
         for got, want in ((a.theta_hat, b.theta_hat), (a.covariance, b.covariance),
                           (a.intervals.lower, b.intervals.lower),
                           (a.intervals.upper, b.intervals.upper)):
@@ -416,8 +416,8 @@ def test_newton_does_not_depend_on_the_units_of_y(make_model):
     model = make_model()
     newton = dataclasses.replace(model, design=None)
     for token in ("naive", "ppi:1", "ppi_pp:1", "sada"):
-        a = run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
-        b = run_method(ds, newton, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+        a = run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+        b = run_method(ds, newton, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
         for got, want in ((b.theta_hat, a.theta_hat), (b.covariance, a.covariance)):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), token
 
@@ -451,7 +451,7 @@ def test_built_in_models_never_reach_newton(monkeypatch):
     truth = np.concatenate([ds.labels, rng.standard_normal(ds.N - ds.n)])
     for model in (mean_model(), ols_model(2)):
         for token in compare_tokens(ds.K) + ["oracle"]:
-            report = run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE, truth=truth)
+            report = run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE, truth=truth)
             assert report.diagnostics["solver_iterations"] == 1, token
 
 
@@ -492,7 +492,7 @@ def test_logistic_model_is_solved_by_newton():
     naive = naive_estimate(ds, model)
     assert np.max(np.abs(naive.theta_hat - beta)) <= 1e-10 * np.max(np.abs(beta))
     for token in ("ppi:1", "ppi_pp:1", "sada"):
-        report = run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+        report = run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
         assert np.all(np.isfinite(report.theta_hat)), token
         lower, upper = report.intervals.lower, report.intervals.upper
         assert np.all(np.isfinite(lower)) and np.all(np.isfinite(upper)), token
@@ -503,16 +503,26 @@ def test_logistic_model_is_solved_by_newton():
 
 DEGENERATE_CASES = [
     "constant_column", "all_constant", "duplicated_columns", "scaled_by_1e12", "scaled_by_1e-12",
-    "exact_column", "n_is_3", "one_unlabeled_row",
+    "exact_column", "n_is_3", "n_is_4", "n_is_5", "n_is_6", "one_unlabeled_row",
+    "p_is_40_n_is_41", "p_is_40_n_is_80", "collinear_features", "nearly_collinear_features",
 ]
 
 
 def degenerate_dataset(case, rng, N=200, n=60):
-    """x = (1, N(0, 1)) and two prediction columns, shaped as ``case`` names."""
-    n = {"n_is_3": 3, "one_unlabeled_row": N - 1}.get(case, n)
-    X = np.column_stack([np.ones(N), rng.standard_normal(N)])
-    y = X @ np.array([0.5, -1.0]) + rng.standard_normal(N)
+    """x = (1, N(0, 1), ...) and two prediction columns, shaped as ``case`` names.
+
+    x has 40 columns for the p_is_40 cases, and a third column, twice the
+    second (plus 1e-9 noise when nearly collinear), for the collinear ones.
+    """
+    n = {"n_is_3": 3, "n_is_4": 4, "n_is_5": 5, "n_is_6": 6, "one_unlabeled_row": N - 1,
+         "p_is_40_n_is_41": 41, "p_is_40_n_is_80": 80}.get(case, n)
+    d = 40 if case.startswith("p_is_40") else 2
+    X = np.column_stack([np.ones(N), rng.standard_normal((N, d - 1))])
+    y = X @ np.linspace(0.5, -1.0, d) + rng.standard_normal(N)
     good, noise = y + 0.5 * rng.standard_normal(N), rng.standard_normal(N)
+    if case.endswith("collinear_features"):
+        jitter = 1e-9 * rng.standard_normal(N) if case.startswith("nearly") else 0.0
+        X = np.column_stack([X, 2.0 * X[:, 1] + jitter])
     preds = {
         "constant_column": [good, np.full(N, 2.0)],
         "all_constant": [np.full(N, 2.0), np.full(N, -1.0)],
@@ -526,15 +536,19 @@ def degenerate_dataset(case, rng, N=200, n=60):
 
 @pytest.mark.parametrize("token", ["naive", "ppi:1", "ppi:2", "ppi_pp:1", "ppi_pp:2", "sada"])
 @pytest.mark.parametrize("case", DEGENERATE_CASES)
-@pytest.mark.parametrize("make_model", [mean_model, lambda: ols_model(2)], ids=["mean", "ols"])
+@pytest.mark.parametrize("make_model", [lambda d: mean_model(), ols_model], ids=["mean", "ols"])
 def test_degenerate_inputs_give_finite_estimates_and_intervals(make_model, case, token):
-    model = make_model()
     ds = degenerate_dataset(case, np.random.default_rng(31))
-    if case == "one_unlabeled_row" and model.p == 2 and token.startswith("ppi:"):
+    model = make_model(ds.d)
+    if (
+        # collinear x makes every Jacobian singular
+        case.endswith("collinear_features") and model.p > 1
         # PPI's Jacobian is the gram of the unlabeled rows, of rank 1 here
+        or case == "one_unlabeled_row" and model.p == 2 and token.startswith("ppi:")
+    ):
         with pytest.raises(SingularJacobian):
-            run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+            run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
         return
-    report = run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+    report = run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
     assert np.all(np.isfinite(report.theta_hat))
     assert np.all(np.isfinite(report.intervals.lower)) and np.all(np.isfinite(report.intervals.upper))

@@ -2,7 +2,7 @@
 
 ``tests/data/golden_compare.json`` holds theta_hat, covariance, CI bounds
 and weights of the 2K+2 compare methods (naive, ppi:1..K, ppi_pp:1..K,
-sada), run through ``run_method`` at level 0.95 with centering on and the
+sada), run through ``run_method`` at level 0.95 with the
 default ridge, for the mean and the OLS model on the dataset that
 ``golden_dataset`` builds (N = 400, n = 80, K = 3, d = 2, seed 20251018).
 The file was written by ``python tests/test_golden.py`` before the per-column
@@ -48,7 +48,7 @@ def _outputs(model) -> dict:
     ds = golden_dataset()
     out = {}
     for token in _tokens():
-        report = run_method(ds, model, token, 0.95, True, DEFAULT_RIDGE_SCALE)
+        report = run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
         out[token] = {
             "theta_hat": report.theta_hat.tolist(),
             "covariance": report.covariance.tolist(),

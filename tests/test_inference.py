@@ -315,7 +315,7 @@ def test_library_rejects_a_level_outside_zero_one(monkeypatch, level):
     model = mean_model()
     match = r"level must be in \(0, 1\)"
     with pytest.raises(ConfigError, match=match):
-        run_method(ds, model, "sada", level, True, DEFAULT_RIDGE_SCALE)
+        run_method(ds, model, "sada", level=level, ridge_scale=DEFAULT_RIDGE_SCALE)
     with pytest.raises(ConfigError, match=match):
         attach_inference(naive_estimate(ds, model), ds, model, level)
 
@@ -333,3 +333,10 @@ def test_studies_reject_a_bad_ridge_scale_before_any_replicate(monkeypatch, ridg
     monkeypatch.setattr(sada.simulate, "_run_one_rep", no_replicate)
     with pytest.raises(ConfigError, match="ridge_scale must be a finite number >= 0"):
         efficiency_curve(SyntheticConfig(reps=5, seed=1), [0.5], ["naive", "sada"], ridge_scale=ridge_scale)
+
+
+def test_run_method_takes_level_and_ridge_scale_only_by_keyword():
+    # a positional call past the token would bind values to the wrong options
+    ds, _ = generate_synthetic(SyntheticConfig(N=400, n=80), 0)
+    with pytest.raises(TypeError):
+        run_method(ds, mean_model(), "sada", 0.95, DEFAULT_RIDGE_SCALE)

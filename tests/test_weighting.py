@@ -101,7 +101,7 @@ def test_general_weights_agree_with_mean_closed_form():
     ds, _ = mean_dataset(rng, yhat1="truth")
     m = mean_model()
     pilot = naive_estimate(ds, m).theta_hat
-    w_general = estimate_general_weights(ds, m, pilot, centering=True)
+    w_general = estimate_general_weights(ds, m, pilot)
     factor = (ds.N - ds.n) / ds.N
     assert np.allclose(factor * w_general.ravel(), estimate_mean_weights(ds), atol=1e-12)
 
@@ -136,16 +136,6 @@ def test_perfect_single_prediction_weight_near_factor():
         ds = Dataset.from_arrays(np.ones((200, 1)), y[:60], y[:, None])
         total += 0.7 * float(estimate_general_weights(ds, m)[0, 0])
     assert abs(total / reps - 0.7) < 0.02
-
-
-def test_uncentered_moments_differ_unless_centered_anyway():
-    rng = np.random.default_rng(16)
-    ds, _ = mean_dataset(rng, yhat1="truth")
-    m = mean_model()
-    centered = moment_estimates(ds, m, np.array([0.0]), centering=True)
-    raw = moment_estimates(ds, m, np.array([0.0]), centering=False)
-    assert not np.allclose(centered.gram, raw.gram)
-    assert centered.centering and not raw.centering
 
 
 def test_regularize_identity():
@@ -249,7 +239,7 @@ def scaled_dataset(rng, N, n, scaled):
     return Dataset.from_arrays(X, y[:n], preds)
 
 
-def exact_moments(ds, model, theta, centering):
+def exact_moments(ds, model, theta):
     """Gram and cross of the stacked scores in exact arithmetic, centred at the exact means.
 
     Every float is an integer multiple of 2**-1074, so the sums and products
@@ -258,8 +248,8 @@ def exact_moments(ds, model, theta, centering):
     def integers(rows, m):
         cols = [[num * (2**1074 // den) for num, den in map(float.as_integer_ratio, col)]
                 for col in np.asarray(rows, dtype=float).T.tolist()]
-        # m * (value - mean) when centring, else m * value
-        return [[m * v - (sum(col) if centering else 0) for v in col] for col in cols]
+        # m * (value - mean)
+        return [[m * v - sum(col) for v in col] for col in cols]
 
     def moment(a, b, scale):
         return float(Fraction(sum(map(operator.mul, a, b)), scale * 4**1074))
@@ -285,27 +275,26 @@ CHUNK_MODELS = {
 
 
 @pytest.mark.parametrize("scaled", [False, True])
-@pytest.mark.parametrize("centering", [True, False])
 @pytest.mark.parametrize("model_name", sorted(CHUNK_MODELS))
 @pytest.mark.parametrize("shape", ["straddle", "last_row_unlabeled", "n_just_above_Kp"])
-def test_moments_do_not_depend_on_the_chunk_size(monkeypatch, shape, model_name, centering, scaled):
+def test_moments_do_not_depend_on_the_chunk_size(monkeypatch, shape, model_name, scaled):
     model = CHUNK_MODELS[model_name]()
     # with chunks of 7 and 64 rows, n = 100 lies inside a chunk and past the first one
     N, n = {"straddle": (150, 100), "last_row_unlabeled": (150, 149),
             "n_just_above_Kp": (150, 3 * model.p + 1)}[shape]
     ds = scaled_dataset(np.random.default_rng(21), N, n, scaled)
     pilot = naive_estimate(ds, model).theta_hat
-    gram, cross = exact_moments(ds, model, pilot, centering)
+    gram, cross = exact_moments(ds, model, pilot)
     root = np.sqrt(np.diag(gram))
     gram, cross = scale_free(gram, cross, root)
-    report = run_method(ds, model, "sada", 0.95, centering, DEFAULT_RIDGE_SCALE)
+    report = run_method(ds, model, "sada", level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
     for chunk in (1, 7, 64, sada.weighting.CHUNK_ROWS):
         monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk)
-        moments = moment_estimates(ds, model, pilot, centering=centering)
+        moments = moment_estimates(ds, model, pilot)
         gram_c, cross_c = scale_free(moments.gram, moments.cross, root)
         assert np.max(np.abs(gram_c - gram)) <= 1e-12, chunk
         assert np.max(np.abs(cross_c - cross)) <= 1e-12, chunk
-        report_c = run_method(ds, model, "sada", 0.95, centering, DEFAULT_RIDGE_SCALE)
+        report_c = run_method(ds, model, "sada", level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
         for got, want in ((report_c.theta_hat, report.theta_hat),
                           (report_c.covariance, report.covariance)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), chunk
