@@ -25,7 +25,7 @@ from .errors import (
     SchemaError,
 )
 from .estimators import parse_method
-from .inference import check_level, run_method
+from .inference import check_level, fit_method
 from .io import (
     format_human_table,
     load_dataset_csv,
@@ -35,6 +35,7 @@ from .io import (
     write_sim_table,
 )
 from .models import mean_model, ols_model
+from .problem import Problem
 from .simulate import DEFAULT_METHODS, SyntheticConfig, efficiency_curve
 from .weighting import DEFAULT_RIDGE_SCALE, check_ridge_scale
 
@@ -140,8 +141,9 @@ def cmd_estimate(args) -> int:
     ds = loaded.dataset
     model = _build_model(args.model, ds.d)
 
+    problem = Problem.of(ds, model)  # one pilot and one set of design products for every method
     entries = [
-        (token, run_method(ds, model, token, level=args.level, ridge_scale=args.ridge_scale))
+        (token, fit_method(problem, token, level=args.level, ridge_scale=args.ridge_scale).report())
         for token in args.methods
     ]
     meta = {
@@ -186,9 +188,10 @@ def cmd_compare(args) -> int:
     tokens += [f"ppi_pp:{k}" for k in range(1, ds.K + 1)]
     tokens.append("sada")
 
+    problem = Problem.of(ds, model)  # one pilot and one set of design products for every method
     entries = []
     for token in tokens:
-        report = run_method(ds, model, token, level=args.level, ridge_scale=args.ridge_scale)
+        report = fit_method(problem, token, level=args.level, ridge_scale=args.ridge_scale).report()
         variance = float(np.trace(np.atleast_2d(report.covariance))) / ds.n
         entries.append((token, report, variance))
     entries.sort(key=lambda e: e[2])

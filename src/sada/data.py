@@ -108,7 +108,7 @@ def validate_dataset(raw: Dataset) -> Dataset:
         raise NoUnlabeledRows(f"all {N} rows are labeled; no unlabeled rows remain")
 
     for name, arr in (("features", features), ("labels", labels), ("predictions", predictions)):
-        if arr.size and not np.all(np.isfinite(arr)):
+        if arr.size and not np.isfinite(arr).all():
             raise NonFiniteValue(f"{name} contains non-finite entries")
 
     features = features.copy()

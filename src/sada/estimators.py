@@ -14,31 +14,33 @@ labeled/unlabeled rows and W is a (K*p, p) weight matrix:
           of the estimated asymptotic covariance
 * SADA:   W = (N-n)/N times the general stacked-score plug-in
 
-Every estimator is a pure function of (dataset, config) and safe to call
-from concurrent replication workers.
+Each estimator is written once, over the B replicates of a
+``problem.Problem`` (``fit_naive`` ... ``fit_sada``), and returns a ``Fits``
+of arrays with a leading replicate axis.  A replicate that fails carries the
+SadaError it raises instead of stopping the batch.  The per-dataset functions
+(``naive_estimate`` ... ``sada_estimate``) fit a batch of one and raise that
+error.  Every function is pure and safe to call from concurrent replication
+workers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, SingularGram
-from .models import (
-    RCOND_THRESHOLD,
-    ScoreModel,
-    _solve_affine,
-    rcond,
-    solve_estimating_equation,
-    solve_score_root,
-)
+from .errors import ConfigError, SadaError, SingularJacobian
+from .models import JACOBIAN_SINGULAR, ScoreModel
+from .problem import Problem
 from .weighting import (
     DEFAULT_RIDGE_SCALE,
-    estimate_general_weights,
-    moment_estimates,
-    regularize_gram,
+    NONFINITE_WEIGHTS,
+    ZERO_GRAM,
+    check_ridge_scale,
+    ridged,
+    solve_grams,
+    stacked_moments,
 )
 
 METHOD_TAGS = ("naive", "ppi", "ppi_pp", "sada", "oracle")
@@ -98,34 +100,196 @@ class EstimateReport:
             raise ValueError("estimate is not finite")
 
 
-def _column_weight(ds: Dataset, p: int, k: int, omega: float) -> np.ndarray:
-    """(K*p, p) weight matrix with omega * I in block k (1-based), zero elsewhere."""
-    if not 1 <= k <= ds.K:
-        raise ValueError(f"prediction index k={k} outside 1..{ds.K}")
-    W = np.zeros((ds.K * p, p))
-    W[(k - 1) * p: k * p] = omega * np.eye(p)
-    return W
+@dataclass(frozen=True, eq=False)
+class Fits:
+    """One method fitted on every replicate of a problem.
+
+    Attributes:
+        method: estimator tag.
+        theta: (B, p) estimates.
+        errors: (B,) objects: None, or the SadaError that the replicate raises.
+        notes: replicate index -> that replicate's diagnostics.
+        weights: (B, K*p, p) weight matrices; None for naive and oracle.
+        optimal: (B,) True where inference uses the optimal-weight
+            Sigma_opt (SADA without a weight fallback); None for all False.
+        covariance, lower, upper, level, floored: the sandwich inference,
+            once ``inference.infer`` has filled it in; ``floored`` (B, p)
+            marks diagonal entries of Sigma floored at zero.
+    """
+
+    method: str
+    theta: np.ndarray
+    errors: np.ndarray
+    notes: Callable[[int], dict]
+    weights: Optional[np.ndarray] = None
+    optimal: Optional[np.ndarray] = None
+    covariance: Optional[np.ndarray] = None
+    lower: Optional[np.ndarray] = None
+    upper: Optional[np.ndarray] = None
+    level: Optional[float] = None
+    floored: Optional[np.ndarray] = None
+
+    def report(self, i: int = 0) -> EstimateReport:
+        """Replicate i as an EstimateReport; raises its error if it failed."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        diagnostics = self.notes(i)
+        intervals = covariance = None
+        if self.covariance is not None:
+            floored = np.flatnonzero(self.floored[i]).tolist()
+            if floored:
+                diagnostics["floored_components"] = floored
+            covariance = self.covariance[i]
+            intervals = Intervals(lower=self.lower[i], upper=self.upper[i], level=self.level)
+        return EstimateReport(
+            theta_hat=self.theta[i].copy(),  # naive's theta is the problem's cached pilot
+            method=self.method,
+            weights=None if self.weights is None else self.weights[i],
+            covariance=covariance,
+            intervals=intervals,
+            diagnostics=diagnostics,
+        )
 
 
-def _used_columns(ds: Dataset, W: np.ndarray, p: int) -> tuple[Dataset, np.ndarray]:
-    """Restrict ``ds`` to the prediction columns whose (p, p) block of W is non-zero.
+def no_errors(B: int) -> np.ndarray:
+    return np.full(B, None, dtype=object)
 
-    A column with a zero block adds nothing to the weighted equation or to its
-    covariance.  W is (K*p, p) or, when p = 1, a length-K vector.  Returns the
-    restricted dataset and the used blocks stacked; ``ds`` itself when W uses
-    every column.
+
+def _jacobian_errors(ok: np.ndarray) -> np.ndarray:
+    """Errors of a first solve: SingularJacobian where ``ok`` is False."""
+    errors = no_errors(ok.shape[0])
+    fail(errors, ~ok, SingularJacobian, JACOBIAN_SINGULAR)
+    return errors
+
+
+def fail(errors: np.ndarray, bad: np.ndarray, error: type[SadaError], message: str) -> None:
+    """Give each replicate in ``bad`` that has not failed yet the error it raises."""
+    for i in np.flatnonzero(bad):
+        if errors[i] is None:
+            errors[i] = error(message)
+
+
+def weight_blocks(W: np.ndarray, K: int, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """W as (K*p, p), and the 0-based prediction columns whose (p, p) block is non-zero.
+
+    W is (K*p, p) or, when p = 1, a length-K vector.  A column with a zero
+    block adds nothing to the weighted equation or to its covariance, so it
+    is never scored.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim == 1:
         W = W[:, None]
-    if W.shape != (ds.K * p, p):
-        raise ValueError(f"weight matrix shape {W.shape} != {(ds.K * p, p)}")
-    blocks = W.reshape(ds.K, p, p)
-    used = blocks.any(axis=(1, 2))
-    if used.all():
-        return ds, W
-    sub = Dataset(features=ds.features, labels=ds.labels, predictions=ds.predictions[:, used])
-    return sub, blocks[used].reshape(-1, p)
+    if W.shape != (K * p, p):
+        raise ValueError(f"weight matrix shape {W.shape} != {(K * p, p)}")
+    return W, tuple(np.flatnonzero(W.reshape(K, p, p).any(axis=(1, 2))).tolist())
+
+
+def _column_weights(problem: Problem, k: int, blocks: np.ndarray) -> np.ndarray:
+    """(B, K*p, p) weight matrices with ``blocks`` (B, p, p) in block k (1-based), zero elsewhere."""
+    p = problem.p
+    W = np.zeros((problem.B, problem.K * p, p))
+    W[:, (k - 1) * p: k * p] = blocks
+    return W
+
+
+def _check_column(problem: Problem, k: int) -> None:
+    if not 1 <= k <= problem.K:
+        raise ValueError(f"prediction index k={k} outside 1..{problem.K}")
+
+
+def fit_naive(problem: Problem) -> Fits:
+    """Labeled-data-only estimator: root of the plain sample score equation."""
+    theta, ok, iters = problem.pilot
+    return Fits("naive", theta, _jacobian_errors(ok), lambda i: {"solver_iterations": int(iters[i])})
+
+
+def fit_oracle(problem: Problem) -> Fits:
+    """Infeasible benchmark using the true labels of all N rows (simulation use)."""
+    theta, ok, iters = problem.score_root(problem.features, problem.truth)
+    return Fits("oracle", theta, _jacobian_errors(ok), lambda i: {"solver_iterations": int(iters[i])})
+
+
+def fit_ppi(problem: Problem, k: int) -> Fits:
+    """Prediction-powered estimator with identity weight on prediction column k (1-based)."""
+    _check_column(problem, k)
+    blocks = np.broadcast_to(np.eye(problem.p), (problem.B, problem.p, problem.p))
+    theta, ok, iters = problem.solve_weighted(blocks, (k - 1,))
+    return Fits(
+        "ppi", theta, _jacobian_errors(ok),
+        lambda i: {"solver_iterations": int(iters[i]), "prediction_column": k},
+        weights=_column_weights(problem, k, blocks),
+    )
+
+
+def fit_ppi_pp(problem: Problem, k: int, ridge_scale: float = DEFAULT_RIDGE_SCALE) -> Fits:
+    """PPI with a scalar tuning weight on prediction column k (see ``ppi_pp_estimate``)."""
+    check_ridge_scale(ridge_scale)
+    _check_column(problem, k)
+    B, p, N, n = problem.B, problem.p, problem.N, problem.n
+    pilot, ok, _ = problem.pilot
+    errors = _jacobian_errors(ok)
+
+    _, Hinv, hessian_ok = problem.hessian(pilot)
+    degenerate = np.where(hessian_ok, None, "singular_hessian")
+    omega = np.zeros(B)
+    live = ok & hessian_ok
+    if live.any():
+        gram, cross = stacked_moments(problem, pilot, (k - 1,))
+        gram_reg, zero = ridged(gram, ridge_scale)
+        denom = np.trace(Hinv @ gram_reg @ Hinv, axis1=1, axis2=2)
+        numer = np.trace(Hinv @ cross @ Hinv, axis1=1, axis2=2)
+        usable = (denom > 0.0) & np.isfinite(denom) & np.isfinite(numer)
+        degenerate[live & zero] = "singular_gram"
+        degenerate[live & ~zero & ~usable] = "nonpositive_variance"
+        good = live & ~zero & usable
+        np.divide((N - n) / N * numer, denom, out=omega, where=good)
+
+    blocks = omega[:, None, None] * np.eye(p)
+    theta, solved, iters = problem.solve_weighted(blocks, (k - 1,), pilot)
+    fail(errors, ~solved, SingularJacobian, JACOBIAN_SINGULAR)
+
+    def notes(i):
+        out = {"prediction_column": k, "ridge_scale": ridge_scale}
+        if degenerate[i] is not None:
+            out["degenerate"] = degenerate[i]
+        out["solver_iterations"] = int(iters[i])
+        out["omega"] = float(omega[i])
+        return out
+
+    return Fits("ppi_pp", theta, errors, notes, weights=_column_weights(problem, k, blocks))
+
+
+def fit_sada(problem: Problem, ridge_scale: float = DEFAULT_RIDGE_SCALE) -> Fits:
+    """Safe-and-adaptive aggregation across all prediction columns (see ``sada_estimate``)."""
+    check_ridge_scale(ridge_scale)
+    B, N, n = problem.B, problem.N, problem.n
+    pilot, ok, pilot_iters = problem.pilot
+    errors = _jacobian_errors(ok)
+    scale = (N - n) / N
+
+    columns = tuple(range(problem.K))
+    gram, cross = stacked_moments(problem, pilot, columns)
+    solution, zero, bad = solve_grams(gram, cross, ridge_scale)
+    fallback = zero | bad
+    W = scale * solution  # zero where the weights fall back
+    if fallback.all():
+        theta, iters = pilot, np.zeros(B, dtype=int)
+    else:
+        theta, solved, iters = problem.solve_weighted(W, columns, pilot)
+        fail(errors, ~solved & ~fallback, SingularJacobian, JACOBIAN_SINGULAR)
+        theta = np.where(fallback[:, None], pilot, theta)
+        iters = np.where(fallback, 0, iters)
+
+    def notes(i):
+        out = {"ridge_scale": ridge_scale, "pilot_iterations": int(pilot_iters[i]), "weight_scale": scale}
+        if zero[i]:
+            out["weight_fallback"] = f"ZeroGram: {ZERO_GRAM}"
+        elif bad[i]:
+            out["weight_fallback"] = f"SingularGram: {NONFINITE_WEIGHTS}"
+        out["solver_iterations"] = int(iters[i])
+        return out
+
+    return Fits("sada", theta, errors, notes, weights=W, optimal=~fallback)
 
 
 def solve_weighted(
@@ -139,79 +303,38 @@ def solve_weighted(
     W may be given as a (K*p, p) matrix or, when p = 1, a length-K vector.
     A prediction column whose block of W is zero is never scored.  With W = 0
     this reproduces the naive estimator; with K = 1 and W = I it reproduces
-    PPI.
-
-    For a model with a design the equation is b - G theta = 0 with
-
-        G = G_L + (sum_k W_k)' (G_U - G_L),
-        b = Z_L'y / n + sum_k W_k' (P_U - P_L)[:, k],
-
-    G_R = Z_R'Z_R / m_R and P_R = Z_R'Yhat_R / m_R on the labeled (L) and
-    unlabeled (U) rows, and is solved in closed form; any other model goes
-    through Newton from theta0, scoring one prediction column at a time so
-    that no (N, K*p) stacked matrix is built.
+    PPI.  See ``Problem.solve_weighted``.
 
     Returns:
         (theta_hat, iterations).
     """
     p = model.p
-    ds, W = _used_columns(ds, W, p)
-    n = ds.n
-    X_lab, y_lab = ds.features[:n], ds.labels
-
-    if not W.any():
-        return solve_score_root(model, X_lab, y_lab, theta0)
-    if theta0 is None:
-        theta0 = np.zeros(p)
-
-    if model.design is not None:
-        Z = model.design(ds.features)
-        Z_L, Z_U = Z[:n], Z[n:]
-        G_L = Z_L.T @ Z_L / n
-        G_U = Z_U.T @ Z_U / (ds.N - n)
-        P_diff = Z_U.T @ ds.predictions[n:] / (ds.N - n) - Z_L.T @ ds.predictions[:n] / n
-        G = G_L + W.reshape(ds.K, p, p).sum(axis=0).T @ (G_U - G_L)
-        b = Z_L.T @ y_lab / n + W.T @ P_diff.T.reshape(-1)
-        return _solve_affine(G, b, theta0)
-
-    X_U, blocks = ds.features[n:], W.reshape(ds.K, p, p)
-
-    def weighted(f, theta):
-        """f(L, y) + sum_k W_k' [f(U, yhat_k) - f(L, yhat_k)], one prediction column at a time."""
-        out = f(X_lab, y_lab, theta)
-        for W_k, yhat in zip(blocks, ds.predictions.T):
-            out = out + W_k.T @ (f(X_U, yhat[n:], theta) - f(X_lab, yhat[:n], theta))
-        return out
-
-    def mean_score(x, y, theta):
-        return np.mean(model.score(x, y, theta), axis=0)
-
-    return solve_estimating_equation(
-        lambda theta: weighted(mean_score, theta),
-        lambda theta: weighted(model.jacobian, theta),
-        theta0,
-    )
+    W, columns = weight_blocks(W, ds.K, p)
+    W = W.reshape(ds.K, p, p)[list(columns)].reshape(-1, p)
+    theta0 = None if theta0 is None else np.asarray(theta0, dtype=float)[None]
+    theta, ok, iters = Problem.of(ds, model).solve_weighted(W[None], columns, theta0)
+    if not ok[0]:
+        raise SingularJacobian(JACOBIAN_SINGULAR)
+    return theta[0], int(iters[0])
 
 
 def naive_estimate(ds: Dataset, model: ScoreModel) -> EstimateReport:
     """Labeled-data-only estimator: root of the plain sample score equation."""
-    theta, iters = solve_score_root(model, ds.features[: ds.n], ds.labels)
-    return EstimateReport(
-        theta_hat=theta, method="naive", diagnostics={"solver_iterations": iters}
-    )
+    return fit_naive(Problem.of(ds, model)).report()
 
 
-def oracle_estimate(ds: Dataset, truth: np.ndarray, model: ScoreModel) -> EstimateReport:
-    """Infeasible benchmark using the true labels of all N rows (simulation use)."""
+def check_truth(ds: Dataset, truth) -> np.ndarray:
     truth = np.asarray(truth, dtype=float)
     if truth.shape != (ds.N,):
         raise ValueError(f"truth must have length N={ds.N}")
     if not np.all(np.isfinite(truth)):
         raise ValueError("truth contains non-finite values")
-    theta, iters = solve_score_root(model, ds.features, truth)
-    return EstimateReport(
-        theta_hat=theta, method="oracle", diagnostics={"solver_iterations": iters}
-    )
+    return truth
+
+
+def oracle_estimate(ds: Dataset, truth: np.ndarray, model: ScoreModel) -> EstimateReport:
+    """Infeasible benchmark using the true labels of all N rows (simulation use)."""
+    return fit_oracle(Problem.of(ds, model, check_truth(ds, truth))).report()
 
 
 def ppi_estimate(ds: Dataset, model: ScoreModel, k: int = 1) -> EstimateReport:
@@ -221,14 +344,7 @@ def ppi_estimate(ds: Dataset, model: ScoreModel, k: int = 1) -> EstimateReport:
     ``mean(y_L) + mean(yhat_k on U) - mean(yhat_k on L)``.  Columns beyond the
     first are handled per-column by analogy (recorded in diagnostics).
     """
-    W = _column_weight(ds, model.p, k, 1.0)
-    theta, iters = solve_weighted(ds, model, W)
-    return EstimateReport(
-        theta_hat=theta,
-        method="ppi",
-        weights=W,
-        diagnostics={"solver_iterations": iters, "prediction_column": k},
-    )
+    return fit_ppi(Problem.of(ds, model), k).report()
 
 
 def ppi_pp_estimate(
@@ -248,36 +364,7 @@ def ppi_pp_estimate(
     variance or Hessian yields omega = 0, i.e. the naive estimator.  For
     p = 1 this coincides with SADA restricted to column k.
     """
-    sub, _ = _used_columns(ds, _column_weight(ds, model.p, k, 1.0), model.p)
-    pilot, _ = solve_score_root(model, ds.features[: ds.n], ds.labels)
-    diagnostics: dict = {
-        "prediction_column": k,
-        "ridge_scale": ridge_scale,
-    }
-
-    omega = 0.0
-    H = model.jacobian(ds.features[: ds.n], ds.labels, pilot)
-    if rcond(H) < RCOND_THRESHOLD:
-        diagnostics["degenerate"] = "singular_hessian"
-    else:
-        Hinv = np.linalg.inv(H)
-        try:
-            moments = moment_estimates(sub, model, pilot)
-            gram_reg = regularize_gram(moments.gram, ridge_scale)
-            denom = float(np.trace(Hinv @ gram_reg @ Hinv))
-            numer = float(np.trace(Hinv @ moments.cross @ Hinv))
-            if denom <= 0.0 or not np.isfinite(denom) or not np.isfinite(numer):
-                diagnostics["degenerate"] = "nonpositive_variance"
-            else:
-                omega = (ds.N - ds.n) / ds.N * numer / denom
-        except SingularGram:
-            diagnostics["degenerate"] = "singular_gram"
-
-    W = _column_weight(ds, model.p, k, omega)
-    theta, iters = solve_weighted(ds, model, W, theta0=pilot)
-    diagnostics["solver_iterations"] = iters
-    diagnostics["omega"] = omega
-    return EstimateReport(theta_hat=theta, method="ppi_pp", weights=W, diagnostics=diagnostics)
+    return fit_ppi_pp(Problem.of(ds, model), k, ridge_scale).report()
 
 
 def sada_estimate(
@@ -292,27 +379,4 @@ def sada_estimate(
     the weighted estimating equation.  Weight-estimation failure degrades to
     the naive estimate with a diagnostic instead of raising.
     """
-    pilot, pilot_iters = solve_score_root(model, ds.features[: ds.n], ds.labels)
-    p = model.p
-    scale = (ds.N - ds.n) / ds.N
-    diagnostics: dict = {
-        "ridge_scale": ridge_scale,
-        "pilot_iterations": pilot_iters,
-        "weight_scale": scale,
-    }
-
-    try:
-        W = scale * estimate_general_weights(ds, model, pilot, ridge_scale=ridge_scale)
-    except SingularGram as exc:
-        diagnostics["weight_fallback"] = f"{type(exc).__name__}: {exc}"
-        diagnostics["solver_iterations"] = 0
-        return EstimateReport(
-            theta_hat=pilot,
-            method="sada",
-            weights=np.zeros((ds.K * p, p)),
-            diagnostics=diagnostics,
-        )
-
-    theta, iters = solve_weighted(ds, model, W, theta0=pilot)
-    diagnostics["solver_iterations"] = iters
-    return EstimateReport(theta_hat=theta, method="sada", weights=W, diagnostics=diagnostics)
+    return fit_sada(Problem.of(ds, model), ridge_scale).report()

@@ -13,7 +13,8 @@ quadratic form evaluated at W instead.  Per-component intervals are
     theta_j +/- sqrt(Omega_jj) * z_{1-alpha/2} / sqrt(n),
 
 with n the labeled count and z the standard normal quantile from
-``statistics.NormalDist``.
+``statistics.NormalDist``.  ``infer`` computes them for every replicate of a
+``problem.Problem`` at once; the per-dataset functions are its batch of one.
 """
 from __future__ import annotations
 
@@ -23,20 +24,27 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, SingularHessian, ZeroGram
+from .errors import ConfigError, SingularGram, SingularHessian
 from .estimators import (
     EstimateReport,
+    Fits,
     Intervals,
-    _used_columns,
-    naive_estimate,
-    oracle_estimate,
+    check_truth,
+    fail,
+    fit_naive,
+    fit_oracle,
+    fit_ppi,
+    fit_ppi_pp,
+    fit_sada,
+    no_errors,
     parse_method,
-    ppi_estimate,
-    ppi_pp_estimate,
-    sada_estimate,
+    weight_blocks,
 )
-from .models import RCOND_THRESHOLD, ScoreModel, rcond
-from .weighting import DEFAULT_RIDGE_SCALE, moment_estimates, solve_gram
+from .models import ScoreModel, checked_inverse
+from .problem import Problem
+from .weighting import DEFAULT_RIDGE_SCALE, NONFINITE_WEIGHTS, solve_grams, stacked_moments
+
+HESSIAN_SINGULAR = "estimated Hessian is singular"
 
 
 @dataclass(frozen=True)
@@ -54,15 +62,38 @@ class SandwichParts:
         return self.sigma_nv - (self.N - self.n) / self.N * self.sigma_g
 
 
+def _sigma_g(problem: Problem, theta: np.ndarray, ridge_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Efficiency-gain matrices cross' x gram^{-1} x cross, PSD by construction,
+    and where their weight solve is not finite (SingularGram).
+
+    An identically-zero gram (all prediction columns constant) means the
+    stacked scores carry no signal at all, so the gain is the zero matrix.
+    """
+    gram, cross = stacked_moments(problem, theta, range(problem.K))
+    solved, _, bad = solve_grams(gram, cross, ridge_scale)
+    sigma_g = cross.transpose(0, 2, 1) @ solved
+    return 0.5 * (sigma_g + sigma_g.transpose(0, 2, 1)), bad
+
+
+def _weighted_sigma(problem: Problem, theta, sigma_nv, W, columns) -> np.ndarray:
+    """Sigma(W) = Sigma_nv + N/(N-n) W'VW - C'W - W'C, W (B, len(columns)*p, p),
+    with V and C the stacked auto- and cross-moments of ``columns`` only."""
+    gram, cross = stacked_moments(problem, theta, columns)
+    Wt = W.transpose(0, 2, 1)
+    quad = problem.N / (problem.N - problem.n) * Wt @ gram @ W
+    cross_term = cross.transpose(0, 2, 1) @ W
+    sigma = sigma_nv + quad - cross_term - cross_term.transpose(0, 2, 1)
+    return 0.5 * (sigma + sigma.transpose(0, 2, 1))
+
+
 def estimate_hessian(ds: Dataset, model: ScoreModel, theta_hat: np.ndarray) -> np.ndarray:
     """Labeled-sample average of the score Jacobian at theta_hat."""
-    return model.jacobian(ds.features[: ds.n], ds.labels, theta_hat)
+    return Problem.of(ds, model).hessian(np.asarray(theta_hat, dtype=float)[None])[0][0]
 
 
 def estimate_sigma_nv(ds: Dataset, model: ScoreModel, theta_hat: np.ndarray) -> np.ndarray:
     """Labeled-sample second moment of the scores at theta_hat (uncentered)."""
-    s = np.asarray(model.score(ds.features[: ds.n], ds.labels, theta_hat), dtype=float)
-    return s.T @ s / ds.n
+    return Problem.of(ds, model).sigma_nv(np.asarray(theta_hat, dtype=float)[None])[0]
 
 
 def estimate_sigma_g(
@@ -76,13 +107,10 @@ def estimate_sigma_g(
     An identically-zero gram (all prediction columns constant) means the
     stacked scores carry no signal at all, so the gain is the zero matrix.
     """
-    moments = moment_estimates(ds, model, theta_hat)
-    try:
-        solved = solve_gram(moments.gram, moments.cross, ridge_scale)
-    except ZeroGram:
-        return np.zeros((model.p, model.p))
-    sigma_g = moments.cross.T @ solved
-    return 0.5 * (sigma_g + sigma_g.T)
+    sigma_g, bad = _sigma_g(Problem.of(ds, model), np.asarray(theta_hat, dtype=float)[None], ridge_scale)
+    if bad[0]:
+        raise SingularGram(NONFINITE_WEIGHTS)
+    return sigma_g[0]
 
 
 def sandwich_parts(
@@ -113,15 +141,14 @@ def weighted_sigma(
     auto- and cross-moment plug-ins, built only over the prediction columns
     whose block of W is non-zero.  At W = 0 this is exactly Sigma_nv.
     """
-    ds, W = _used_columns(ds, W, model.p)
-    sigma_nv = estimate_sigma_nv(ds, model, theta_hat)
-    if not W.any():
-        return sigma_nv
-    moments = moment_estimates(ds, model, theta_hat)
-    quad = ds.N / (ds.N - ds.n) * W.T @ moments.gram @ W
-    cross_term = moments.cross.T @ W
-    sigma = sigma_nv + quad - cross_term - cross_term.T
-    return 0.5 * (sigma + sigma.T)
+    p = model.p
+    W, columns = weight_blocks(W, ds.K, p)
+    problem, theta = Problem.of(ds, model), np.asarray(theta_hat, dtype=float)[None]
+    sigma_nv = problem.sigma_nv(theta)
+    if not columns:
+        return sigma_nv[0]
+    W = W.reshape(ds.K, p, p)[list(columns)].reshape(1, -1, p)
+    return _weighted_sigma(problem, theta, sigma_nv, W, columns)[0]
 
 
 def covariance_and_intervals(
@@ -142,7 +169,14 @@ def covariance_and_intervals(
         SingularHessian: H is not invertible at the working tolerance.
         ConfigError: level outside (0, 1).
     """
-    return _sandwich_intervals(parts.H_hat, parts.sigma_opt, theta_hat, n, level)
+    check_level(level)
+    Hinv, ok = checked_inverse(np.asarray(parts.H_hat, dtype=float)[None])
+    if not ok[0]:
+        raise SingularHessian(HESSIAN_SINGULAR)
+    theta = np.asarray(theta_hat, dtype=float)[None]
+    omega, lower, upper, floored = _sandwich_intervals(Hinv, parts.sigma_opt[None], theta, n, level)
+    diagnostics = {"floored_components": np.flatnonzero(floored[0]).tolist()} if floored.any() else {}
+    return omega[0], Intervals(lower=lower[0], upper=upper[0], level=level), diagnostics
 
 
 def check_level(level: float) -> None:
@@ -151,24 +185,63 @@ def check_level(level: float) -> None:
         raise ConfigError(f"level must be in (0, 1), got {level!r}")
 
 
-def _sandwich_intervals(
-    H: np.ndarray, sigma: np.ndarray, theta_hat: np.ndarray, n: int, level: float
-) -> tuple[np.ndarray, Intervals, dict]:
-    """Floor the diagonal of sigma, form Omega = Hinv sigma Hinv', then the intervals."""
-    check_level(level)
-    floored = [int(j) for j in np.flatnonzero(np.diag(sigma) < 0.0)]
+def _sandwich_intervals(Hinv, sigma, theta, n: int, level: float):
+    """Floor the diagonal of each sigma, form Omega = Hinv sigma Hinv', then the intervals.
+
+    Returns (Omega, lower, upper, floored), with ``floored`` (B, p) marking
+    the diagonal entries of sigma that were negative.
+    """
+    diag = np.diagonal(sigma, axis1=1, axis2=2)
+    floored = diag < 0.0
     sigma = sigma.copy()
-    sigma[floored, floored] = 0.0
-    if rcond(H) < RCOND_THRESHOLD:
-        raise SingularHessian("estimated Hessian is singular")
-    Hinv = np.linalg.inv(H)
-    omega = Hinv @ sigma @ Hinv.T
-    omega = 0.5 * (omega + omega.T)
+    j = np.arange(sigma.shape[-1])
+    sigma[:, j, j] = np.where(floored, 0.0, diag)
+    omega = Hinv @ sigma @ Hinv.transpose(0, 2, 1)
+    omega = 0.5 * (omega + omega.transpose(0, 2, 1))
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    half = z * np.sqrt(np.maximum(np.diag(omega), 0.0) / n)
-    intervals = Intervals(lower=theta_hat - half, upper=theta_hat + half, level=level)
-    diagnostics = {"floored_components": floored} if floored else {}
-    return omega, intervals, diagnostics
+    half = z * np.sqrt(np.maximum(np.diagonal(omega, axis1=1, axis2=2), 0.0) / n)
+    return omega, theta - half, theta + half, floored
+
+
+def infer(
+    problem: Problem,
+    fits: Fits,
+    level: float = 0.95,
+    ridge_scale: float = DEFAULT_RIDGE_SCALE,
+) -> Fits:
+    """``fits`` with the covariance and intervals of every replicate filled in.
+
+    Replicates fitted with the optimal weights (SADA without a weight
+    fallback) use Sigma_opt at their estimate; all others use the
+    fixed-weight quadratic form at their own weight matrix (zero for naive),
+    over the prediction columns where some replicate's weights are non-zero.
+    A replicate whose Sigma_g solve is not finite gets SingularGram, and one
+    whose Hessian fails its check SingularHessian, unless it failed earlier.
+    """
+    check_level(level)
+    B, K, p, theta = problem.B, problem.K, problem.p, fits.theta
+    errors = fits.errors.copy()
+    sigma_nv = problem.sigma_nv(theta)
+    sigma = sigma_nv
+    optimal = np.zeros(B, dtype=bool) if fits.optimal is None else fits.optimal
+    if optimal.any():
+        sigma_g, bad = _sigma_g(problem, theta, ridge_scale)
+        fail(errors, optimal & bad, SingularGram, NONFINITE_WEIGHTS)
+        sigma_opt = sigma_nv - (problem.N - problem.n) / problem.N * sigma_g
+        sigma = np.where(optimal[:, None, None], sigma_opt, sigma)
+    if fits.weights is not None:
+        blocks = fits.weights.reshape(B, K, p, p)
+        used = blocks.any(axis=(2, 3)) & ~optimal[:, None]
+        columns = np.flatnonzero(used.any(axis=0)).tolist()
+        if columns:
+            W = blocks[:, columns].reshape(B, -1, p)
+            sigma_w = _weighted_sigma(problem, theta, sigma_nv, W, columns)
+            sigma = np.where(used.any(axis=1)[:, None, None], sigma_w, sigma)
+    _, Hinv, hessian_ok = problem.hessian(theta)
+    fail(errors, ~hessian_ok, SingularHessian, HESSIAN_SINGULAR)
+    omega, lower, upper, floored = _sandwich_intervals(Hinv, sigma, theta, problem.n, level)
+    return replace(fits, errors=errors, covariance=omega, lower=lower, upper=upper,
+                   level=level, floored=floored)
 
 
 def attach_inference(
@@ -184,18 +257,45 @@ def attach_inference(
     SADA estimate; all other methods use the fixed-weight quadratic form at
     their own weight matrix (zero for naive/oracle).
     """
-    theta = report.theta_hat
-    if report.method == "sada" and "weight_fallback" not in report.diagnostics:
-        parts = sandwich_parts(ds, model, theta, ridge_scale)
-        H, sigma = parts.H_hat, parts.sigma_opt
+    optimal = report.method == "sada" and "weight_fallback" not in report.diagnostics
+    weights = None
+    if report.weights is not None and not optimal:
+        weights = weight_blocks(report.weights, ds.K, model.p)[0][None]
+    fits = Fits(report.method, np.asarray(report.theta_hat, dtype=float)[None], no_errors(1),
+                lambda i: dict(report.diagnostics), weights=weights, optimal=np.array([optimal]))
+    full = infer(Problem.of(ds, model), fits, level, ridge_scale).report()
+    return replace(report, covariance=full.covariance, intervals=full.intervals,
+                   diagnostics=full.diagnostics)
+
+
+def fit_method(problem: Problem, token: str, *, level: float, ridge_scale: float) -> Fits:
+    """Fit the method a token names (see ``parse_method``) on every replicate
+    of ``problem``, with its inference.
+
+    The oracle needs the problem's true labels, and its fits carry no
+    covariance or intervals.
+
+    Raises:
+        ConfigError: unknown token, a column beyond the problem's K,
+            ``oracle`` without true labels, or a level outside (0, 1).
+    """
+    check_level(level)
+    tag, k = parse_method(token)
+    if tag == "oracle":
+        if problem.truth is None:
+            raise ConfigError("oracle method needs ground-truth labels; simulation only")
+        return fit_oracle(problem)
+    if k is not None and k > problem.K:
+        raise ConfigError(f"method {token!r} refers to column {k} but the data has K={problem.K}")
+    if tag == "naive":
+        fits = fit_naive(problem)
+    elif tag == "ppi":
+        fits = fit_ppi(problem, k)
+    elif tag == "ppi_pp":
+        fits = fit_ppi_pp(problem, k, ridge_scale)
     else:
-        H = estimate_hessian(ds, model, theta)
-        W = report.weights if report.weights is not None else np.zeros((ds.K * model.p, model.p))
-        sigma = weighted_sigma(ds, model, theta, W)
-    omega, intervals, extra = _sandwich_intervals(H, sigma, theta, ds.n, level)
-    diagnostics = dict(report.diagnostics)
-    diagnostics.update(extra)
-    return replace(report, covariance=omega, intervals=intervals, diagnostics=diagnostics)
+        fits = fit_sada(problem, ridge_scale)
+    return infer(problem, fits, level, ridge_scale)
 
 
 def run_method(
@@ -216,20 +316,6 @@ def run_method(
         ConfigError: unknown token, a column beyond ``ds.K``, ``oracle``
             without ``truth``, or a level outside (0, 1).
     """
-    check_level(level)
-    tag, k = parse_method(token)
-    if tag == "oracle":
-        if truth is None:
-            raise ConfigError("oracle method needs ground-truth labels; simulation only")
-        return oracle_estimate(ds, truth, model)
-    if k is not None and k > ds.K:
-        raise ConfigError(f"method {token!r} refers to column {k} but the data has K={ds.K}")
-    if tag == "naive":
-        report = naive_estimate(ds, model)
-    elif tag == "ppi":
-        report = ppi_estimate(ds, model, k)
-    elif tag == "ppi_pp":
-        report = ppi_pp_estimate(ds, model, k, ridge_scale=ridge_scale)
-    else:
-        report = sada_estimate(ds, model, ridge_scale=ridge_scale)
-    return attach_inference(report, ds, model, level, ridge_scale)
+    if truth is not None and parse_method(token)[0] == "oracle":
+        truth = check_truth(ds, truth)
+    return fit_method(Problem.of(ds, model, truth), token, level=level, ridge_scale=ridge_scale).report()

@@ -167,22 +167,53 @@ def solve_estimating_equation(
     )
 
 
+JACOBIAN_SINGULAR = f"Jacobian is singular at iteration 0 (rcond < {RCOND_THRESHOLD:g})"
+
+
 def _check_jacobian(J: np.ndarray, iteration: int) -> None:
-    if not np.all(np.isfinite(J)) or rcond(J) < RCOND_THRESHOLD:
+    if not nonsingular(J):
         raise SingularJacobian(
             f"Jacobian is singular at iteration {iteration} (rcond < {RCOND_THRESHOLD:g})"
         )
 
 
-def _solve_affine(G: np.ndarray, b: np.ndarray, theta0: np.ndarray) -> tuple[np.ndarray, int]:
-    """Root of the affine residual b - G theta: the exact step from theta0, one iteration.
+def nonsingular(J: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack (..., p, p): finite, with rcond at least RCOND_THRESHOLD.
 
-    Raises:
-        SingularJacobian: G fails the same test as the Newton Jacobian.
+    A non-finite matrix is replaced by the identity before the SVD, since one
+    such matrix would make numpy's batched SVD raise for the whole stack.
     """
-    _check_jacobian(G, 0)
-    theta0 = np.asarray(theta0, dtype=float)
-    return theta0 + np.linalg.solve(G, b - G @ theta0), 1
+    J = np.asarray(J, dtype=float)
+    finite = np.all(np.isfinite(J), axis=(-2, -1))
+    safe = np.where(finite[..., None, None], J, np.eye(J.shape[-1]))
+    return finite & (rcond(safe) >= RCOND_THRESHOLD)
+
+
+def checked_inverse(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Hinv, ok) for a stack of (p, p) matrices: ok marks those that pass
+    ``nonsingular``; where one fails, Hinv is the identity."""
+    ok = nonsingular(H)
+    return np.linalg.inv(np.where(ok[:, None, None], H, np.eye(H.shape[-1]))), ok
+
+
+def solve_affine(
+    G: np.ndarray, b: np.ndarray, theta0: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of the affine residuals b - G theta of a stack: the exact step from theta0.
+
+    G is (B, p, p), b and theta0 (B, p); theta0 defaults to zeros, whose step
+    is solve(G, b) itself.  Returns (theta, ok): ok marks the G that pass the
+    Newton Jacobian test; where one fails, G is replaced by the identity
+    before the batched solve and theta is zero.
+    """
+    ok = nonsingular(G)
+    G = np.where(ok[:, None, None], G, np.eye(G.shape[-1]))
+    if theta0 is None:
+        theta = np.linalg.solve(G, b[..., None])[..., 0]
+    else:
+        theta = theta0 + np.linalg.solve(G, (b - (G @ theta0[..., None])[..., 0])[..., None])[..., 0]
+    theta[~ok] = 0.0
+    return theta, ok
 
 
 def solve_score_root(
@@ -194,13 +225,20 @@ def solve_score_root(
     """Solve the plain sample score equation mean_i s(x_i, y_i; theta) = 0.
 
     A model with a design is solved in closed form from G = Z'Z/m and
-    b = Z'y/m; any other by Newton from theta0 (zeros by default).
+    b = Z'y/m (``problem.design_root``, batch of one); any other by Newton
+    from theta0 (zeros by default).
     """
+    if model.design is not None:
+        from .problem import design_root  # problem imports this module
+
+        start = None if theta0 is None else np.asarray(theta0, dtype=float)[None]
+        X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+        theta, ok = design_root(model, X.reshape(1, X.shape[0], -1), y[None], start)
+        if not ok[0]:
+            raise SingularJacobian(JACOBIAN_SINGULAR)
+        return theta[0], 1
     if theta0 is None:
         theta0 = np.zeros(model.p)
-    if model.design is not None:
-        Z = model.design(X)
-        return _solve_affine(Z.T @ Z / Z.shape[0], Z.T @ y / Z.shape[0], theta0)
 
     def residual(theta):
         return np.mean(model.score(X, y, theta), axis=0)
@@ -208,10 +246,10 @@ def solve_score_root(
     return solve_estimating_equation(residual, lambda theta: model.jacobian(X, y, theta), theta0)
 
 
-def rcond(M: np.ndarray) -> float:
-    """Reciprocal 2-norm condition number (0 for exactly singular)."""
-    svals = np.linalg.svd(M, compute_uv=False)
-    top = float(svals[0])
-    if top == 0.0:
-        return 0.0
-    return float(svals[-1]) / top
+def rcond(M: np.ndarray) -> np.ndarray:
+    """Reciprocal 2-norm condition number of each matrix of a stack (0 for exactly singular)."""
+    # the singular value of a 1 x 1 matrix is its absolute value; the batched
+    # SVD would make one LAPACK call per matrix to say so
+    svals = np.abs(M[..., 0]) if M.shape[-1] == 1 else np.linalg.svd(M, compute_uv=False)
+    top, bottom = svals[..., 0], svals[..., -1]
+    return np.divide(bottom, top, out=np.zeros_like(top), where=top != 0.0)

@@ -1,0 +1,268 @@
+"""One score model on a batch of same-shaped datasets, and the five primitives
+in which models with and without a design differ.
+
+A ``Problem`` stacks B datasets with the same N, n, K and d on a leading
+replicate axis: features (B, N, d), labels (B, n), predictions (B, N, K) and,
+for the oracle, true labels (B, N).  The estimators, the weight plug-ins and
+the sandwich inference are written once, over that axis, against five
+primitives:
+
+* ``score_root`` (and the cached ``pilot``): root of the plain score equation;
+* ``solve_weighted``: root of the weighted equation for given weights;
+* ``stacked_scores``/``labeled_scores``: the per-row scores behind the
+  moments at theta (accumulated by ``weighting.stacked_moments``);
+* ``hessian``: the labeled mean Jacobian, with its inverse and check;
+* ``sigma_nv``: the labeled second moment of the scores.
+
+A model with a design (the mean and OLS) evaluates each for all B replicates
+at once.  Its scores are affine in theta, so the solves need only the design
+products Z'Z, Z'y and Z'Yhat on the labeled and unlabeled rows, taken once per
+problem by ``design_sums``.  A check that fails marks the replicate in a
+boolean mask, and its matrix is replaced by the identity before any batched
+solve: one singular or non-finite matrix would make numpy's batched
+``solve``/``inv``/``svd`` raise for the whole stack.  Any other model is
+solved by Newton one dataset at a time (B = 1), and its failures raise.
+
+Derived values are cached on the problem, which lives only as long as the
+call, or the CLI command, that built it.
+"""
+from __future__ import annotations
+
+from functools import cached_property
+from typing import Sequence
+
+import numpy as np
+
+from . import weighting
+from .data import Dataset, stacked_score_matrix
+from .models import (
+    ScoreModel,
+    checked_inverse,
+    solve_affine,
+    solve_estimating_equation,
+    solve_score_root,
+)
+
+
+def design_rows(model: ScoreModel, X: np.ndarray) -> np.ndarray:
+    """design(x) of every row of a (B, m, d) stack, as (B, m, p).
+
+    ``design`` is called on the (B*m, d) rows, its documented (m, d) -> (m, p)
+    contract, so a custom design need not know of the replicate axis.
+    """
+    B, m, d = X.shape
+    return np.asarray(model.design(X.reshape(B * m, d)), dtype=float).reshape(B, m, model.p)
+
+
+def design_sums(model: ScoreModel, X: np.ndarray, *targets: np.ndarray, gram: bool = True):
+    """Z'Z and each Z't over the rows of X (B, rows, d), divided by the row count.
+
+    Z = design(X) is built ``weighting.CHUNK_ROWS`` rows at a time, so its
+    memory is O(CHUNK_ROWS * p) per replicate for any N.  Every design
+    product of the package is taken here, so a change of basis of Z (such
+    as a QR basis of the labeled design) would be applied in one place.
+    Each target is (B, rows, q); returns (Z'Z/m or None, [Z't/m, ...]).
+    """
+    m = X.shape[1]
+    chunk = weighting.CHUNK_ROWS
+    zz, sums = 0.0, [0.0] * len(targets)
+    for lo in range(0, m, chunk):
+        Z = design_rows(model, X[:, lo:lo + chunk])
+        Zt = Z.transpose(0, 2, 1)
+        if gram:
+            zz = zz + Zt @ Z
+        sums = [s + Zt @ t[:, lo:lo + chunk] for s, t in zip(sums, targets)]
+    return (zz / m if gram else None), [s / m for s in sums]
+
+
+def design_root(model: ScoreModel, X: np.ndarray, y: np.ndarray, theta0: np.ndarray | None = None):
+    """Closed-form root of mean_i z_i (y_i - z_i'theta) = 0 per replicate: (theta, ok).
+
+    X is (B, m, d), y (B, m) and theta0 (B, p); see ``solve_affine``.
+    """
+    G, (b,) = design_sums(model, X, y[..., None])
+    return solve_affine(G, b[..., 0], theta0)
+
+
+class Problem:
+    """A score model on B datasets stacked on a leading replicate axis."""
+
+    def __init__(self, model: ScoreModel, features, labels, predictions, truth=None):
+        self.model = model
+        self.features, self.labels, self.predictions, self.truth = features, labels, predictions, truth
+        self.B, self.N, self.K = predictions.shape
+        self.n = labels.shape[1]
+        self.p = model.p
+        if model.design is None and self.B != 1:
+            raise ValueError("a model without a design is fitted one dataset at a time")
+
+    @classmethod
+    def of(cls, ds: Dataset, model: ScoreModel, truth: np.ndarray | None = None) -> "Problem":
+        """The batch of one that every per-dataset call fits."""
+        return cls(model, ds.features[None], ds.labels[None], ds.predictions[None],
+                   None if truth is None else np.asarray(truth, dtype=float)[None])
+
+    @classmethod
+    def stack(cls, datasets: Sequence[Dataset], model: ScoreModel, truths=None) -> "Problem":
+        """Datasets of one shape, in order, as one batch."""
+        return cls(
+            model,
+            np.stack([ds.features for ds in datasets]),
+            np.stack([ds.labels for ds in datasets]),
+            np.stack([ds.predictions for ds in datasets]),
+            None if truths is None else np.stack(truths),
+        )
+
+    @cached_property
+    def _labeled(self) -> tuple[np.ndarray, np.ndarray]:
+        """G_L = Z_L'Z_L/n and b_L = Z_L'y/n."""
+        G, (b,) = design_sums(self.model, self.features[:, : self.n], self.labels[..., None])
+        return G, b[..., 0]
+
+    @cached_property
+    def _weighted(self) -> tuple[np.ndarray, np.ndarray]:
+        """What a weight matrix multiplies: G_U - G_L and P_U - P_L, P_R = Z_R'Yhat_R/m_R."""
+        n = self.n
+        G_L, _ = self._labeled
+        _, (P_L,) = design_sums(self.model, self.features[:, :n], self.predictions[:, :n], gram=False)
+        G_U, (P_U,) = design_sums(self.model, self.features[:, n:], self.predictions[:, n:])
+        return G_U - G_L, P_U - P_L
+
+    # --- primitive 1: the plain score root ---
+
+    def score_root(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Root of mean_i s(x_i, y_i; theta) = 0 per replicate: (theta, ok, iterations)."""
+        if self.model.design is None:
+            theta, iters = solve_score_root(self.model, X[0], y[0])
+            return theta[None], np.ones(1, dtype=bool), np.array([iters])
+        theta, ok = design_root(self.model, X, y)
+        return theta, ok, np.ones(self.B, dtype=int)
+
+    @cached_property
+    def pilot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The naive labeled-data root, solved once per problem: (theta, ok, iterations)."""
+        if self.model.design is None:
+            return self.score_root(self.features[:, : self.n], self.labels)
+        theta, ok = solve_affine(*self._labeled)
+        return theta, ok, np.ones(self.B, dtype=int)
+
+    # --- primitive 2: the weighted solve ---
+
+    def solve_weighted(
+        self, W: np.ndarray, columns: Sequence[int], theta0: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Roots of the weighted estimating equation: (theta, ok, iterations).
+
+        W is (B, len(columns)*p, p), one (p, p) block per 0-based prediction
+        column in ``columns``.  For a model with a design the equation is
+        b - G theta = 0 with
+
+            G = G_L + (sum_k W_k)' (G_U - G_L),
+            b = Z_L'y / n + sum_k W_k' (P_U - P_L)[:, k],
+
+        solved in closed form from theta0; any other model goes through
+        Newton from theta0 (zeros by default), scoring only the columns whose
+        block of W is non-zero, one at a time.
+        """
+        B, p = self.B, self.p
+        if self.model.design is None:
+            theta0 = np.zeros(p) if theta0 is None else theta0[0]
+            theta, iters = self._newton_weighted(W[0], columns, theta0)
+            return theta[None], np.ones(1, dtype=bool), np.array([iters])
+        G_L, b_L = self._labeled
+        dG, dP = self._weighted
+        G = G_L + W.reshape(B, -1, p, p).sum(axis=1).transpose(0, 2, 1) @ dG
+        shift = dP[:, :, list(columns)].transpose(0, 2, 1).reshape(B, -1, 1)
+        b = b_L + (W.transpose(0, 2, 1) @ shift)[..., 0]
+        theta, ok = solve_affine(G, b, theta0)
+        return theta, ok, np.ones(B, dtype=int)
+
+    def _newton_weighted(self, W: np.ndarray, columns: Sequence[int], theta0: np.ndarray):
+        model, n = self.model, self.n
+        X_lab, y_lab = self.features[0, :n], self.labels[0]
+        blocks = W.reshape(len(columns), self.p, self.p)
+        used = [(W_k, self.predictions[0, :, k]) for W_k, k in zip(blocks, columns) if W_k.any()]
+        if not used:
+            return solve_score_root(model, X_lab, y_lab, theta0)
+        X_U = self.features[0, n:]
+
+        def weighted(f, theta):
+            """f(L, y) + sum_k W_k' [f(U, yhat_k) - f(L, yhat_k)], one prediction column at a time."""
+            out = f(X_lab, y_lab, theta)
+            for W_k, yhat in used:
+                out = out + W_k.T @ (f(X_U, yhat[n:], theta) - f(X_lab, yhat[:n], theta))
+            return out
+
+        def mean_score(x, y, theta):
+            return np.mean(model.score(x, y, theta), axis=0)
+
+        return solve_estimating_equation(
+            lambda theta: weighted(mean_score, theta),
+            lambda theta: weighted(model.jacobian, theta),
+            theta0,
+        )
+
+    # --- primitive 3: the scores behind the moments at theta ---
+
+    @staticmethod
+    def _fitted(Z: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """z'theta per row, (B, m).
+
+        For p = 1 this is one exact product over the whole batch.  For p > 1
+        it stays the BLAS product of each replicate: the order of the sum
+        over p moves the fitted values by an ulp, and an ill-conditioned gram
+        turns that into visible changes of the SADA weights.
+        """
+        if Z.shape[-1] == 1:
+            return Z[..., 0] * theta
+        return (Z @ theta[..., None])[..., 0]
+
+    def labeled_scores(self, theta: np.ndarray) -> np.ndarray:
+        """Scores of the labeled rows at theta (B, p): (B, n, p)."""
+        X, y = self.features[:, : self.n], self.labels
+        if self.model.design is None:
+            return np.asarray(self.model.score(X[0], y[0], theta[0]), dtype=float)[None]
+        Z = design_rows(self.model, X)
+        return (y - self._fitted(Z, theta))[..., None] * Z
+
+    def stacked_scores(self, lo: int, hi: int, columns: Sequence[int], theta: np.ndarray) -> np.ndarray:
+        """Rows lo..hi of the stacked scores of ``columns`` at theta: (B, hi-lo, len(columns)*p).
+
+        Column block j holds the score at prediction column ``columns[j]``,
+        built one column at a time.
+        """
+        X, Yhat = self.features[:, lo:hi], self.predictions[:, lo:hi]
+        if self.model.design is None:
+            return stacked_score_matrix(self.model, X[0], Yhat[0][:, list(columns)], theta[0])[None]
+        p = self.p
+        Z = design_rows(self.model, X)
+        fitted = self._fitted(Z, theta)
+        out = np.empty((self.B, hi - lo, len(columns) * p))
+        for j, k in enumerate(columns):
+            out[:, :, j * p:(j + 1) * p] = (Yhat[:, :, k] - fitted)[..., None] * Z
+        return out
+
+    # --- primitives 4 and 5: the Hessian and Sigma_nv ---
+
+    def hessian(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Labeled mean Jacobian at theta, its inverse and its check: (H, Hinv, ok).
+
+        For a model with a design, H = -G_L does not depend on theta and is
+        inverted once per problem.  Where H fails the check, Hinv is the
+        identity.
+        """
+        if self.model.design is None:
+            n = self.n
+            H = np.asarray(self.model.jacobian(self.features[0, :n], self.labels[0], theta[0]), dtype=float)
+            return (H[None], *checked_inverse(H[None]))
+        return self._design_hessian
+
+    @cached_property
+    def _design_hessian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        H = -self._labeled[0]
+        return (H, *checked_inverse(H))
+
+    def sigma_nv(self, theta: np.ndarray) -> np.ndarray:
+        """Labeled-sample second moment of the scores at theta (uncentered): (B, p, p)."""
+        s = self.labeled_scores(theta)
+        return s.transpose(0, 2, 1) @ s / self.n

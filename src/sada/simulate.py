@@ -1,10 +1,14 @@
 """Monte Carlo replication harness for comparing the estimators.
 
 Every replicate draws its own RNG substream from ``SeedSequence(seed,
-spawn_key=(rep_index,))``, so results are bit-identical no matter how the
-replicates are distributed over worker processes.  Aggregation is a single
-deterministic reduction over rep-indexed arrays.  Methods are named by the
-tokens of ``estimators.parse_method``.
+spawn_key=(rep_index,))``.  A job is a range of replicates of one config:
+they are drawn one by one, stacked into one ``problem.Problem``, and every
+method is fitted on all of them in one batched pass.  Each replicate's fit
+does not depend on which others share its batch, so results are
+bit-identical no matter how the replicates are split into jobs and
+distributed over worker processes.  Aggregation is a single deterministic
+reduction over rep-indexed arrays.  Methods are named by the tokens of
+``estimators.parse_method``.
 """
 from __future__ import annotations
 
@@ -18,11 +22,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import weighting
 from .data import Dataset
-from .errors import ConfigError, SadaError
+from .errors import ConfigError
 from .estimators import parse_method
-from .inference import check_level, run_method
+from .inference import check_level, fit_method
 from .models import ScoreModel, mean_model, ols_model
+from .problem import Problem
 from .weighting import DEFAULT_RIDGE_SCALE, check_ridge_scale
 
 DEFAULT_METHODS = ("naive", "ppi:1", "ppi:2", "ppi_pp:1", "ppi_pp:2", "sada")
@@ -187,49 +193,50 @@ class SimStudyResult:
     failures: dict = field(default_factory=dict)
 
 
-def _run_one_rep(kind: str, methods: Sequence[str], level: float, ridge_scale: float,
-                 strict: bool, cfg, rep: int):
-    """Run every method on one replicate; returns {token: (theta, lo, hi) | None}.
+def _run_chunk(kind: str, methods: Sequence[str], level: float, ridge_scale: float,
+               strict: bool, cfg, lo: int, hi: int) -> dict:
+    """Fit every method on replicates lo..hi-1 of one config in one batch.
 
-    A configuration error is the same for every replicate, so it is raised,
-    never counted as a failed fit.
+    Returns {token: (theta, lower, upper, failed)}: (reps, p) arrays, lower
+    and upper None for the oracle, and ``failed`` (reps,) marking the
+    replicates whose fit raised a SadaError.  Under ``strict`` the error of
+    the first failing replicate, in replicate and then token order, is
+    raised instead.  A configuration error is the same for every replicate,
+    so it is raised, never counted as a failed fit.
     """
-    ds, truth = _STUDIES[kind](cfg, rep)
-    model = _model_for(kind)
-    out = {}
-    for token in methods:
-        try:
-            report = run_method(ds, model, token, level=level, ridge_scale=ridge_scale, truth=truth)
-        except ConfigError:
-            raise
-        except SadaError:
-            if strict:
-                raise
-            out[token] = None
-            continue
-        iv = report.intervals
-        out[token] = (report.theta_hat, None, None) if iv is None else (report.theta_hat, iv.lower, iv.upper)
-    return out
+    draws = [_STUDIES[kind](cfg, rep) for rep in range(lo, hi)]
+    problem = Problem.stack([ds for ds, _ in draws], _model_for(kind), [truth for _, truth in draws])
+    fits = [fit_method(problem, token, level=level, ridge_scale=ridge_scale) for token in methods]
+    failed = np.stack([~np.equal(f.errors, None) for f in fits], axis=1)  # (reps, tokens)
+    if strict and failed.any():
+        rep, j = np.argwhere(failed)[0]
+        raise fits[j].errors[rep]
+    for f, bad in zip(fits, failed.T):
+        if not np.all(np.isfinite(f.theta[~bad])):
+            raise ValueError("estimate is not finite")
+    return {token: (f.theta, f.lower, f.upper, bad) for token, f, bad in zip(methods, fits, failed.T)}
 
 
-def _aggregate(kind: str, cfg, tokens: list[str], rep_rows: Iterable[dict]) -> SimStudyResult:
-    """Reduce one config's replicate rows, in rep order, to its summary."""
+def _aggregate(kind: str, cfg, tokens: list[str], chunks: Iterable[dict]) -> SimStudyResult:
+    """Reduce one config's replicate chunks, in rep order, to its summary."""
     theta_star = _theta_star_for(kind, cfg)
     p = theta_star.shape[0]
     reps = cfg.reps
-    estimates = {t: np.full((reps, p), np.nan) for t in tokens}
-    covered = {t: np.full((reps, p), np.nan) for t in tokens}
-    failures = {t: 0 for t in tokens}
-    for rep, row in enumerate(rep_rows):
-        for token in tokens:
-            got = row[token]
-            if got is None:
-                failures[token] += 1
-                continue
-            theta, lo, hi = got
-            estimates[token][rep] = theta
-            if lo is not None:
-                covered[token][rep] = (lo <= theta_star) & (theta_star <= hi)
+    chunks = list(chunks)
+    estimates, covered, failures = {}, {}, {}
+    for token in tokens:
+        # each chunk's (theta, lower, upper, failed) joined in rep order; the
+        # oracle's lower and upper are None
+        theta, lower, upper, failed = (
+            None if parts[0] is None else np.concatenate(parts)
+            for parts in zip(*(chunk[token] for chunk in chunks))
+        )
+        failures[token] = int(failed.sum())
+        estimates[token] = np.where(failed[:, None], np.nan, theta)
+        covered[token] = np.full((reps, p), np.nan)
+        if lower is not None:
+            hit = (lower <= theta_star) & (theta_star <= upper)
+            covered[token][~failed] = hit[~failed]
 
     sd, mean, bias, rel_eff, coverage = {}, {}, {}, {}, {}
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -271,12 +278,13 @@ def _run_studies(
     workers: int,
     strict: bool,
 ) -> list[SimStudyResult]:
-    """Run every replicate of every config through one ordered map, then
-    reduce each config from its slice of the results.
+    """Run every replicate of every config through one ordered map of
+    replicate ranges, then reduce each config from its ranges' results.
 
-    More than one worker uses one process pool for the whole call, with about
-    four chunks of replicates per worker and no more processes than CPUs or
-    chunks.
+    A range holds at most ``weighting.CHUNK_ROWS // N`` replicates (at least
+    one), so a batch stays within that row budget.  More than one worker
+    uses one process pool for the whole call, with about four ranges per
+    worker and no more processes than CPUs or ranges.
     """
     if not methods:
         raise ConfigError("methods must be nonempty")
@@ -289,18 +297,24 @@ def _run_studies(
         tokens = ["naive"] + tokens  # baseline for relative efficiencies
     for token in tokens:
         parse_method(token)
-    run = partial(_run_one_rep, kind, tokens, level, ridge_scale, strict)
-    jobs = [(cfg, rep) for cfg in cfgs for rep in range(cfg.reps)]
+    run = partial(_run_chunk, kind, tokens, level, ridge_scale, strict)
     workers = min(workers, os.cpu_count() or 1)
-    chunksize = -(-len(jobs) // (workers * 4))
-    workers = min(workers, -(-len(jobs) // chunksize))  # no more processes than chunks
+    share = -(-sum(cfg.reps for cfg in cfgs) // (workers * 4))
+    jobs = []
+    for cfg in cfgs:
+        size = max(1, weighting.CHUNK_ROWS // cfg.N)
+        if workers > 1:
+            size = min(size, share)
+        jobs.append([(cfg, lo, min(lo + size, cfg.reps)) for lo in range(0, cfg.reps, size)])
+    flat = [job for ranges in jobs for job in ranges]
+    workers = min(workers, len(flat))  # no more processes than ranges
     with ExitStack() as stack:
         if workers <= 1:
-            rows = map(run, *zip(*jobs))
+            chunks = map(run, *zip(*flat))
         else:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            rows = pool.map(run, *zip(*jobs), chunksize=chunksize)
-        return [_aggregate(kind, cfg, tokens, islice(rows, cfg.reps)) for cfg in cfgs]
+            chunks = pool.map(run, *zip(*flat))
+        return [_aggregate(kind, cfg, tokens, islice(chunks, len(ranges))) for cfg, ranges in zip(cfgs, jobs)]
 
 
 def run_replications(

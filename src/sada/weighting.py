@@ -2,8 +2,9 @@
 
 ``estimate_general_weights`` is the stacked-score plug-in
 ``[mean_N S S']^{-1} [mean_n S s']`` for any score model, built from the
-moments of ``moment_estimates``.  It does NOT include the (N-n)/N factor; the
-estimator pipeline applies that factor explicitly.
+moments of ``stacked_moments``, which serves every replicate of a batch at
+once (``moment_estimates`` is its batch of one).  It does NOT include the
+(N-n)/N factor; the estimator pipeline applies that factor explicitly.
 
 Every moment is centred: stacked scores by their all-N mean, plain scores by
 their labeled-sample mean.  Raw second moments would add the squared
@@ -13,19 +14,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, stacked_score_matrix
-from .errors import ConfigError, SingularGram, ZeroGram
-from .models import RCOND_THRESHOLD, ScoreModel, solve_score_root
+from .data import Dataset
+from .errors import ConfigError, SingularGram, SingularJacobian, ZeroGram
+from .models import JACOBIAN_SINGULAR, RCOND_THRESHOLD, ScoreModel
 
 #: Default ridge multiplier: lambda = ridge_scale * trace(gram) / dim.
 DEFAULT_RIDGE_SCALE = 1e-8
 
-#: Rows of stacked scores that ``moment_estimates`` builds at a time, so that
-#: apart from the dataset its memory is O(CHUNK_ROWS * K * p) for any N.
+#: Row budget of one batch: the moments and the design products take the rows
+#: of each replicate this many at a time, and ``simulate`` fits
+#: CHUNK_ROWS // N whole replicates (at least one) per batch, so that apart
+#: from the datasets their memory is O(CHUNK_ROWS * K * p) for any N and any
+#: number of replicates.
 CHUNK_ROWS = 16384
+
+ZERO_GRAM = "gram matrix is identically zero"
+NONFINITE_WEIGHTS = "weight solve produced non-finite values"
 
 
 @dataclass(frozen=True)
@@ -42,47 +50,74 @@ class MomentEstimates:
     cross: np.ndarray
 
 
+def stacked_moments(problem, theta: np.ndarray, columns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Centred gram (B, c, c) and cross (B, c, p) moments of the stacked scores
+    of ``columns`` at theta (B, p), c = len(columns) * p, for every replicate
+    of a ``problem.Problem``.
+
+    The stacked scores are built and accumulated ``CHUNK_ROWS`` rows of each
+    replicate at a time, so the (N, K*p) stacked matrix is never formed.
+    Every chunk is centred at one shift, the first chunk's column mean, before
+    its products are taken, so columns far from zero or of very different
+    scales do not cancel; the gram is then corrected by the outer product of
+    the mean's remaining offset from the shift.  The cross moment needs no
+    correction, because the labeled scores it multiplies are centred and sum
+    to zero.
+    """
+    n, N = problem.n, problem.N
+    s_lab = problem.labeled_scores(theta)
+    s_lab = s_lab - s_lab.mean(axis=1, keepdims=True)
+    ones = np.ones(min(N, CHUNK_ROWS))
+    gram = total = cross = 0.0
+    for lo in range(0, N, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, N)
+        S = problem.stacked_scores(lo, hi, columns, theta)
+        if lo == 0:
+            shift = (ones @ S / (hi - lo))[:, None, :]  # column means, by BLAS
+        S -= shift  # S is freshly built, so centre it in place
+        total = total + ones[: hi - lo] @ S
+        gram = gram + S.transpose(0, 2, 1) @ S
+        if lo < n:
+            cross = cross + S[:, : n - lo].transpose(0, 2, 1) @ s_lab[:, lo:hi]
+    offset = total / N
+    gram = gram / N - offset[:, :, None] * offset[:, None, :]
+    cross = cross / n
+    gram = 0.5 * (gram + gram.transpose(0, 2, 1))
+    return gram, cross
+
+
 def moment_estimates(
     ds: Dataset,
     model: ScoreModel,
     theta: np.ndarray,
 ) -> MomentEstimates:
-    """Compute the centred gram and cross moments entering the weight plug-in.
+    """The centred gram and cross moments entering the weight plug-in, over
+    all K prediction columns of one dataset (``stacked_moments``, batch of one)."""
+    from .problem import Problem  # problem reads CHUNK_ROWS from this module
 
-    The stacked scores are built and accumulated ``CHUNK_ROWS`` rows at a
-    time, so the (N, K*p) stacked matrix is never formed.  Every chunk is
-    centred at one shift, the first chunk's column mean, before its products
-    are taken, so columns far from zero or of very different scales do not
-    cancel; the gram is then corrected by the outer product of the mean's
-    remaining offset from the shift.  The cross moment needs no correction,
-    because the labeled scores it multiplies are centred and sum to zero.
-    """
-    n, N = ds.n, ds.N
-    s_lab = np.asarray(model.score(ds.features[:n], ds.labels, theta), dtype=float)
-    s_lab = s_lab - s_lab.mean(axis=0)
-    ones = np.ones(min(N, CHUNK_ROWS))
-    gram = total = cross = 0.0
-    for lo in range(0, N, CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, N)
-        S = stacked_score_matrix(model, ds.features[lo:hi], ds.predictions[lo:hi], theta)
-        if lo == 0:
-            shift = ones @ S / (hi - lo)  # column means, by BLAS
-        S -= shift  # S is freshly built, so centre it in place
-        total = total + ones[: hi - lo] @ S
-        gram = gram + S.T @ S
-        if lo < n:
-            cross = cross + S[: n - lo].T @ s_lab[lo:hi]
-    offset = total / N
-    gram = gram / N - offset[:, None] * offset
-    cross = cross / n
-    gram = 0.5 * (gram + gram.T)
-    return MomentEstimates(gram=gram, cross=cross)
+    theta = np.asarray(theta, dtype=float)
+    gram, cross = stacked_moments(Problem.of(ds, model), theta[None], range(ds.K))
+    return MomentEstimates(gram=gram[0], cross=cross[0])
 
 
 def check_ridge_scale(ridge_scale: float) -> None:
     """Raise ConfigError unless ridge_scale is a finite number >= 0, so the ridged gram stays PSD."""
     if not (math.isfinite(ridge_scale) and ridge_scale >= 0.0):
         raise ConfigError(f"ridge_scale must be a finite number >= 0, got {ridge_scale!r}")
+
+
+def ridged(gram: np.ndarray, ridge_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """gram + lambda*I per matrix of a stack, lambda = ridge_scale*trace/dim,
+    and which grams are identically zero.
+
+    Raises:
+        ConfigError: ridge_scale is negative, NaN or infinite.
+    """
+    check_ridge_scale(ridge_scale)
+    zero = np.all(gram == 0.0, axis=(-2, -1))
+    dim = gram.shape[-1]
+    lam = ridge_scale * np.trace(gram, axis1=-2, axis2=-1) / dim
+    return gram + lam[..., None, None] * np.eye(dim), zero
 
 
 def regularize_gram(gram: np.ndarray, ridge_scale: float = DEFAULT_RIDGE_SCALE) -> np.ndarray:
@@ -93,26 +128,43 @@ def regularize_gram(gram: np.ndarray, ridge_scale: float = DEFAULT_RIDGE_SCALE) 
         ZeroGram: the gram matrix is identically zero, so no ridge can make
             it carry information (surfaces as SingularGram upstream).
     """
-    check_ridge_scale(ridge_scale)
-    gram = np.asarray(gram, dtype=float)
-    if np.all(gram == 0.0):
-        raise ZeroGram("gram matrix is identically zero")
-    dim = gram.shape[0]
-    lam = ridge_scale * float(np.trace(gram)) / dim
-    return gram + lam * np.eye(dim)
+    reg, zero = ridged(np.asarray(gram, dtype=float), ridge_scale)
+    if zero:
+        raise ZeroGram(ZERO_GRAM)
+    return reg
+
+
+def solve_grams(
+    gram: np.ndarray, rhs: np.ndarray, ridge_scale: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve (gram + ridge) @ x = rhs per replicate via a symmetric pseudo-inverse.
+
+    The pseudo-inverse keeps exactly collinear prediction columns usable
+    (minimum-norm solution) when the ridge is disabled.  Returns (x, zero,
+    bad): ``zero`` marks identically-zero grams (ZeroGram) and ``bad`` the
+    other grams whose solve is not finite (SingularGram); x is zero for both.
+    Those grams are replaced by the identity before the batched solve.
+    """
+    reg, zero = ridged(gram, ridge_scale)
+    finite = np.all(np.isfinite(reg), axis=(-2, -1))
+    usable = finite & ~zero
+    reg = np.where(usable[:, None, None], reg, np.eye(reg.shape[-1]))
+    solution = np.linalg.pinv(reg, rcond=RCOND_THRESHOLD, hermitian=True) @ rhs
+    bad = ~zero & ~(finite & np.all(np.isfinite(solution), axis=(-2, -1)))
+    solution[zero | bad] = 0.0
+    return solution, zero, bad
 
 
 def solve_gram(gram: np.ndarray, rhs: np.ndarray, ridge_scale: float) -> np.ndarray:
-    """Solve (gram + ridge) @ x = rhs via a symmetric pseudo-inverse.
-
-    The pseudo-inverse keeps exactly collinear prediction columns usable
-    (minimum-norm solution) when the ridge is disabled.
-    """
-    reg = regularize_gram(gram, ridge_scale)
-    solution = np.linalg.pinv(reg, rcond=RCOND_THRESHOLD, hermitian=True) @ rhs
-    if not np.all(np.isfinite(solution)):
-        raise SingularGram("weight solve produced non-finite values")
-    return solution
+    """``solve_grams`` for one gram, raising ZeroGram or SingularGram where it would mark it."""
+    rhs = np.asarray(rhs, dtype=float)
+    solution, zero, bad = solve_grams(np.asarray(gram, dtype=float)[None], rhs.reshape(1, rhs.shape[0], -1),
+                                      ridge_scale)
+    if zero[0]:
+        raise ZeroGram(ZERO_GRAM)
+    if bad[0]:
+        raise SingularGram(NONFINITE_WEIGHTS)
+    return solution[0].reshape(rhs.shape)
 
 
 def estimate_general_weights(
@@ -135,10 +187,16 @@ def estimate_general_weights(
         multiply by (N-n)/N.
 
     Raises:
+        SingularJacobian: the default pilot's labeled design is singular.
         SingularGram: stacked scores carry no usable variation.
     """
     if theta_pilot is None:
-        theta_pilot, _ = solve_score_root(model, ds.features[: ds.n], ds.labels)
+        from .problem import Problem  # problem reads CHUNK_ROWS from this module
+
+        pilot, ok, _ = Problem.of(ds, model).pilot
+        if not ok[0]:
+            raise SingularJacobian(JACOBIAN_SINGULAR)
+        theta_pilot = pilot[0]
     theta_pilot = np.asarray(theta_pilot, dtype=float)
     if not np.all(np.isfinite(theta_pilot)):
         raise ValueError("theta_pilot must be finite")

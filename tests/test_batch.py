@@ -1,0 +1,136 @@
+"""The batched engine: a replicate's fit does not depend on its batch, and no
+input makes a batch raise a raw numpy error.
+
+``simulate`` fits a range of replicates as one ``Problem`` and splits the
+replicates into ranges by worker count, so its outputs are identical across
+``--workers`` only because every replicate's fit is the same whatever else
+shares its batch (acceptance criterion 10 relies on that).
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sada import Dataset, SadaError, mean_model, ols_model
+from sada.cli import _EXIT_CODES
+from sada.inference import fit_method, run_method
+from sada.problem import Problem
+
+TOKENS = ["naive", "ppi:1", "ppi:2", "ppi_pp:1", "ppi_pp:2", "sada", "oracle"]
+
+
+def replicate(rng, case, N=60, n=20):
+    """x = (1, N(0, 1)), y linear in x, two prediction columns, shaped as ``case`` names."""
+    X = np.column_stack([np.ones(N), rng.standard_normal(N)])
+    y = X @ np.array([0.5, -1.0]) + rng.standard_normal(N)
+    good, noise = 0.7 * y + 0.5 * rng.standard_normal(N), rng.standard_normal(N)
+    preds = {"constant_column": [good, np.full(N, 2.0)], "exact_column": [noise, y]}.get(case, [good, noise])
+    if case == "rank_deficient_labeled":
+        X[:n, 1] = 3.0  # collinear with the intercept on the labeled rows only
+    return Dataset.from_arrays(X, y[:n], np.column_stack(preds)), y
+
+
+CASES = ["plain", "constant_column", "plain", "exact_column", "rank_deficient_labeled", "plain",
+         "constant_column", "plain", "exact_column", "plain"]
+
+
+def outcome(problem, token, i):
+    """Replicate i of the token's fits: its error class, or the bytes of its outputs."""
+    fits = fit_method(problem, token, level=0.9, ridge_scale=1e-8)
+    if fits.errors[i] is not None:
+        return type(fits.errors[i]).__name__
+    arrays = [fits.theta[i]] if fits.covariance is None else [
+        fits.theta[i], fits.covariance[i], fits.lower[i], fits.upper[i]]
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+@pytest.mark.parametrize("make_model", [mean_model, lambda: ols_model(2)], ids=["mean", "ols"])
+def test_a_fit_does_not_depend_on_its_batch(make_model):
+    rng = np.random.default_rng(40)
+    draws = [replicate(rng, case) for case in CASES]
+    datasets, truths = [ds for ds, _ in draws], [y for _, y in draws]
+    model = make_model()
+    splits = {
+        "one batch": [(0, len(draws))],
+        "batches of one": [(i, i + 1) for i in range(len(draws))],
+        "uneven": [(0, 3), (3, 4), (4, 9), (9, 10)],
+    }
+    results = {}
+    for name, ranges in splits.items():
+        results[name] = {
+            (token, lo + i): outcome(Problem.stack(datasets[lo:hi], model, truths[lo:hi]), token, i)
+            for lo, hi in ranges for token in TOKENS for i in range(hi - lo)
+        }
+    assert results["one batch"] == results["batches of one"] == results["uneven"]
+    classes = {v for v in results["one batch"].values() if isinstance(v, str)}
+    # the degenerate replicates reach the masks, not only the happy path
+    assert classes == ({"SingularJacobian", "SingularHessian"} if model.p == 2 else set())
+    # the per-dataset API is the batch of one
+    for (token, i), got in results["one batch"].items():
+        try:
+            report = run_method(datasets[i], model, token, level=0.9, ridge_scale=1e-8, truth=truths[i])
+        except SadaError as exc:
+            assert got == type(exc).__name__
+            continue
+        arrays = [report.theta_hat] if report.covariance is None else [
+            report.theta_hat, report.covariance, report.intervals.lower, report.intervals.upper]
+        assert got == b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+# --- ROADMAP item 6: any finite input gives a finite answer or a SadaError ---
+
+NUMERICAL_EXIT = 4
+
+
+def drawn_dataset(seed, N, n, K, d, scales, degenerate):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(N), rng.standard_normal((N, d - 1)) * 10.0 ** scales[0]])
+    y = X @ rng.standard_normal(d) + rng.standard_normal(N)
+    preds = rng.uniform(-1, 1, K) * y[:, None] + rng.standard_normal((N, K))
+    preds *= 10.0 ** np.array(scales[1:1 + K])
+    if degenerate == "constant_column":
+        preds[:, 0] = 2.0
+    elif degenerate == "exact_column":
+        preds[:, -1] = y
+    elif degenerate == "collinear_features" and d > 2:
+        X[:, 2] = 2.0 * X[:, 1]
+    elif degenerate == "constant_labeled_feature" and d > 1:
+        X[:n, 1] = 1.5
+    return Dataset.from_arrays(X, y[:n], preds)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+    shape=st.tuples(st.integers(3, 40), st.floats(0.0, 1.0), st.integers(1, 3), st.integers(1, 3)),
+    scales=st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+    degenerate=st.sampled_from(["none", "constant_column", "exact_column", "collinear_features",
+                                "constant_labeled_feature"]),
+)
+def test_any_finite_input_gives_a_finite_fit_or_a_sada_error(seeds, shape, scales, degenerate):
+    # The risk the batched engine adds: one singular or non-finite matrix in a
+    # stack makes numpy's batched solve/inv/svd/pinv raise LinAlgError for the
+    # whole stack, so each is replaced before solving and its replicate marked.
+    # The stacks here mix degenerate replicates with ordinary ones.
+    N, frac, K, d = shape
+    n = min(N - 1, max(1, round(frac * N)))
+    datasets = [drawn_dataset(seed, N, n, K, d, scales, degenerate if j % 2 == 0 else "none")
+                for j, seed in enumerate(seeds)]
+    tokens = ["naive", "sada"] + [f"{m}:{k}" for m in ("ppi", "ppi_pp") for k in range(1, K + 1)]
+    for model in (mean_model(), ols_model(d)):
+        problem = Problem.stack(datasets, model)
+        for token in tokens:
+            fits = fit_method(problem, token, level=0.95, ridge_scale=1e-8)
+            for i, ds in enumerate(datasets):
+                error = fits.errors[i]
+                try:
+                    report = run_method(ds, model, token, level=0.95, ridge_scale=1e-8)
+                except SadaError as exc:
+                    code = next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
+                    assert code == NUMERICAL_EXIT, (token, exc)
+                    assert type(error) is type(exc), (token, i)
+                    continue
+                assert error is None, (token, i)
+                values = np.concatenate([report.theta_hat, report.intervals.lower, report.intervals.upper])
+                assert np.all(np.isfinite(values)), (token, i)
+                assert np.array_equal(fits.theta[i], report.theta_hat)

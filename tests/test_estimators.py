@@ -13,6 +13,7 @@ from sada import (
     ScoreModel,
     SingularJacobian,
     attach_inference,
+    estimate_general_weights,
     mean_model,
     naive_estimate,
     ols_model,
@@ -20,11 +21,12 @@ from sada import (
     ppi_estimate,
     ppi_pp_estimate,
     sada_estimate,
+    solve_score_root,
     solve_weighted,
 )
-import sada.estimators
 import sada.models
-from sada.inference import run_method
+import sada.problem
+from sada.inference import fit_method, run_method
 
 
 def mean_dataset(rng, N=200, n=60, theta=0.5, perfect_first=False):
@@ -404,6 +406,60 @@ def test_closed_form_matches_newton(make_model):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), token
 
 
+def least_squares(design, p):
+    """A custom score model s = z (y - z'theta) whose design is written for
+    (m, d) rows only, the documented contract."""
+    def score(x, y, theta):
+        z = design(x)
+        return (y - z @ theta)[:, None] * z
+
+    def jacobian(x, y, theta):
+        z = design(x)
+        return -(z.T @ z) / len(z)
+
+    return ScoreModel(p=p, score=score, jacobian=jacobian, design=design)
+
+
+# each custom design maps its features to the OLS design (1, x)
+CUSTOM_DESIGNS = {
+    "column_stack": (lambda x: np.column_stack([np.ones(len(x)), x]), lambda X: X[:, 1:]),
+    "drop_first": (lambda x: x[:, 1:], lambda X: np.column_stack([np.full(len(X), 7.0), X])),
+}
+
+
+@pytest.mark.parametrize("name", CUSTOM_DESIGNS)
+def test_a_custom_design_on_rows_matches_ols(name):
+    design, features = CUSTOM_DESIGNS[name]
+    custom, ols = least_squares(design, 2), ols_model(2)
+    rng = np.random.default_rng(19)
+    datasets, truths = [], []
+    for _ in range(3):
+        N, n = 240, 80
+        X = np.column_stack([np.ones(N), rng.standard_normal(N)])
+        y = X @ np.array([0.5, -1.0]) + rng.standard_normal(N)
+        preds = np.column_stack([0.7 * y + 0.5 * rng.standard_normal(N), rng.standard_normal(N)])
+        datasets.append(Dataset.from_arrays(X, y[:n], preds))
+        truths.append(y)
+    mine = [Dataset.from_arrays(features(ds.features), ds.labels, ds.predictions) for ds in datasets]
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    ds, own = datasets[0], mine[0]
+    assert close(solve_score_root(custom, own.features[:80], own.labels)[0],
+                 solve_score_root(ols, ds.features[:80], ds.labels)[0])
+    assert close(estimate_general_weights(own, custom), estimate_general_weights(ds, ols))
+    batch = sada.problem.Problem.stack(mine, custom, truths)
+    for token in compare_tokens(ds.K) + ["oracle"]:
+        fits = fit_method(batch, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+        for i, (ds, own, truth) in enumerate(zip(datasets, mine, truths)):
+            a = run_method(own, custom, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE, truth=truth)
+            b = run_method(ds, ols, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE, truth=truth)
+            assert close(a.theta_hat, b.theta_hat) and close(fits.theta[i], b.theta_hat), token
+            if token != "oracle":
+                assert close(a.covariance, b.covariance) and close(fits.covariance[i], b.covariance), token
+
+
 @pytest.mark.parametrize("make_model", [mean_model, lambda: ols_model(2)])
 def test_newton_does_not_depend_on_the_units_of_y(make_model):
     # at y ~ 2.5e8 the residual never gets below an absolute tolerance
@@ -445,7 +501,7 @@ def test_built_in_models_never_reach_newton(monkeypatch):
         raise AssertionError("a built-in model reached solve_estimating_equation")
 
     monkeypatch.setattr(sada.models, "solve_estimating_equation", newton)
-    monkeypatch.setattr(sada.estimators, "solve_estimating_equation", newton)
+    monkeypatch.setattr(sada.problem, "solve_estimating_equation", newton)
     rng = np.random.default_rng(18)
     ds = ols_dataset(rng)
     truth = np.concatenate([ds.labels, rng.standard_normal(ds.N - ds.n)])

@@ -319,7 +319,7 @@ def test_library_rejects_a_level_outside_zero_one(monkeypatch, level):
     with pytest.raises(ConfigError, match=match):
         attach_inference(naive_estimate(ds, model), ds, model, level)
 
-    monkeypatch.setattr(sada.simulate, "_run_one_rep", no_replicate)
+    monkeypatch.setattr(sada.simulate, "_run_chunk", no_replicate)
     with pytest.raises(ConfigError, match=match):
         efficiency_curve(SyntheticConfig(reps=5, seed=1), [0.5], ["naive", "sada"], level=level)
 
@@ -330,7 +330,7 @@ def no_replicate(*args):
 
 @pytest.mark.parametrize("ridge_scale", [-1.0, float("nan")])
 def test_studies_reject_a_bad_ridge_scale_before_any_replicate(monkeypatch, ridge_scale):
-    monkeypatch.setattr(sada.simulate, "_run_one_rep", no_replicate)
+    monkeypatch.setattr(sada.simulate, "_run_chunk", no_replicate)
     with pytest.raises(ConfigError, match="ridge_scale must be a finite number >= 0"):
         efficiency_curve(SyntheticConfig(reps=5, seed=1), [0.5], ["naive", "sada"], ridge_scale=ridge_scale)
 

@@ -4,10 +4,14 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+import sada.weighting
 from sada import simulate
 from sada import (
     ConditionalMeanConfig,
     ConfigError,
+    Dataset,
+    SingularHessian,
+    SingularJacobian,
     OlsCoverageConfig,
     SyntheticConfig,
     conditional_mean_study,
@@ -226,3 +230,73 @@ def test_workers_below_one_raise(workers):
         run_replications(cfg, ["sada"], workers=workers)
     with pytest.raises(ConfigError, match=f"workers must be >= 1, got {workers}"):
         efficiency_curve(cfg, [0.5], ["sada"], workers=workers)
+
+
+# --- failure accounting when only some replicates of a batch fail ---
+
+def rank_deficient_at(labeled, unlabeled, everywhere=()):
+    """The OLS study with the feature made constant on the labeled rows of the
+    replicates in ``labeled``, on the unlabeled rows of those in ``unlabeled``
+    and on all rows, so that even the oracle fails, of those in ``everywhere``."""
+    def generate(cfg, rep):
+        ds, y = simulate.generate_ols(cfg, rep)
+        X = ds.features.copy()
+        if rep in labeled:
+            X[: cfg.n, 1] = 1.0
+        if rep in unlabeled:
+            X[cfg.n:, 1] = 0.5
+        if rep in everywhere:
+            X[:, 1] = 2.0
+        return Dataset.from_arrays(X, ds.labels, ds.predictions), y
+    return generate
+
+
+FAILING_METHODS = ("naive", "ppi:1", "ppi:2", "ppi_pp:1", "sada", "oracle")
+
+
+@pytest.mark.parametrize("chunk_rows", [16384, 600])
+def test_failures_are_counted_per_replicate_and_token(monkeypatch, chunk_rows):
+    cfg = OlsCoverageConfig(N=200, n=60, reps=12, seed=5)
+    clean = simulate._run_studies("ols", [cfg], FAILING_METHODS, 0.95, 1e-8, 1, False)[0]
+    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk_rows)  # 600 rows: batches of 3 replicates
+    monkeypatch.setitem(simulate._STUDIES, "ols", rank_deficient_at({3, 8}, {5}))
+    res = simulate._run_studies("ols", [cfg], FAILING_METHODS, 0.95, 1e-8, 1, False)
+    res = res[0]
+    # the counts the per-replicate harness gave before fits were batched
+    assert res.failures == {"naive": 2, "ppi:1": 3, "ppi:2": 3, "ppi_pp:1": 2, "sada": 2, "oracle": 0}
+    for token in FAILING_METHODS:
+        failed = np.isnan(res.estimates[token][:, 0])
+        assert failed.sum() == res.failures[token]
+        expect = {3, 8} | ({5} if token.startswith("ppi:") else set())
+        if token == "oracle":
+            expect = set()
+        assert set(np.flatnonzero(failed)) == expect, token
+        # a failing replicate leaves the others in its batch untouched
+        kept = [rep for rep in range(cfg.reps) if rep not in {3, 5, 8}]
+        assert np.array_equal(res.estimates[token][kept], clean.estimates[token][kept]), token
+
+
+@pytest.mark.parametrize("chunk_rows", [16384, 600])
+def test_strict_raises_the_error_of_the_first_failing_replicate(monkeypatch, chunk_rows):
+    cfg = OlsCoverageConfig(N=200, n=60, reps=12, seed=5)
+    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk_rows)  # 600 rows: batches of 3 replicates
+
+    def strict(methods, labeled=(), unlabeled=(), everywhere=()):
+        monkeypatch.setitem(simulate._STUDIES, "ols", rank_deficient_at(labeled, unlabeled, everywhere))
+        simulate._run_studies("ols", [cfg], methods, 0.95, 1e-8, 1, True)
+
+    # ppi:1 raises SingularHessian where only the labeled design is singular
+    # and SingularJacobian where the unlabeled one is; naive, always fitted,
+    # raises SingularJacobian where the labeled one is, so it comes last here.
+    # Replicate 5 is raised, not the later replicate 8
+    with pytest.raises(SingularHessian):
+        strict(("ppi:1", "naive"), labeled={5}, unlabeled={8})
+    # within one replicate, the first failing token
+    with pytest.raises(SingularJacobian):
+        strict(("naive", "ppi:1"), labeled={5})
+    # replicate order before token order: replicate 5 fails only its second
+    # token, replicate 8 its first (the oracle, whose whole design is singular)
+    with pytest.raises(SingularHessian):
+        strict(("oracle", "ppi:1", "naive"), labeled={5}, everywhere={8})
+    # with every design of full rank, strict runs through
+    strict(("oracle", "sada"))
