@@ -27,16 +27,7 @@ from .estimators import (
     sada_estimate,
     solve_weighted,
 )
-from .inference import (
-    SandwichParts,
-    attach_inference,
-    covariance_and_intervals,
-    estimate_hessian,
-    estimate_sigma_g,
-    estimate_sigma_nv,
-    sandwich_parts,
-    weighted_sigma,
-)
+from .inference import attach_inference
 from .models import (
     ScoreModel,
     mean_model,
@@ -56,12 +47,6 @@ from .simulate import (
     ols_coverage_study,
     run_replications,
 )
-from .weighting import (
-    DEFAULT_RIDGE_SCALE,
-    MomentEstimates,
-    estimate_general_weights,
-    moment_estimates,
-    regularize_gram,
-)
+from .weighting import DEFAULT_RIDGE_SCALE, estimate_general_weights, moment_estimates
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, SadaError, SingularJacobian
-from .models import JACOBIAN_SINGULAR, ScoreModel
+from .models import JACOBIAN_SINGULAR, ScoreModel, check_theta
 from .problem import Problem
 from .weighting import (
     DEFAULT_RIDGE_SCALE,
@@ -307,11 +307,15 @@ def solve_weighted(
 
     Returns:
         (theta_hat, iterations).
+
+    Raises:
+        ValueError: W is not (K*p, p), or theta0 not (p,).
+        SingularJacobian: the weighted equation's Jacobian is singular.
     """
     p = model.p
     W, columns = weight_blocks(W, ds.K, p)
     W = W.reshape(ds.K, p, p)[list(columns)].reshape(-1, p)
-    theta0 = None if theta0 is None else np.asarray(theta0, dtype=float)[None]
+    theta0 = None if theta0 is None else check_theta(theta0, p, "theta0")[None]
     theta, ok, iters = Problem.of(ds, model).solve_weighted(W[None], columns, theta0)
     if not ok[0]:
         raise SingularJacobian(JACOBIAN_SINGULAR)

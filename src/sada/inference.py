@@ -14,11 +14,13 @@ quadratic form evaluated at W instead.  Per-component intervals are
 
 with n the labeled count and z the standard normal quantile from
 ``statistics.NormalDist``.  ``infer`` computes them for every replicate of a
-``problem.Problem`` at once; the per-dataset functions are its batch of one.
+``problem.Problem`` at once, and is the only place they are assembled: a
+single report gets its covariance from ``attach_inference``, which calls
+``infer`` on a batch of one with the report's own weight matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -28,7 +30,6 @@ from .errors import ConfigError, SingularGram, SingularHessian
 from .estimators import (
     EstimateReport,
     Fits,
-    Intervals,
     check_truth,
     fail,
     fit_naive,
@@ -40,26 +41,11 @@ from .estimators import (
     parse_method,
     weight_blocks,
 )
-from .models import ScoreModel, checked_inverse
+from .models import ScoreModel, check_theta
 from .problem import Problem
 from .weighting import DEFAULT_RIDGE_SCALE, NONFINITE_WEIGHTS, solve_grams, stacked_moments
 
 HESSIAN_SINGULAR = "estimated Hessian is singular"
-
-
-@dataclass(frozen=True)
-class SandwichParts:
-    """Ingredients of the sandwich covariance at a given parameter value."""
-
-    H_hat: np.ndarray
-    sigma_nv: np.ndarray
-    sigma_g: np.ndarray
-    n: int
-    N: int
-
-    @property
-    def sigma_opt(self) -> np.ndarray:
-        return self.sigma_nv - (self.N - self.n) / self.N * self.sigma_g
 
 
 def _sigma_g(problem: Problem, theta: np.ndarray, ridge_scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -84,99 +70,6 @@ def _weighted_sigma(problem: Problem, theta, sigma_nv, W, columns) -> np.ndarray
     cross_term = cross.transpose(0, 2, 1) @ W
     sigma = sigma_nv + quad - cross_term - cross_term.transpose(0, 2, 1)
     return 0.5 * (sigma + sigma.transpose(0, 2, 1))
-
-
-def estimate_hessian(ds: Dataset, model: ScoreModel, theta_hat: np.ndarray) -> np.ndarray:
-    """Labeled-sample average of the score Jacobian at theta_hat."""
-    return Problem.of(ds, model).hessian(np.asarray(theta_hat, dtype=float)[None])[0][0]
-
-
-def estimate_sigma_nv(ds: Dataset, model: ScoreModel, theta_hat: np.ndarray) -> np.ndarray:
-    """Labeled-sample second moment of the scores at theta_hat (uncentered)."""
-    return Problem.of(ds, model).sigma_nv(np.asarray(theta_hat, dtype=float)[None])[0]
-
-
-def estimate_sigma_g(
-    ds: Dataset,
-    model: ScoreModel,
-    theta_hat: np.ndarray,
-    ridge_scale: float = DEFAULT_RIDGE_SCALE,
-) -> np.ndarray:
-    """Efficiency-gain matrix: cross' x gram^{-1} x cross, PSD by construction.
-
-    An identically-zero gram (all prediction columns constant) means the
-    stacked scores carry no signal at all, so the gain is the zero matrix.
-    """
-    sigma_g, bad = _sigma_g(Problem.of(ds, model), np.asarray(theta_hat, dtype=float)[None], ridge_scale)
-    if bad[0]:
-        raise SingularGram(NONFINITE_WEIGHTS)
-    return sigma_g[0]
-
-
-def sandwich_parts(
-    ds: Dataset,
-    model: ScoreModel,
-    theta_hat: np.ndarray,
-    ridge_scale: float = DEFAULT_RIDGE_SCALE,
-) -> SandwichParts:
-    """Assemble H, Sigma_nv and Sigma_g at theta_hat."""
-    return SandwichParts(
-        H_hat=estimate_hessian(ds, model, theta_hat),
-        sigma_nv=estimate_sigma_nv(ds, model, theta_hat),
-        sigma_g=estimate_sigma_g(ds, model, theta_hat, ridge_scale),
-        n=ds.n,
-        N=ds.N,
-    )
-
-
-def weighted_sigma(
-    ds: Dataset,
-    model: ScoreModel,
-    theta_hat: np.ndarray,
-    W: np.ndarray,
-) -> np.ndarray:
-    """Middle matrix of the sandwich for a FIXED weight matrix W.
-
-    Sigma(W) = Sigma_nv + N/(N-n) W'VW - C'W - W'C, with V and C the stacked
-    auto- and cross-moment plug-ins, built only over the prediction columns
-    whose block of W is non-zero.  At W = 0 this is exactly Sigma_nv.
-    """
-    p = model.p
-    W, columns = weight_blocks(W, ds.K, p)
-    problem, theta = Problem.of(ds, model), np.asarray(theta_hat, dtype=float)[None]
-    sigma_nv = problem.sigma_nv(theta)
-    if not columns:
-        return sigma_nv[0]
-    W = W.reshape(ds.K, p, p)[list(columns)].reshape(1, -1, p)
-    return _weighted_sigma(problem, theta, sigma_nv, W, columns)[0]
-
-
-def covariance_and_intervals(
-    parts: SandwichParts,
-    theta_hat: np.ndarray,
-    n: int,
-    level: float = 0.95,
-) -> tuple[np.ndarray, Intervals, dict]:
-    """Sandwich covariance Omega and per-component confidence intervals.
-
-    Negative diagonal entries of Sigma_opt (possible in finite samples) are
-    floored at zero and reported in the returned diagnostics.
-
-    Returns:
-        (Omega, Intervals, diagnostics).
-
-    Raises:
-        SingularHessian: H is not invertible at the working tolerance.
-        ConfigError: level outside (0, 1).
-    """
-    check_level(level)
-    Hinv, ok = checked_inverse(np.asarray(parts.H_hat, dtype=float)[None])
-    if not ok[0]:
-        raise SingularHessian(HESSIAN_SINGULAR)
-    theta = np.asarray(theta_hat, dtype=float)[None]
-    omega, lower, upper, floored = _sandwich_intervals(Hinv, parts.sigma_opt[None], theta, n, level)
-    diagnostics = {"floored_components": np.flatnonzero(floored[0]).tolist()} if floored.any() else {}
-    return omega[0], Intervals(lower=lower[0], upper=upper[0], level=level), diagnostics
 
 
 def check_level(level: float) -> None:
@@ -256,12 +149,16 @@ def attach_inference(
     SADA reports use the optimal-weight covariance Sigma_opt evaluated at the
     SADA estimate; all other methods use the fixed-weight quadratic form at
     their own weight matrix (zero for naive/oracle).
+
+    Raises:
+        ValueError: theta_hat is not of shape (p,), or the weights not (K*p, p).
     """
+    theta = check_theta(report.theta_hat, model.p, "theta_hat")
     optimal = report.method == "sada" and "weight_fallback" not in report.diagnostics
     weights = None
     if report.weights is not None and not optimal:
         weights = weight_blocks(report.weights, ds.K, model.p)[0][None]
-    fits = Fits(report.method, np.asarray(report.theta_hat, dtype=float)[None], no_errors(1),
+    fits = Fits(report.method, theta[None], no_errors(1),
                 lambda i: dict(report.diagnostics), weights=weights, optimal=np.array([optimal]))
     full = infer(Problem.of(ds, model), fits, level, ridge_scale).report()
     return replace(report, covariance=full.covariance, intervals=full.intervals,

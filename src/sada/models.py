@@ -63,6 +63,14 @@ class ScoreModel:
     design: Callable[[np.ndarray], np.ndarray] | None = None
 
 
+def check_theta(theta, p: int, name: str = "theta") -> np.ndarray:
+    """theta as a float array, raising ValueError unless its shape is (p,)."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (p,):
+        raise ValueError(f"{name} must have shape ({p},), got {theta.shape}")
+    return theta
+
+
 def _least_squares_model(p: int, design: Callable[[np.ndarray], np.ndarray], name: str) -> ScoreModel:
     """Score model s = z (y - z'theta), z = design(x), with its score and Jacobian."""
 

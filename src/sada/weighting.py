@@ -3,8 +3,9 @@
 ``estimate_general_weights`` is the stacked-score plug-in
 ``[mean_N S S']^{-1} [mean_n S s']`` for any score model, built from the
 moments of ``stacked_moments``, which serves every replicate of a batch at
-once (``moment_estimates`` is its batch of one).  It does NOT include the
-(N-n)/N factor; the estimator pipeline applies that factor explicitly.
+once; ``moment_estimates`` returns the same (gram, cross) pair for one
+dataset.  It does NOT include the (N-n)/N factor; the estimator pipeline
+applies that factor explicitly.
 
 Every moment is centred: stacked scores by their all-N mean, plain scores by
 their labeled-sample mean.  Raw second moments would add the squared
@@ -13,14 +14,13 @@ prediction bias to the variance, the very bias that the weighting absorbs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, SingularGram, SingularJacobian, ZeroGram
-from .models import JACOBIAN_SINGULAR, RCOND_THRESHOLD, ScoreModel
+from .models import JACOBIAN_SINGULAR, RCOND_THRESHOLD, ScoreModel, check_theta
 
 #: Default ridge multiplier: lambda = ridge_scale * trace(gram) / dim.
 DEFAULT_RIDGE_SCALE = 1e-8
@@ -34,20 +34,6 @@ CHUNK_ROWS = 16384
 
 ZERO_GRAM = "gram matrix is identically zero"
 NONFINITE_WEIGHTS = "weight solve produced non-finite values"
-
-
-@dataclass(frozen=True)
-class MomentEstimates:
-    """Plug-in moments of the stacked scores.
-
-    Attributes:
-        gram: (K*p, K*p) covariance of the stacked score over all N rows.
-        cross: (K*p, p) cross-covariance of stacked score and plain score
-            over the labeled rows.
-    """
-
-    gram: np.ndarray
-    cross: np.ndarray
 
 
 def stacked_moments(problem, theta: np.ndarray, columns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -90,14 +76,18 @@ def moment_estimates(
     ds: Dataset,
     model: ScoreModel,
     theta: np.ndarray,
-) -> MomentEstimates:
-    """The centred gram and cross moments entering the weight plug-in, over
-    all K prediction columns of one dataset (``stacked_moments``, batch of one)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The centred gram (K*p, K*p) and cross (K*p, p) moments entering the
+    weight plug-in, over all K prediction columns of one dataset at theta (p,).
+
+    Raises:
+        ValueError: theta is not of shape (p,).
+    """
     from .problem import Problem  # problem reads CHUNK_ROWS from this module
 
-    theta = np.asarray(theta, dtype=float)
+    theta = check_theta(theta, model.p)
     gram, cross = stacked_moments(Problem.of(ds, model), theta[None], range(ds.K))
-    return MomentEstimates(gram=gram[0], cross=cross[0])
+    return gram[0], cross[0]
 
 
 def check_ridge_scale(ridge_scale: float) -> None:
@@ -118,20 +108,6 @@ def ridged(gram: np.ndarray, ridge_scale: float) -> tuple[np.ndarray, np.ndarray
     dim = gram.shape[-1]
     lam = ridge_scale * np.trace(gram, axis1=-2, axis2=-1) / dim
     return gram + lam[..., None, None] * np.eye(dim), zero
-
-
-def regularize_gram(gram: np.ndarray, ridge_scale: float = DEFAULT_RIDGE_SCALE) -> np.ndarray:
-    """Add a trace-scaled ridge: gram + lambda*I with lambda = ridge_scale*trace/dim.
-
-    Raises:
-        ConfigError: ridge_scale is negative, NaN or infinite.
-        ZeroGram: the gram matrix is identically zero, so no ridge can make
-            it carry information (surfaces as SingularGram upstream).
-    """
-    reg, zero = ridged(np.asarray(gram, dtype=float), ridge_scale)
-    if zero:
-        raise ZeroGram(ZERO_GRAM)
-    return reg
 
 
 def solve_grams(
@@ -187,6 +163,7 @@ def estimate_general_weights(
         multiply by (N-n)/N.
 
     Raises:
+        ValueError: theta_pilot is not a finite array of shape (p,).
         SingularJacobian: the default pilot's labeled design is singular.
         SingularGram: stacked scores carry no usable variation.
     """
@@ -197,8 +174,7 @@ def estimate_general_weights(
         if not ok[0]:
             raise SingularJacobian(JACOBIAN_SINGULAR)
         theta_pilot = pilot[0]
-    theta_pilot = np.asarray(theta_pilot, dtype=float)
+    theta_pilot = check_theta(theta_pilot, model.p, "theta_pilot")
     if not np.all(np.isfinite(theta_pilot)):
         raise ValueError("theta_pilot must be finite")
-    moments = moment_estimates(ds, model, theta_pilot)
-    return solve_gram(moments.gram, moments.cross, ridge_scale)
+    return solve_gram(*moment_estimates(ds, model, theta_pilot), ridge_scale)

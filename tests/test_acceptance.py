@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sada import (
+    DEFAULT_RIDGE_SCALE,
     ConditionalMeanConfig,
     Dataset,
     OlsCoverageConfig,
@@ -22,10 +23,11 @@ from sada import (
     ppi_pp_estimate,
     run_replications,
     sada_estimate,
-    sandwich_parts,
 )
 from sada.cli import main
+from sada.inference import _sigma_g
 from sada.io import load_dataset_csv, write_dataset_csv
+from sada.problem import Problem
 
 from reference import estimate_mean_weights
 
@@ -211,9 +213,13 @@ def test_criterion_09_matrix_property_suite():
         preds = rng.uniform(-1, 1, size=K) * y[:, None] + rng.standard_normal((N, K))
         ds = Dataset.from_arrays(X, y[:n], preds)
         theta = np.linalg.lstsq(X[:n], y[:n], rcond=None)[0] if use_ols else np.array([y[:n].mean()])
-        parts = sandwich_parts(ds, model, theta)
-        min_g = min(min_g, float(np.linalg.eigvalsh(parts.sigma_g).min()))
-        min_gap = min(min_gap, float(np.linalg.eigvalsh(parts.sigma_nv - parts.sigma_opt).min()))
+        problem, at = Problem.of(ds, model), theta[None]
+        sigma_nv = problem.sigma_nv(at)[0]
+        sigma_g, bad = _sigma_g(problem, at, DEFAULT_RIDGE_SCALE)
+        assert not bad[0]
+        sigma_opt = sigma_nv - (N - n) / N * sigma_g[0]
+        min_g = min(min_g, float(np.linalg.eigvalsh(sigma_g[0]).min()))
+        min_gap = min(min_gap, float(np.linalg.eigvalsh(sigma_nv - sigma_opt).min()))
     ok = min_g >= -1e-8 and min_gap >= -1e-8
     check(
         9,

@@ -7,25 +7,23 @@ from sada import (
     DEFAULT_RIDGE_SCALE,
     ConfigError,
     Dataset,
-    SandwichParts,
+    EstimateReport,
     SyntheticConfig,
     SingularHessian,
     attach_inference,
-    covariance_and_intervals,
     efficiency_curve,
-    estimate_hessian,
-    estimate_sigma_g,
-    estimate_sigma_nv,
+    estimate_general_weights,
     generate_synthetic,
     mean_model,
+    moment_estimates,
     naive_estimate,
     ols_model,
     ppi_pp_estimate,
     sada_estimate,
-    sandwich_parts,
-    weighted_sigma,
+    solve_weighted,
 )
-from sada.inference import run_method
+from sada.inference import _sandwich_intervals, _sigma_g, _weighted_sigma, run_method
+from sada.problem import Problem
 
 # Frozen from the independent direct-summation oracle on the 3-point OLS
 # fixture X = [(1,0),(1,1),(1,2)], y = (1,2,2), theta = lstsq fit.
@@ -47,9 +45,33 @@ def ols3_dataset():
     return Dataset.from_arrays(OLS3_X, OLS3_Y[:2], np.zeros((3, 1)))
 
 
+def hessian(ds, model, theta):
+    return Problem.of(ds, model).hessian(np.asarray(theta, dtype=float)[None])[0][0]
+
+
+def sigma_nv(ds, model, theta):
+    return Problem.of(ds, model).sigma_nv(np.asarray(theta, dtype=float)[None])[0]
+
+
+def sigma_g(ds, model, theta, ridge_scale=DEFAULT_RIDGE_SCALE):
+    out, bad = _sigma_g(Problem.of(ds, model), np.asarray(theta, dtype=float)[None], ridge_scale)
+    assert not bad[0]
+    return out[0]
+
+
+def sandwich(H, sigma_nv, sigma_g, n, N, theta, level=0.95):
+    """Omega, lower, upper and floored of one p = 1 replicate with scalar H and
+    Sigma_opt = sigma_nv - (N-n)/N sigma_g, through the batched assembly."""
+    sigma_opt = sigma_nv - (N - n) / N * sigma_g
+    omega, lower, upper, floored = _sandwich_intervals(
+        np.array([[[1.0 / H]]]), np.array([[[sigma_opt]]]), np.array([[theta]]), n, level
+    )
+    return omega[0, 0, 0], lower[0, 0], upper[0, 0], floored[0, 0]
+
+
 def test_hessian_mean_model_is_minus_one():
     ds = Dataset.from_arrays(np.ones((4, 1)), [1.0, 2.0], np.ones((4, 1)))
-    H = estimate_hessian(ds, mean_model(), np.array([0.3]))
+    H = hessian(ds, mean_model(), np.array([0.3]))
     assert np.allclose(H, [[-1.0]], atol=0)
 
 
@@ -58,12 +80,12 @@ def test_hessian_ols_is_minus_mean_outer():
     X = rng.standard_normal((10, 2))
     ds = Dataset.from_arrays(X, rng.standard_normal(6), rng.standard_normal((10, 1)))
     expected = -(X[:6].T @ X[:6]) / 6
-    assert np.allclose(estimate_hessian(ds, ols_model(2), np.zeros(2)), expected, atol=1e-14)
+    assert np.allclose(hessian(ds, ols_model(2), np.zeros(2)), expected, atol=1e-14)
 
 
 def test_hessian_three_point_fixture():
     ds = Dataset.from_arrays(OLS3_X, OLS3_Y[:2], np.zeros((3, 1)))
-    H = estimate_hessian(ds, ols_model(2), np.zeros(2))
+    H = hessian(ds, ols_model(2), np.zeros(2))
     expected = -(OLS3_X[:2].T @ OLS3_X[:2]) / 2
     assert np.allclose(H, expected, atol=1e-14)
 
@@ -72,13 +94,13 @@ def test_sigma_nv_mean_model_is_biased_variance():
     y = np.array([1.0, 2.0, 4.0, 5.0])
     ds = Dataset.from_arrays(np.ones((6, 1)), y, np.ones((6, 1)))
     theta = np.array([y.mean()])
-    out = estimate_sigma_nv(ds, mean_model(), theta)
+    out = sigma_nv(ds, mean_model(), theta)
     assert abs(out[0, 0] - np.var(y)) < 1e-14
 
 
 def test_sigma_nv_zero_residuals():
     ds = Dataset.from_arrays(np.ones((4, 1)), [2.0, 2.0], np.ones((4, 1)))
-    out = estimate_sigma_nv(ds, mean_model(), np.array([2.0]))
+    out = sigma_nv(ds, mean_model(), np.array([2.0]))
     assert np.allclose(out, [[0.0]], atol=0)
 
 
@@ -87,9 +109,9 @@ def test_sigma_nv_three_point_fixture():
     X = np.vstack([OLS3_X, [1.0, 3.0]])
     ds = Dataset.from_arrays(X, OLS3_Y, np.zeros((4, 1)))
     theta = np.linalg.lstsq(OLS3_X, OLS3_Y, rcond=None)[0]
-    out = estimate_sigma_nv(ds, ols_model(2), theta)
+    out = sigma_nv(ds, ols_model(2), theta)
     assert np.allclose(out, OLS3_SIGMA_NV, atol=1e-12)
-    H = estimate_hessian(ds, ols_model(2), theta)
+    H = hessian(ds, ols_model(2), theta)
     expected_H = -(X[:3].T @ X[:3]) / 3
     assert np.allclose(H, OLS3_H, atol=1e-12)
     assert np.allclose(H, expected_H, atol=1e-14)
@@ -97,13 +119,13 @@ def test_sigma_nv_three_point_fixture():
 
 def test_sigma_g_constant_predictions_is_zero():
     ds = Dataset.from_arrays(np.ones((6, 1)), [1.0, 2.0], np.full((6, 2), 3.0))
-    out = estimate_sigma_g(ds, mean_model(), np.array([1.5]))
+    out = sigma_g(ds, mean_model(), np.array([1.5]))
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
 def test_sigma_g_triple_product_fixture():
     ds = Dataset.from_arrays(np.ones((8, 1)), SG_YLAB, SG_YHAT)
-    out = estimate_sigma_g(ds, mean_model(), np.array([2.25]), ridge_scale=0.0)
+    out = sigma_g(ds, mean_model(), np.array([2.25]), ridge_scale=0.0)
     assert abs(out[0, 0] - SG_SIGMA_G) < 1e-12
 
 
@@ -117,46 +139,34 @@ def test_sigma_g_approaches_sigma_nv_for_perfect_prediction():
         np.ones((N, 1)), y[:n], np.column_stack([y, rng.standard_normal(N)])
     )
     theta = np.array([y[:n].mean()])
-    sg = estimate_sigma_g(ds, mean_model(), theta)[0, 0]
-    snv = estimate_sigma_nv(ds, mean_model(), theta)[0, 0]
+    sg = sigma_g(ds, mean_model(), theta)[0, 0]
+    snv = sigma_nv(ds, mean_model(), theta)[0, 0]
     assert abs(sg / snv - 1.0) < 0.05
 
 
 def test_interval_halfwidth_against_quantile_oracle():
     # p=1, H=-1, Sigma_opt=1, n=100, level 0.95 -> z_{0.975}/10
-    parts = SandwichParts(
-        H_hat=np.array([[-1.0]]),
-        sigma_nv=np.array([[1.0]]),
-        sigma_g=np.array([[0.0]]),
-        n=100,
-        N=200,
-    )
-    theta = np.array([0.0])
-    omega, intervals, diag = covariance_and_intervals(parts, theta, n=100, level=0.95)
-    assert np.allclose(omega, [[1.0]])
-    half = (intervals.upper[0] - intervals.lower[0]) / 2
+    omega, lower, upper, floored = sandwich(H=-1.0, sigma_nv=1.0, sigma_g=0.0, n=100, N=200, theta=0.0)
+    assert np.allclose(omega, 1.0)
+    half = (upper - lower) / 2
     assert abs(half - stats.norm.ppf(0.975) / 10.0) < 1e-7
-    assert diag == {}
+    assert not floored
 
 
 @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 1e-6, 1 - 1e-9])
 def test_halfwidth_is_the_normal_quantile_across_levels(level):
     # p=1, H=-1, Sigma_opt=1, n=1 -> the half-width is z_{1/2 + level/2} itself
-    parts = SandwichParts(np.array([[-1.0]]), np.array([[1.0]]), np.array([[0.0]]), n=1, N=2)
-    _, intervals, _ = covariance_and_intervals(parts, np.array([0.0]), n=1, level=level)
+    _, lower, upper, _ = sandwich(-1.0, 1.0, 0.0, n=1, N=2, theta=0.0, level=level)
     expected = stats.norm.ppf(0.5 + level / 2.0)
-    assert abs(intervals.upper[0] - expected) <= 1e-13 * expected
-    assert intervals.lower[0] == -intervals.upper[0]
+    assert abs(upper - expected) <= 1e-13 * expected
+    assert lower == -upper
 
 
 def test_perfect_gain_shrinks_halfwidth_by_root_n_over_N():
     # Sigma_g = Sigma_nv turns Sigma_opt into (n/N) Sigma_nv
-    base = SandwichParts(np.array([[-1.0]]), np.array([[2.0]]), np.array([[0.0]]), n=60, N=200)
-    gained = SandwichParts(np.array([[-1.0]]), np.array([[2.0]]), np.array([[2.0]]), n=60, N=200)
-    theta = np.array([0.0])
-    _, iv_base, _ = covariance_and_intervals(base, theta, 60)
-    _, iv_gain, _ = covariance_and_intervals(gained, theta, 60)
-    ratio = (iv_gain.upper[0] - iv_gain.lower[0]) / (iv_base.upper[0] - iv_base.lower[0])
+    _, lo_base, up_base, _ = sandwich(-1.0, 2.0, 0.0, n=60, N=200, theta=0.0)
+    _, lo_gain, up_gain, _ = sandwich(-1.0, 2.0, 2.0, n=60, N=200, theta=0.0)
+    ratio = (up_gain - lo_gain) / (up_base - lo_base)
     assert abs(ratio - np.sqrt(60 / 200)) < 1e-12
 
 
@@ -172,30 +182,31 @@ def test_estimate_always_inside_its_own_interval():
 
 
 def test_halfwidth_monotone_in_level_and_n():
-    parts = SandwichParts(np.array([[-1.0]]), np.array([[1.0]]), np.array([[0.0]]), n=100, N=200)
-    theta = np.array([0.0])
     widths = []
     for level in (0.8, 0.9, 0.95, 0.99):
-        _, iv, _ = covariance_and_intervals(parts, theta, 100, level)
-        widths.append(iv.upper[0] - iv.lower[0])
+        _, lower, upper, _ = sandwich(-1.0, 1.0, 0.0, n=100, N=200, theta=0.0, level=level)
+        widths.append(upper - lower)
     assert all(a < b for a, b in zip(widths, widths[1:]))
-    _, iv_n, _ = covariance_and_intervals(parts, theta, 400, 0.95)
-    _, iv_base, _ = covariance_and_intervals(parts, theta, 100, 0.95)
-    assert abs((iv_n.upper[0] - iv_n.lower[0]) / (iv_base.upper[0] - iv_base.lower[0]) - 0.5) < 1e-12
+    # the same Sigma_opt with 4x the labeled rows
+    _, lo_n, up_n, _ = sandwich(-1.0, 1.0, 0.0, n=400, N=800, theta=0.0)
+    _, lo_base, up_base, _ = sandwich(-1.0, 1.0, 0.0, n=100, N=200, theta=0.0)
+    assert abs((up_n - lo_n) / (up_base - lo_base) - 0.5) < 1e-12
 
 
 def test_negative_sigma_opt_diagonal_is_floored():
-    parts = SandwichParts(np.array([[-1.0]]), np.array([[0.1]]), np.array([[1.0]]), n=10, N=20)
-    omega, intervals, diag = covariance_and_intervals(parts, np.array([0.5]), 10)
-    assert omega[0, 0] == 0.0
-    assert diag["floored_components"] == [0]
-    assert intervals.lower[0] == intervals.upper[0] == 0.5
+    omega, lower, upper, floored = sandwich(-1.0, 0.1, 1.0, n=10, N=20, theta=0.5)
+    assert omega == 0.0
+    assert floored
+    assert lower == upper == 0.5
 
 
 def test_singular_hessian_raises():
-    parts = SandwichParts(np.array([[0.0]]), np.array([[1.0]]), np.array([[0.0]]), n=10, N=20)
+    # the labeled rows have a zero second feature, so H = -Z_L'Z_L/n is singular
+    X = np.column_stack([np.ones(20), np.r_[np.zeros(10), np.arange(10.0)]])
+    ds = Dataset.from_arrays(X, np.ones(10), np.zeros((20, 1)))
+    assert not Problem.of(ds, ols_model(2)).hessian(np.zeros((1, 2)))[2][0]
     with pytest.raises(SingularHessian):
-        covariance_and_intervals(parts, np.array([0.0]), 10)
+        attach_inference(EstimateReport(np.zeros(2), "naive"), ds, ols_model(2))
 
 
 def test_sigma_opt_dominated_by_sigma_nv():
@@ -209,9 +220,11 @@ def test_sigma_opt_dominated_by_sigma_nv():
         preds = 0.5 * y[:, None] + rng.standard_normal((N, K))
         ds = Dataset.from_arrays(rng.standard_normal((N, 2)), y[:n], preds)
         theta = np.array([y[:n].mean()])
-        parts = sandwich_parts(ds, mean_model(), theta)
-        gap = parts.sigma_nv - parts.sigma_opt
-        assert np.linalg.eigvalsh(parts.sigma_g).min() >= -1e-8
+        gain = sigma_g(ds, mean_model(), theta)
+        snv = sigma_nv(ds, mean_model(), theta)
+        sigma_opt = snv - (N - n) / N * gain
+        gap = snv - sigma_opt
+        assert np.linalg.eigvalsh(gain).min() >= -1e-8
         assert np.linalg.eigvalsh(gap).min() >= -1e-8
 
 
@@ -225,8 +238,7 @@ def test_mean_model_omega_matches_variance_expression():
     m = mean_model()
     rep = sada_estimate(ds, m, ridge_scale=0.0)
     theta = rep.theta_hat
-    parts = sandwich_parts(ds, m, theta, ridge_scale=0.0)
-    omega, _, _ = covariance_and_intervals(parts, theta, ds.n)
+    omega = attach_inference(rep, ds, m, ridge_scale=0.0).covariance
 
     preds_c = ds.predictions - ds.predictions.mean(axis=0)
     y_c = ds.labels - ds.labels.mean()
@@ -240,9 +252,15 @@ def test_weighted_sigma_at_zero_weight_is_sigma_nv():
     rng = np.random.default_rng(5)
     y = rng.standard_normal(50)
     ds = Dataset.from_arrays(np.ones((50, 1)), y[:20], rng.standard_normal((50, 2)))
-    theta = np.array([y[:20].mean()])
-    out = weighted_sigma(ds, mean_model(), theta, np.zeros((2, 1)))
-    assert np.array_equal(out, estimate_sigma_nv(ds, mean_model(), theta))
+    theta = np.array([[y[:20].mean()]])
+    problem = Problem.of(ds, mean_model())
+    snv = problem.sigma_nv(theta)
+    out = _weighted_sigma(problem, theta, snv, np.zeros((1, 2, 1)), (0, 1))
+    assert np.array_equal(out, snv)
+    # and a report whose weights are all zero gets the naive covariance
+    zero = attach_inference(EstimateReport(theta[0], "ppi", weights=np.zeros((2, 1))), ds, mean_model())
+    naive = attach_inference(EstimateReport(theta[0], "naive"), ds, mean_model())
+    assert np.array_equal(zero.covariance, naive.covariance)
 
 
 def test_attach_inference_every_method():
@@ -286,12 +304,40 @@ def test_attach_inference_on_weight_fallback_gives_naive_width():
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (4, 1), (2,), (4,)])
-def test_weighted_sigma_rejects_a_misshaped_weight_matrix(shape):
+def test_a_misshaped_weight_matrix_is_rejected(shape):
     rng = np.random.default_rng(17)
     X = np.column_stack([np.ones(40), rng.standard_normal(40)])
     ds = Dataset.from_arrays(X, rng.standard_normal(15), rng.standard_normal((40, 2)))
+    report = EstimateReport(np.zeros(2), "ppi", weights=np.ones(shape))
     with pytest.raises(ValueError, match="weight matrix shape"):
-        weighted_sigma(ds, ols_model(2), np.zeros(2), np.ones(shape))
+        attach_inference(report, ds, ols_model(2))
+    with pytest.raises(ValueError, match="weight matrix shape"):
+        solve_weighted(ds, ols_model(2), np.ones(shape))
+
+
+THETA_ENTRY_POINTS = {
+    "attach_inference": lambda ds, m, theta: attach_inference(EstimateReport(theta, "naive"), ds, m),
+    "moment_estimates": moment_estimates,
+    "estimate_general_weights": estimate_general_weights,
+    "solve_weighted": lambda ds, m, theta: solve_weighted(ds, m, np.ones((ds.K * m.p, m.p)), theta),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(THETA_ENTRY_POINTS))
+@pytest.mark.parametrize("model, theta", [
+    (mean_model(), [1.0, 2.0]),
+    (ols_model(2), [1.0]),
+    (ols_model(2), [1.0, 2.0, 3.0]),
+], ids=["mean-2", "ols-1", "ols-3"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_theta_of_the_wrong_shape_is_rejected(entry, model, theta, n):
+    # with n = 2 a length-2 theta under the mean model used to broadcast into
+    # a silent wrong answer, and with n = 4 into a raw numpy error
+    rng = np.random.default_rng(18)
+    X = np.column_stack([np.ones(10), rng.standard_normal(10)])
+    ds = Dataset.from_arrays(X, rng.standard_normal(n), rng.standard_normal((10, 2)))
+    with pytest.raises(ValueError, match=rf"must have shape \({model.p},\), got \({len(theta)},\)"):
+        THETA_ENTRY_POINTS[entry](ds, model, np.array(theta))
 
 
 @pytest.mark.parametrize("ridge_scale", [-1.0, float("nan"), float("inf")])

@@ -17,10 +17,11 @@ from sada import (
     moment_estimates,
     naive_estimate,
     ols_model,
-    regularize_gram,
+    sada_estimate,
 )
 from sada.data import stacked_score_matrix
 from sada.inference import run_method
+from sada.weighting import ridged
 
 from reference import estimate_mean_weights
 
@@ -139,24 +140,28 @@ def test_perfect_single_prediction_weight_near_factor():
 
 
 def test_regularize_identity():
-    out = regularize_gram(np.eye(3), ridge_scale=1e-8)
+    out, zero = ridged(np.eye(3), ridge_scale=1e-8)
     assert np.allclose(out, (1 + 1e-8) * np.eye(3), atol=1e-18)
+    assert not zero
 
 
 def test_regularize_rank_deficient_spectrum():
     gram = np.array([[1.0, 1.0], [1.0, 1.0]])
-    out = regularize_gram(gram, ridge_scale=1e-8)
+    out, _ = ridged(gram, ridge_scale=1e-8)
     lam = 1e-8 * 2.0 / 2.0
     eigs = np.sort(np.linalg.eigvalsh(out))
     assert np.allclose(eigs, [lam, 2.0 + lam], atol=1e-15)
 
 
 def test_regularize_zero_gram_raises():
+    out, zero = ridged(np.zeros((2, 2)), DEFAULT_RIDGE_SCALE)
+    assert zero and not out.any()
+    # a zero gram raises ZeroGram from the weight plug-in, which surfaces as SingularGram upstream
+    ds = Dataset.from_arrays(np.ones((6, 1)), [1.0, 2.0], np.full((6, 2), 3.0))
     with pytest.raises(ZeroGram):
-        regularize_gram(np.zeros((2, 2)))
-    # and ZeroGram surfaces as SingularGram upstream
+        estimate_general_weights(ds, mean_model())
     with pytest.raises(SingularGram):
-        regularize_gram(np.zeros((2, 2)))
+        estimate_general_weights(ds, mean_model())
 
 
 def test_all_constant_predictions_raise_singular_gram():
@@ -290,8 +295,7 @@ def test_moments_do_not_depend_on_the_chunk_size(monkeypatch, shape, model_name,
     report = run_method(ds, model, "sada", level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
     for chunk in (1, 7, 64, sada.weighting.CHUNK_ROWS):
         monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk)
-        moments = moment_estimates(ds, model, pilot)
-        gram_c, cross_c = scale_free(moments.gram, moments.cross, root)
+        gram_c, cross_c = scale_free(*moment_estimates(ds, model, pilot), root)
         assert np.max(np.abs(gram_c - gram)) <= 1e-12, chunk
         assert np.max(np.abs(cross_c - cross)) <= 1e-12, chunk
         report_c = run_method(ds, model, "sada", level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
@@ -315,3 +319,31 @@ def test_moments_never_build_the_stacked_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * N * K * d * 8  # half of one (N, K*p) float64 array
+
+
+def largest_noise_weight(model, n):
+    """Largest |SADA weight| in the block of a pure-noise column, over seeds 0-3.
+
+    Column 1 is y plus half-unit noise, column 2 noise independent of
+    everything, and N = 3n; y = 1 + x + noise fits both models.
+    """
+    largest = 0.0
+    for seed in range(4):
+        N = 3 * n
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(N)
+        y = 1.0 + x + rng.standard_normal(N)
+        preds = np.column_stack([y + 0.5 * rng.standard_normal(N), rng.standard_normal(N)])
+        ds = Dataset.from_arrays(np.column_stack([np.ones(N), x]), y[:n], preds)
+        W = sada_estimate(ds, model).weights
+        largest = max(largest, float(np.abs(W[model.p:]).max()))
+    return largest
+
+
+@pytest.mark.parametrize("model", [mean_model(), ols_model(2)], ids=["mean", "ols"])
+def test_the_weight_on_a_pure_noise_column_vanishes_as_n_grows(model):
+    # the plug-in weight of an uninformative column is O_p(n^-1/2): about 0.09
+    # at n = 200 and 0.01 at n = 2e4 for these seeds
+    small, large = largest_noise_weight(model, 200), largest_noise_weight(model, 20_000)
+    assert large <= 0.03
+    assert large < small
