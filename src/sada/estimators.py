@@ -309,7 +309,7 @@ def solve_weighted(
         (theta_hat, iterations).
 
     Raises:
-        ValueError: W is not (K*p, p), or theta0 not (p,).
+        ValueError: W is not (K*p, p), or theta0 not a finite (p,) array.
         SingularJacobian: the weighted equation's Jacobian is singular.
     """
     p = model.p

@@ -151,7 +151,7 @@ def attach_inference(
     their own weight matrix (zero for naive/oracle).
 
     Raises:
-        ValueError: theta_hat is not of shape (p,), or the weights not (K*p, p).
+        ValueError: theta_hat is not a finite array of shape (p,), or the weights not (K*p, p).
     """
     theta = check_theta(report.theta_hat, model.p, "theta_hat")
     optimal = report.method == "sada" and "weight_fallback" not in report.diagnostics

@@ -64,10 +64,12 @@ class ScoreModel:
 
 
 def check_theta(theta, p: int, name: str = "theta") -> np.ndarray:
-    """theta as a float array, raising ValueError unless its shape is (p,)."""
+    """theta as a float array, raising ValueError unless it is finite and of shape (p,)."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (p,):
         raise ValueError(f"{name} must have shape ({p},), got {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError(f"{name} must be finite")
     return theta
 
 

@@ -10,7 +10,9 @@ primitives:
 * ``score_root`` (and the cached ``pilot``): root of the plain score equation;
 * ``solve_weighted``: root of the weighted equation for given weights;
 * ``stacked_scores``/``labeled_scores``: the per-row scores behind the
-  moments at theta (accumulated by ``weighting.stacked_moments``);
+  moments at theta (accumulated by ``weighting.stacked_moments``), with the
+  rows on the last axis, so that numpy's innermost loops run over the many
+  rows rather than over the few score entries;
 * ``hessian``: the labeled mean Jacobian, with its inverse and check;
 * ``sigma_nv``: the labeled second moment of the scores.
 
@@ -218,29 +220,36 @@ class Problem:
         return (Z @ theta[..., None])[..., 0]
 
     def labeled_scores(self, theta: np.ndarray) -> np.ndarray:
-        """Scores of the labeled rows at theta (B, p): (B, n, p)."""
+        """Scores of the labeled rows at theta (B, p), rows last: (B, p, n)."""
         X, y = self.features[:, : self.n], self.labels
         if self.model.design is None:
-            return np.asarray(self.model.score(X[0], y[0], theta[0]), dtype=float)[None]
+            return np.asarray(self.model.score(X[0], y[0], theta[0]), dtype=float).T[None]
         Z = design_rows(self.model, X)
-        return (y - self._fitted(Z, theta))[..., None] * Z
+        return (y - self._fitted(Z, theta))[:, None, :] * Z.transpose(0, 2, 1)
 
     def stacked_scores(self, lo: int, hi: int, columns: Sequence[int], theta: np.ndarray) -> np.ndarray:
-        """Rows lo..hi of the stacked scores of ``columns`` at theta: (B, hi-lo, len(columns)*p).
+        """Rows lo..hi of the stacked scores of ``columns`` at theta, rows last:
+        (B, len(columns)*p, hi-lo).
 
-        Column block j holds the score at prediction column ``columns[j]``,
-        built one column at a time.
+        Block j of the middle axis holds the score at prediction column
+        ``columns[j]``.  For a model with a design, the residuals of every
+        column, (B, len(columns), rows), are multiplied by the transposed
+        design in one product, so numpy's innermost loop runs over the rows
+        rather than over p.  Any other model's ``stacked_score_matrix`` is
+        returned as a transposed view.
         """
         X, Yhat = self.features[:, lo:hi], self.predictions[:, lo:hi]
         if self.model.design is None:
-            return stacked_score_matrix(self.model, X[0], Yhat[0][:, list(columns)], theta[0])[None]
-        p = self.p
+            return stacked_score_matrix(self.model, X[0], Yhat[0][:, list(columns)], theta[0]).T[None]
+        B, c, p = self.B, len(columns), self.p
         Z = design_rows(self.model, X)
         fitted = self._fitted(Z, theta)
-        out = np.empty((self.B, hi - lo, len(columns) * p))
-        for j, k in enumerate(columns):
-            out[:, :, j * p:(j + 1) * p] = (Yhat[:, :, k] - fitted)[..., None] * Z
-        return out
+        R = np.empty((B, c, hi - lo))
+        for j, k in enumerate(columns):  # several times faster than a fancy-indexed gather
+            np.subtract(Yhat[:, :, k], fitted, out=R[:, j])
+        out = np.empty((B, c, p, hi - lo))
+        np.multiply(R[:, :, None, :], Z.transpose(0, 2, 1)[:, None], out=out)
+        return out.reshape(B, c * p, hi - lo)
 
     # --- primitives 4 and 5: the Hessian and Sigma_nv ---
 
@@ -265,4 +274,4 @@ class Problem:
     def sigma_nv(self, theta: np.ndarray) -> np.ndarray:
         """Labeled-sample second moment of the scores at theta (uncentered): (B, p, p)."""
         s = self.labeled_scores(theta)
-        return s.transpose(0, 2, 1) @ s / self.n
+        return s @ s.transpose(0, 2, 1) / self.n

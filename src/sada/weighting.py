@@ -43,28 +43,30 @@ def stacked_moments(problem, theta: np.ndarray, columns: Sequence[int]) -> tuple
 
     The stacked scores are built and accumulated ``CHUNK_ROWS`` rows of each
     replicate at a time, so the (N, K*p) stacked matrix is never formed.
-    Every chunk is centred at one shift, the first chunk's column mean, before
-    its products are taken, so columns far from zero or of very different
-    scales do not cancel; the gram is then corrected by the outer product of
-    the mean's remaining offset from the shift.  The cross moment needs no
-    correction, because the labeled scores it multiplies are centred and sum
-    to zero.
+    Each chunk S is (B, c, rows) and the labeled scores (B, p, n), rows last,
+    so the products are S @ ones, S @ S' and S @ s_lab' and every elementwise
+    pass runs along the rows.  Every chunk is centred at one shift, the first
+    chunk's row mean, before its products are taken, so score entries far
+    from zero or of very different scales do not cancel; the gram is then
+    corrected by the outer product of the mean's remaining offset from the
+    shift.  The cross moment needs no correction, because the labeled scores
+    it multiplies are centred and sum to zero.
     """
     n, N = problem.n, problem.N
     s_lab = problem.labeled_scores(theta)
-    s_lab = s_lab - s_lab.mean(axis=1, keepdims=True)
+    s_lab = s_lab - s_lab.mean(axis=2, keepdims=True)
     ones = np.ones(min(N, CHUNK_ROWS))
     gram = total = cross = 0.0
     for lo in range(0, N, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, N)
         S = problem.stacked_scores(lo, hi, columns, theta)
         if lo == 0:
-            shift = (ones @ S / (hi - lo))[:, None, :]  # column means, by BLAS
+            shift = (S @ ones / (hi - lo))[:, :, None]  # row means, by BLAS
         S -= shift  # S is freshly built, so centre it in place
-        total = total + ones[: hi - lo] @ S
-        gram = gram + S.transpose(0, 2, 1) @ S
+        total = total + S @ ones[: hi - lo]
+        gram = gram + S @ S.transpose(0, 2, 1)
         if lo < n:
-            cross = cross + S[:, : n - lo].transpose(0, 2, 1) @ s_lab[:, lo:hi]
+            cross = cross + S[:, :, : n - lo] @ s_lab[:, :, lo:hi].transpose(0, 2, 1)
     offset = total / N
     gram = gram / N - offset[:, :, None] * offset[:, None, :]
     cross = cross / n
@@ -81,7 +83,7 @@ def moment_estimates(
     weight plug-in, over all K prediction columns of one dataset at theta (p,).
 
     Raises:
-        ValueError: theta is not of shape (p,).
+        ValueError: theta is not a finite array of shape (p,).
     """
     from .problem import Problem  # problem reads CHUNK_ROWS from this module
 
@@ -175,6 +177,4 @@ def estimate_general_weights(
             raise SingularJacobian(JACOBIAN_SINGULAR)
         theta_pilot = pilot[0]
     theta_pilot = check_theta(theta_pilot, model.p, "theta_pilot")
-    if not np.all(np.isfinite(theta_pilot)):
-        raise ValueError("theta_pilot must be finite")
     return solve_gram(*moment_estimates(ds, model, theta_pilot), ridge_scale)

@@ -340,6 +340,30 @@ def test_a_theta_of_the_wrong_shape_is_rejected(entry, model, theta, n):
         THETA_ENTRY_POINTS[entry](ds, model, np.array(theta))
 
 
+THETA_NAMES = {"attach_inference": "theta_hat", "moment_estimates": "theta",
+               "estimate_general_weights": "theta_pilot", "solve_weighted": "theta0"}
+
+
+@pytest.mark.parametrize("entry", sorted(THETA_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("model", [mean_model(), ols_model(2)], ids=["mean", "ols"])
+def test_a_non_finite_theta_is_rejected(entry, bad, model):
+    # a NaN theta0 used to come back from solve_weighted as a NaN root, and a
+    # NaN theta to give NaN moments, with no error
+    rng = np.random.default_rng(19)
+    X = np.column_stack([np.ones(10), rng.standard_normal(10)])
+    ds = Dataset.from_arrays(X, rng.standard_normal(4), rng.standard_normal((10, 2)))
+    theta = np.ones(model.p)
+    # a report refuses a non-finite estimate when built, so it is written in after
+    report = EstimateReport(theta, "naive")
+    theta[0] = bad
+    with pytest.raises(ValueError, match=rf"^{THETA_NAMES[entry]} must be finite$"):
+        if entry == "attach_inference":
+            attach_inference(report, ds, model)
+        else:
+            THETA_ENTRY_POINTS[entry](ds, model, theta)
+
+
 @pytest.mark.parametrize("ridge_scale", [-1.0, float("nan"), float("inf")])
 def test_library_rejects_a_bad_ridge_scale(ridge_scale):
     # a negative ridge can make the regularised gram indefinite and the

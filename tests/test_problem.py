@@ -1,0 +1,77 @@
+"""The per-row score primitives of ``problem.Problem``, rows last.
+
+``stacked_scores`` and ``labeled_scores`` lay their rows on the last axis, so
+that numpy's innermost loop runs over rows.  Whatever the model, they must
+hold the same numbers as ``stacked_score_matrix`` and ``model.score``, which
+lay rows first, and a replicate's block must not depend on its batch.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from sada import Dataset, mean_model, ols_model
+from sada.data import stacked_score_matrix
+from sada.problem import Problem
+from test_estimators import least_squares
+
+N, n, K = 40, 13, 4
+
+# each model with the features it is fitted on: the built-ins and the custom
+# design see (1, x1, x2), the custom design adds the intercept to (x1, x2)
+MODELS = {
+    "mean": (mean_model(), lambda X: X),
+    "ols": (ols_model(3), lambda X: X),
+    "custom_design": (least_squares(lambda x: np.column_stack([np.ones(len(x)), x]), 3), lambda X: X[:, 1:]),
+    "no_design": (dataclasses.replace(ols_model(3), design=None), lambda X: X),
+}
+
+# row ranges: all rows, one inside the labeled rows, two that cut through the
+# last labeled row, and the unlabeled rows alone
+BOUNDS = [(0, N), (2, 9), (5, 21), (n - 1, n + 1), (n, N)]
+COLUMNS = [(3, 0), (1,), (0, 1, 2, 3)]
+
+
+def dataset(seed, features):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(N), rng.standard_normal((N, 2))])
+    y = X @ np.array([0.5, -1.0, 2.0]) + rng.standard_normal(N)
+    preds = y[:, None] + rng.standard_normal((N, K)) * np.array([0.5, 1.0, 2.0, 1e3])
+    return Dataset.from_arrays(features(X), y[:n], preds)
+
+
+def close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_scores_are_the_row_first_scores_transposed(name):
+    model, features = MODELS[name]
+    ds = dataset(60, features)
+    problem = Problem.of(ds, model)
+    theta = np.array([0.3, -0.7, 1.9])[: model.p]
+    labeled = problem.labeled_scores(theta[None])
+    assert labeled.shape == (1, model.p, n)
+    assert close(labeled[0], model.score(ds.features[:n], ds.labels, theta).T)
+    for lo, hi in BOUNDS:
+        for columns in COLUMNS:
+            got = problem.stacked_scores(lo, hi, columns, theta[None])
+            want = stacked_score_matrix(model, ds.features[lo:hi], ds.predictions[lo:hi, list(columns)], theta)
+            assert got.shape == (1, len(columns) * model.p, hi - lo)
+            assert close(got[0], want.T), (lo, hi, columns)
+
+
+@pytest.mark.parametrize("name", [name for name in MODELS if name != "no_design"])
+def test_a_replicates_scores_do_not_depend_on_its_batch(name):
+    model, features = MODELS[name]
+    datasets = [dataset(seed, features) for seed in (61, 62, 63)]
+    thetas = np.array([[0.3, -0.7, 1.9], [-2.0, 0.1, 0.4], [5.0, 3.0, -1.0]])[:, : model.p]
+    batch = Problem.stack(datasets, model)
+    labeled = batch.labeled_scores(thetas)
+    for i, ds in enumerate(datasets):
+        one = Problem.of(ds, model)
+        assert close(labeled[i], one.labeled_scores(thetas[i][None])[0])
+        for lo, hi in BOUNDS:
+            for columns in COLUMNS:
+                got = batch.stacked_scores(lo, hi, columns, thetas)[i]
+                assert close(got, one.stacked_scores(lo, hi, columns, thetas[i][None])[0]), (i, lo, hi, columns)
