@@ -110,11 +110,9 @@ class Fits:
         errors: (B,) objects: None, or the SadaError that the replicate raises.
         notes: replicate index -> that replicate's diagnostics.
         weights: (B, K*p, p) weight matrices; None for naive and oracle.
-        optimal: (B,) True where inference uses the optimal-weight
-            Sigma_opt (SADA without a weight fallback); None for all False.
-        covariance, lower, upper, level, floored: the sandwich inference,
-            once ``inference.infer`` has filled it in; ``floored`` (B, p)
-            marks diagonal entries of Sigma floored at zero.
+        covariance, lower, upper, level: the sandwich inference at each
+            replicate's own theta and weights, once ``inference.infer`` has
+            filled it in.
     """
 
     method: str
@@ -122,23 +120,17 @@ class Fits:
     errors: np.ndarray
     notes: Callable[[int], dict]
     weights: Optional[np.ndarray] = None
-    optimal: Optional[np.ndarray] = None
     covariance: Optional[np.ndarray] = None
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
     level: Optional[float] = None
-    floored: Optional[np.ndarray] = None
 
     def report(self, i: int = 0) -> EstimateReport:
         """Replicate i as an EstimateReport; raises its error if it failed."""
         if self.errors[i] is not None:
             raise self.errors[i]
-        diagnostics = self.notes(i)
         intervals = covariance = None
         if self.covariance is not None:
-            floored = np.flatnonzero(self.floored[i]).tolist()
-            if floored:
-                diagnostics["floored_components"] = floored
             covariance = self.covariance[i]
             intervals = Intervals(lower=self.lower[i], upper=self.upper[i], level=self.level)
         return EstimateReport(
@@ -147,7 +139,7 @@ class Fits:
             weights=None if self.weights is None else self.weights[i],
             covariance=covariance,
             intervals=intervals,
-            diagnostics=diagnostics,
+            diagnostics=self.notes(i),
         )
 
 
@@ -289,7 +281,7 @@ def fit_sada(problem: Problem, ridge_scale: float = DEFAULT_RIDGE_SCALE) -> Fits
         out["solver_iterations"] = int(iters[i])
         return out
 
-    return Fits("sada", theta, errors, notes, weights=W, optimal=~fallback)
+    return Fits("sada", theta, errors, notes, weights=W)
 
 
 def solve_weighted(
@@ -303,7 +295,9 @@ def solve_weighted(
     W may be given as a (K*p, p) matrix or, when p = 1, a length-K vector.
     A prediction column whose block of W is zero is never scored.  With W = 0
     this reproduces the naive estimator; with K = 1 and W = I it reproduces
-    PPI.  See ``Problem.solve_weighted``.
+    PPI.  theta0 seeds Newton for a model without a design; the built-in
+    models are solved in closed form, where no start enters.  See
+    ``Problem.solve_weighted``.
 
     Returns:
         (theta_hat, iterations).

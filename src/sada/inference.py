@@ -1,14 +1,18 @@
 """Sandwich covariance and confidence intervals for the estimators.
 
-The covariance of the weighted estimator is Omega = Hinv Sigma Hinv with
+Every method is a root of the weighted equation of ``estimators`` with its
+own weight matrix W (zero for naive), and its covariance is the one sandwich
 
-    Sigma_opt = Sigma_nv - (N-n)/N * Sigma_g
+    n Cov(theta) = Omega = Hinv Sigma Hinv',
+    Sigma = Cov_L(s - W'S) + n/(N-n) Cov_U(W'S),
 
-for the optimally weighted (SADA) estimator, where Sigma_nv is the
-labeled-sample second moment of the scores and Sigma_g is the triple product
-``[mean_n s S'] [mean_N S S']^{-1} [mean_n S s']``.  For a fixed, not
-necessarily optimal weight matrix W (naive, PPI, PPI++), the variance is the
-quadratic form evaluated at W instead.  Per-component intervals are
+at its own estimate, with s the labeled score, S the stacked scores of the
+prediction columns, H the labeled mean Jacobian and Cov_L, Cov_U the sample
+covariances over the labeled and unlabeled rows.  This is the variance
+estimate of PPI++ (Angelopoulos, Duchi and Zrnic, 2023), extended to matrix
+weights.  A sum of two sample covariances, Sigma is positive semi-definite by
+construction, so no diagonal needs a floor; at W = 0 it is Cov_L(s).
+Per-component intervals are
 
     theta_j +/- sqrt(Omega_jj) * z_{1-alpha/2} / sqrt(n),
 
@@ -22,11 +26,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 from statistics import NormalDist
+from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, SingularGram, SingularHessian
+from .errors import ConfigError, SingularHessian
 from .estimators import (
     EstimateReport,
     Fits,
@@ -43,32 +48,48 @@ from .estimators import (
 )
 from .models import ScoreModel, check_theta
 from .problem import Problem
-from .weighting import DEFAULT_RIDGE_SCALE, NONFINITE_WEIGHTS, solve_grams, stacked_moments
+from .weighting import CHUNK_ROWS
 
 HESSIAN_SINGULAR = "estimated Hessian is singular"
 
 
-def _sigma_g(problem: Problem, theta: np.ndarray, ridge_scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Efficiency-gain matrices cross' x gram^{-1} x cross, PSD by construction,
-    and where their weight solve is not finite (SingularGram).
+def _sigma(problem: Problem, theta: np.ndarray, W: np.ndarray, columns: Sequence[int]) -> np.ndarray:
+    """Sigma = Cov_L(s - W'S) + n/(N-n) Cov_U(W'S) at theta (B, p): (B, p, p).
 
-    An identically-zero gram (all prediction columns constant) means the
-    stacked scores carry no signal at all, so the gain is the zero matrix.
+    S holds the stacked scores of the 0-based prediction ``columns``, W is
+    (B, len(columns)*p, p) and read only when there is a column, and Cov_L,
+    Cov_U divide by n and N-n.  W'S is built ``CHUNK_ROWS`` rows of each
+    replicate at a time, and only its p x p products are summed, so neither
+    the stacked matrix nor its gram is formed.  With no column, Sigma is Cov_L(s) and only the labeled rows are
+    read.  The labeled side is held whole, like the labeled scores, and
+    centred at its mean.  Each unlabeled chunk is centred at one shift, the
+    first unlabeled chunk's mean, and the sum is corrected by the mean's
+    remaining offset, as in ``weighting.stacked_moments``.
     """
-    gram, cross = stacked_moments(problem, theta, range(problem.K))
-    solved, _, bad = solve_grams(gram, cross, ridge_scale)
-    sigma_g = cross.transpose(0, 2, 1) @ solved
-    return 0.5 * (sigma_g + sigma_g.transpose(0, 2, 1)), bad
-
-
-def _weighted_sigma(problem: Problem, theta, sigma_nv, W, columns) -> np.ndarray:
-    """Sigma(W) = Sigma_nv + N/(N-n) W'VW - C'W - W'C, W (B, len(columns)*p, p),
-    with V and C the stacked auto- and cross-moments of ``columns`` only."""
-    gram, cross = stacked_moments(problem, theta, columns)
-    Wt = W.transpose(0, 2, 1)
-    quad = problem.N / (problem.N - problem.n) * Wt @ gram @ W
-    cross_term = cross.transpose(0, 2, 1) @ W
-    sigma = sigma_nv + quad - cross_term - cross_term.transpose(0, 2, 1)
+    n, N = problem.n, problem.N
+    resid = problem.labeled_scores(theta)
+    total = gram = 0.0
+    if columns:
+        Wt = W.transpose(0, 2, 1)
+        resid = resid.copy()
+        shift = None
+        for lo in range(0, N, CHUNK_ROWS):
+            hi = min(lo + CHUNK_ROWS, N)
+            WS = Wt @ problem.stacked_scores(lo, hi, columns, theta)
+            if lo < n:
+                resid[:, :, lo:hi] -= WS[:, :, : n - lo]
+                if hi <= n:
+                    continue
+                WS = WS[:, :, n - lo:]
+            if shift is None:
+                shift = WS.mean(axis=2, keepdims=True)
+            WS -= shift  # WS is freshly built, so centre it in place
+            total = total + WS.sum(axis=2)
+            gram = gram + WS @ WS.transpose(0, 2, 1)
+        offset = total / (N - n)
+        gram = gram / (N - n) - offset[:, :, None] * offset[:, None, :]
+    resid = resid - resid.mean(axis=2, keepdims=True)
+    sigma = resid @ resid.transpose(0, 2, 1) / n + n / (N - n) * gram
     return 0.5 * (sigma + sigma.transpose(0, 2, 1))
 
 
@@ -79,90 +100,55 @@ def check_level(level: float) -> None:
 
 
 def _sandwich_intervals(Hinv, sigma, theta, n: int, level: float):
-    """Floor the diagonal of each sigma, form Omega = Hinv sigma Hinv', then the intervals.
-
-    Returns (Omega, lower, upper, floored), with ``floored`` (B, p) marking
-    the diagonal entries of sigma that were negative.
-    """
-    diag = np.diagonal(sigma, axis1=1, axis2=2)
-    floored = diag < 0.0
-    sigma = sigma.copy()
-    j = np.arange(sigma.shape[-1])
-    sigma[:, j, j] = np.where(floored, 0.0, diag)
+    """Omega = Hinv sigma Hinv' per replicate, and its intervals: (Omega, lower, upper)."""
     omega = Hinv @ sigma @ Hinv.transpose(0, 2, 1)
     omega = 0.5 * (omega + omega.transpose(0, 2, 1))
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    # a PSD diagonal can still round to a hair below zero
     half = z * np.sqrt(np.maximum(np.diagonal(omega, axis1=1, axis2=2), 0.0) / n)
-    return omega, theta - half, theta + half, floored
+    return omega, theta - half, theta + half
 
 
-def infer(
-    problem: Problem,
-    fits: Fits,
-    level: float = 0.95,
-    ridge_scale: float = DEFAULT_RIDGE_SCALE,
-) -> Fits:
+def infer(problem: Problem, fits: Fits, level: float = 0.95) -> Fits:
     """``fits`` with the covariance and intervals of every replicate filled in.
 
-    Replicates fitted with the optimal weights (SADA without a weight
-    fallback) use Sigma_opt at their estimate; all others use the
-    fixed-weight quadratic form at their own weight matrix (zero for naive),
-    over the prediction columns where some replicate's weights are non-zero.
-    A replicate whose Sigma_g solve is not finite gets SingularGram, and one
-    whose Hessian fails its check SingularHessian, unless it failed earlier.
+    Every replicate gets the sandwich at its own estimate and its own weight
+    matrix (zero for naive), over the prediction columns where some
+    replicate's weights are non-zero.  A replicate whose Hessian fails its
+    check gets SingularHessian, unless it failed earlier.
     """
     check_level(level)
     B, K, p, theta = problem.B, problem.K, problem.p, fits.theta
-    errors = fits.errors.copy()
-    sigma_nv = problem.sigma_nv(theta)
-    sigma = sigma_nv
-    optimal = np.zeros(B, dtype=bool) if fits.optimal is None else fits.optimal
-    if optimal.any():
-        sigma_g, bad = _sigma_g(problem, theta, ridge_scale)
-        fail(errors, optimal & bad, SingularGram, NONFINITE_WEIGHTS)
-        sigma_opt = sigma_nv - (problem.N - problem.n) / problem.N * sigma_g
-        sigma = np.where(optimal[:, None, None], sigma_opt, sigma)
+    columns, W = [], None
     if fits.weights is not None:
         blocks = fits.weights.reshape(B, K, p, p)
-        used = blocks.any(axis=(2, 3)) & ~optimal[:, None]
-        columns = np.flatnonzero(used.any(axis=0)).tolist()
-        if columns:
-            W = blocks[:, columns].reshape(B, -1, p)
-            sigma_w = _weighted_sigma(problem, theta, sigma_nv, W, columns)
-            sigma = np.where(used.any(axis=1)[:, None, None], sigma_w, sigma)
+        columns = np.flatnonzero(blocks.any(axis=(0, 2, 3))).tolist()
+        # a C-ordered copy: the fancy index leaves the replicate axis innermost,
+        # and a product over that layout rounds differently with the batch size
+        W = np.ascontiguousarray(blocks[:, columns].reshape(B, -1, p))
+    sigma = _sigma(problem, theta, W, columns)
     _, Hinv, hessian_ok = problem.hessian(theta)
+    errors = fits.errors.copy()
     fail(errors, ~hessian_ok, SingularHessian, HESSIAN_SINGULAR)
-    omega, lower, upper, floored = _sandwich_intervals(Hinv, sigma, theta, problem.n, level)
-    return replace(fits, errors=errors, covariance=omega, lower=lower, upper=upper,
-                   level=level, floored=floored)
+    omega, lower, upper = _sandwich_intervals(Hinv, sigma, theta, problem.n, level)
+    return replace(fits, errors=errors, covariance=omega, lower=lower, upper=upper, level=level)
 
 
-def attach_inference(
-    report: EstimateReport,
-    ds: Dataset,
-    model: ScoreModel,
-    level: float = 0.95,
-    ridge_scale: float = DEFAULT_RIDGE_SCALE,
-) -> EstimateReport:
+def attach_inference(report: EstimateReport, ds: Dataset, model: ScoreModel, level: float = 0.95) -> EstimateReport:
     """Return a copy of the report with covariance and intervals filled in.
 
-    SADA reports use the optimal-weight covariance Sigma_opt evaluated at the
-    SADA estimate; all other methods use the fixed-weight quadratic form at
-    their own weight matrix (zero for naive/oracle).
+    Every method gets the one sandwich of ``infer``, at the report's own
+    estimate and weight matrix (zero where it carries none, as for naive
+    and the oracle).
 
     Raises:
         ValueError: theta_hat is not a finite array of shape (p,), or the weights not (K*p, p).
     """
     theta = check_theta(report.theta_hat, model.p, "theta_hat")
-    optimal = report.method == "sada" and "weight_fallback" not in report.diagnostics
-    weights = None
-    if report.weights is not None and not optimal:
-        weights = weight_blocks(report.weights, ds.K, model.p)[0][None]
-    fits = Fits(report.method, theta[None], no_errors(1),
-                lambda i: dict(report.diagnostics), weights=weights, optimal=np.array([optimal]))
-    full = infer(Problem.of(ds, model), fits, level, ridge_scale).report()
-    return replace(report, covariance=full.covariance, intervals=full.intervals,
-                   diagnostics=full.diagnostics)
+    weights = None if report.weights is None else weight_blocks(report.weights, ds.K, model.p)[0][None]
+    fits = Fits(report.method, theta[None], no_errors(1), lambda i: dict(report.diagnostics), weights=weights)
+    full = infer(Problem.of(ds, model), fits, level).report()
+    return replace(report, covariance=full.covariance, intervals=full.intervals)
 
 
 def fit_method(problem: Problem, token: str, *, level: float, ridge_scale: float) -> Fits:
@@ -192,7 +178,7 @@ def fit_method(problem: Problem, token: str, *, level: float, ridge_scale: float
         fits = fit_ppi_pp(problem, k, ridge_scale)
     else:
         fits = fit_sada(problem, ridge_scale)
-    return infer(problem, fits, level, ridge_scale)
+    return infer(problem, fits, level)
 
 
 def run_method(

@@ -206,22 +206,17 @@ def checked_inverse(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.inv(np.where(ok[:, None, None], H, np.eye(H.shape[-1]))), ok
 
 
-def solve_affine(
-    G: np.ndarray, b: np.ndarray, theta0: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of the affine residuals b - G theta of a stack: the exact step from theta0.
+def solve_affine(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of the affine residuals b - G theta of a stack: solve(G, b).
 
-    G is (B, p, p), b and theta0 (B, p); theta0 defaults to zeros, whose step
-    is solve(G, b) itself.  Returns (theta, ok): ok marks the G that pass the
+    G is (B, p, p) and b (B, p).  An affine equation has one root, so no
+    starting point enters.  Returns (theta, ok): ok marks the G that pass the
     Newton Jacobian test; where one fails, G is replaced by the identity
     before the batched solve and theta is zero.
     """
     ok = nonsingular(G)
     G = np.where(ok[:, None, None], G, np.eye(G.shape[-1]))
-    if theta0 is None:
-        theta = np.linalg.solve(G, b[..., None])[..., 0]
-    else:
-        theta = theta0 + np.linalg.solve(G, (b - (G @ theta0[..., None])[..., 0])[..., None])[..., 0]
+    theta = np.linalg.solve(G, b[..., None])[..., 0]
     theta[~ok] = 0.0
     return theta, ok
 
@@ -235,15 +230,14 @@ def solve_score_root(
     """Solve the plain sample score equation mean_i s(x_i, y_i; theta) = 0.
 
     A model with a design is solved in closed form from G = Z'Z/m and
-    b = Z'y/m (``problem.design_root``, batch of one); any other by Newton
-    from theta0 (zeros by default).
+    b = Z'y/m (``problem.design_root``, batch of one), and ignores theta0;
+    any other by Newton from theta0 (zeros by default).
     """
     if model.design is not None:
         from .problem import design_root  # problem imports this module
 
-        start = None if theta0 is None else np.asarray(theta0, dtype=float)[None]
         X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-        theta, ok = design_root(model, X.reshape(1, X.shape[0], -1), y[None], start)
+        theta, ok = design_root(model, X.reshape(1, X.shape[0], -1), y[None])
         if not ok[0]:
             raise SingularJacobian(JACOBIAN_SINGULAR)
         return theta[0], 1

@@ -1,20 +1,20 @@
-"""One score model on a batch of same-shaped datasets, and the five primitives
+"""One score model on a batch of same-shaped datasets, and the four primitives
 in which models with and without a design differ.
 
 A ``Problem`` stacks B datasets with the same N, n, K and d on a leading
 replicate axis: features (B, N, d), labels (B, n), predictions (B, N, K) and,
 for the oracle, true labels (B, N).  The estimators, the weight plug-ins and
-the sandwich inference are written once, over that axis, against five
+the sandwich inference are written once, over that axis, against four
 primitives:
 
 * ``score_root`` (and the cached ``pilot``): root of the plain score equation;
 * ``solve_weighted``: root of the weighted equation for given weights;
-* ``stacked_scores``/``labeled_scores``: the per-row scores behind the
-  moments at theta (accumulated by ``weighting.stacked_moments``), with the
-  rows on the last axis, so that numpy's innermost loops run over the many
-  rows rather than over the few score entries;
-* ``hessian``: the labeled mean Jacobian, with its inverse and check;
-* ``sigma_nv``: the labeled second moment of the scores.
+* ``stacked_scores``/``labeled_scores``: the per-row scores at theta behind
+  the weight moments (``weighting.stacked_moments``) and the variance
+  (``inference.infer``), with the rows on the last axis, so that numpy's
+  innermost loops run over the many rows rather than over the few score
+  entries;
+* ``hessian``: the labeled mean Jacobian, with its inverse and check.
 
 A model with a design (the mean and OLS) evaluates each for all B replicates
 at once.  Its scores are affine in theta, so the solves need only the design
@@ -77,13 +77,13 @@ def design_sums(model: ScoreModel, X: np.ndarray, *targets: np.ndarray, gram: bo
     return (zz / m if gram else None), [s / m for s in sums]
 
 
-def design_root(model: ScoreModel, X: np.ndarray, y: np.ndarray, theta0: np.ndarray | None = None):
+def design_root(model: ScoreModel, X: np.ndarray, y: np.ndarray):
     """Closed-form root of mean_i z_i (y_i - z_i'theta) = 0 per replicate: (theta, ok).
 
-    X is (B, m, d), y (B, m) and theta0 (B, p); see ``solve_affine``.
+    X is (B, m, d) and y (B, m); see ``solve_affine``.
     """
     G, (b,) = design_sums(model, X, y[..., None])
-    return solve_affine(G, b[..., 0], theta0)
+    return solve_affine(G, b[..., 0])
 
 
 class Problem:
@@ -162,9 +162,9 @@ class Problem:
             G = G_L + (sum_k W_k)' (G_U - G_L),
             b = Z_L'y / n + sum_k W_k' (P_U - P_L)[:, k],
 
-        solved in closed form from theta0; any other model goes through
-        Newton from theta0 (zeros by default), scoring only the columns whose
-        block of W is non-zero, one at a time.
+        solved in closed form, and theta0 is not used; any other model goes
+        through Newton from theta0 (zeros by default), scoring only the
+        columns whose block of W is non-zero, one at a time.
         """
         B, p = self.B, self.p
         if self.model.design is None:
@@ -176,7 +176,7 @@ class Problem:
         G = G_L + W.reshape(B, -1, p, p).sum(axis=1).transpose(0, 2, 1) @ dG
         shift = dP[:, :, list(columns)].transpose(0, 2, 1).reshape(B, -1, 1)
         b = b_L + (W.transpose(0, 2, 1) @ shift)[..., 0]
-        theta, ok = solve_affine(G, b, theta0)
+        theta, ok = solve_affine(G, b)
         return theta, ok, np.ones(B, dtype=int)
 
     def _newton_weighted(self, W: np.ndarray, columns: Sequence[int], theta0: np.ndarray):
@@ -220,12 +220,18 @@ class Problem:
         return (Z @ theta[..., None])[..., 0]
 
     def labeled_scores(self, theta: np.ndarray) -> np.ndarray:
-        """Scores of the labeled rows at theta (B, p), rows last: (B, p, n)."""
+        """Scores of the labeled rows at theta (B, p), rows last: (B, p, n).
+
+        For a model with a design they are written into a C-ordered buffer,
+        as in ``stacked_scores``, so later passes over the rows do not stride.
+        """
         X, y = self.features[:, : self.n], self.labels
         if self.model.design is None:
             return np.asarray(self.model.score(X[0], y[0], theta[0]), dtype=float).T[None]
         Z = design_rows(self.model, X)
-        return (y - self._fitted(Z, theta))[:, None, :] * Z.transpose(0, 2, 1)
+        out = np.empty((self.B, self.p, self.n))
+        np.multiply((y - self._fitted(Z, theta))[:, None, :], Z.transpose(0, 2, 1), out=out)
+        return out
 
     def stacked_scores(self, lo: int, hi: int, columns: Sequence[int], theta: np.ndarray) -> np.ndarray:
         """Rows lo..hi of the stacked scores of ``columns`` at theta, rows last:
@@ -251,7 +257,7 @@ class Problem:
         np.multiply(R[:, :, None, :], Z.transpose(0, 2, 1)[:, None], out=out)
         return out.reshape(B, c * p, hi - lo)
 
-    # --- primitives 4 and 5: the Hessian and Sigma_nv ---
+    # --- primitive 4: the Hessian ---
 
     def hessian(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Labeled mean Jacobian at theta, its inverse and its check: (H, Hinv, ok).
@@ -270,8 +276,3 @@ class Problem:
     def _design_hessian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         H = -self._labeled[0]
         return (H, *checked_inverse(H))
-
-    def sigma_nv(self, theta: np.ndarray) -> np.ndarray:
-        """Labeled-sample second moment of the scores at theta (uncentered): (B, p, p)."""
-        s = self.labeled_scores(theta)
-        return s @ s.transpose(0, 2, 1) / self.n

@@ -2,12 +2,13 @@
 
 ``stacked_score`` is one row of ``sada.data.stacked_score_matrix``, built
 block by block; ``estimate_mean_weights`` is the mean-model weight closed form
-on the prediction columns, which ``estimate_general_weights`` must reproduce.
+on the prediction columns, which ``estimate_general_weights`` must reproduce;
+``sigma_g`` is the efficiency gain that SADA's weights are built to capture.
 """
 import numpy as np
 
 from sada import Dataset, DimensionMismatch
-from sada.weighting import DEFAULT_RIDGE_SCALE, solve_gram
+from sada.weighting import DEFAULT_RIDGE_SCALE, solve_gram, solve_grams, stacked_moments
 
 
 def stacked_score(model, x: np.ndarray, preds: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -45,3 +46,19 @@ def estimate_mean_weights(ds: Dataset, ridge_scale: float = DEFAULT_RIDGE_SCALE)
     cross = preds_centered[: ds.n].T @ labels_centered / ds.n
     factor = (ds.N - ds.n) / ds.N
     return factor * solve_gram(gram, cross, ridge_scale)
+
+
+def sigma_g(problem, theta: np.ndarray, ridge_scale: float = DEFAULT_RIDGE_SCALE):
+    """Efficiency-gain matrices ``cross' gram^{-1} cross`` of every replicate of a
+    ``sada.problem.Problem`` at theta (B, p), symmetrised, and where their
+    weight solve is not finite.
+
+    The triple product of the centred moments of all K prediction columns
+    (``stacked_moments``), solved as SADA's weights are (``solve_grams``), so
+    PSD by construction; (N-n)/N times it is the variance that the optimal
+    weights remove from the naive estimator's.
+    """
+    gram, cross = stacked_moments(problem, theta, range(problem.K))
+    solved, _, bad = solve_grams(gram, cross, ridge_scale)
+    out = cross.transpose(0, 2, 1) @ solved
+    return 0.5 * (out + out.transpose(0, 2, 1)), bad

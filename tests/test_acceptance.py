@@ -25,11 +25,11 @@ from sada import (
     sada_estimate,
 )
 from sada.cli import main
-from sada.inference import _sigma_g
+from sada.inference import _sigma
 from sada.io import load_dataset_csv, write_dataset_csv
 from sada.problem import Problem
 
-from reference import estimate_mean_weights
+from reference import estimate_mean_weights, sigma_g as reference_sigma_g
 
 ACC_SEED = 20250808
 GAMMAS = [i / 10 for i in range(11)]
@@ -214,8 +214,8 @@ def test_criterion_09_matrix_property_suite():
         ds = Dataset.from_arrays(X, y[:n], preds)
         theta = np.linalg.lstsq(X[:n], y[:n], rcond=None)[0] if use_ols else np.array([y[:n].mean()])
         problem, at = Problem.of(ds, model), theta[None]
-        sigma_nv = problem.sigma_nv(at)[0]
-        sigma_g, bad = _sigma_g(problem, at, DEFAULT_RIDGE_SCALE)
+        sigma_nv = _sigma(problem, at, None, ())[0]  # Cov_L(s), the variance at W = 0
+        sigma_g, bad = reference_sigma_g(problem, at, DEFAULT_RIDGE_SCALE)
         assert not bad[0]
         sigma_opt = sigma_nv - (N - n) / N * sigma_g[0]
         min_g = min(min_g, float(np.linalg.eigvalsh(sigma_g[0]).min()))
@@ -246,6 +246,37 @@ def test_criterion_10_simulate_determinism_across_workers(tmp_path):
         outputs.append(((out / "results.csv").read_bytes(), (out / "efficiency.svg").read_bytes()))
     ok = outputs[0] == outputs[1] == outputs[2]
     check(10, "simulate determinism", ok, "results.csv and efficiency.svg byte-identical for 1/2/8 workers")
+
+
+def test_criterion_11_coverage_where_adaptivity_pays():
+    # With N >> n and one exact column, the variance to estimate is O(n/N) of
+    # the naive one.  The Monte Carlo SE of a 95% coverage over 2000 reps is
+    # sqrt(0.95 * 0.05 / 2000) = 0.0049.  The band is 0.95 +/- 5 SE: at
+    # n = 60 even the naive interval covers about 0.94 here, a shortfall of
+    # some 2 SE that comes with the normal approximation, not with the
+    # weights, and the rest is room for noise.  A variance that subtracts
+    # O(sigma^2) terms covers about 0.6 on this design.
+    reps = 2000
+    se = np.sqrt(0.95 * 0.05 / reps)
+    lo, hi = 0.95 - 5 * se, 0.95 + 5 * se
+    rows = efficiency_curve(
+        SyntheticConfig(theta_star=0.5, N=2000, n=60, reps=reps, seed=ACC_SEED),
+        [0.0, 1.0],
+        ("sada", "ppi_pp:1", "ppi_pp:2"),
+        workers=2,
+        strict=True,
+    )
+    table = {(r.gamma, r.method): r.coverage for r in rows}
+    # column 2 is exact at gamma = 0, column 1 at gamma = 1
+    cells = {"sada g=0": table[(0.0, "sada")], "ppi_pp:2 g=0": table[(0.0, "ppi_pp:2")],
+             "sada g=1": table[(1.0, "sada")], "ppi_pp:1 g=1": table[(1.0, "ppi_pp:1")]}
+    ok = all(lo <= c <= hi for c in cells.values())
+    check(
+        11,
+        "coverage where adaptivity pays",
+        ok,
+        ", ".join(f"{k} {v:.4f}" for k, v in cells.items()) + f" (all in [{lo:.4f}, {hi:.4f}])",
+    )
 
 
 def test_csv_pipeline_round_trip(tmp_path):

@@ -263,6 +263,18 @@ def test_weighted_solver_reduces_to_naive_and_ppi():
     assert abs(theta1[0] - ppi_estimate(ds, m, 1).theta_hat[0]) <= 1e-10
 
 
+def test_a_far_off_theta0_does_not_move_the_closed_form_root():
+    # the closed form used to take one exact step from theta0, and from
+    # (1e300, 1) the step lost every digit of the root to cancellation
+    rng = np.random.default_rng(20)
+    X = np.column_stack([np.ones(20), rng.standard_normal(20)])
+    y = X @ np.array([0.5, -1.5]) + rng.standard_normal(20)
+    ds = Dataset.from_arrays(X, y[:12], rng.standard_normal((20, 2)))
+    m = ols_model(2)
+    theta, _ = solve_weighted(ds, m, np.zeros((4, 2)), np.array([1e300, 1.0]))
+    assert np.allclose(theta, naive_estimate(ds, m).theta_hat, rtol=0.0, atol=1e-10)
+
+
 def test_translation_equivariance_of_all_estimators():
     rng = np.random.default_rng(13)
     ds, y = mean_dataset(rng)

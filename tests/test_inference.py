@@ -22,8 +22,10 @@ from sada import (
     sada_estimate,
     solve_weighted,
 )
-from sada.inference import _sandwich_intervals, _sigma_g, _weighted_sigma, run_method
+from sada.inference import _sandwich_intervals, _sigma, run_method
 from sada.problem import Problem
+
+import reference
 
 # Frozen from the independent direct-summation oracle on the 3-point OLS
 # fixture X = [(1,0),(1,1),(1,2)], y = (1,2,2), theta = lstsq fit.
@@ -50,23 +52,24 @@ def hessian(ds, model, theta):
 
 
 def sigma_nv(ds, model, theta):
-    return Problem.of(ds, model).sigma_nv(np.asarray(theta, dtype=float)[None])[0]
+    """The variance at W = 0, Cov_L(s): at the naive root, or wherever the
+    labeled scores have mean zero, their second moment."""
+    return _sigma(Problem.of(ds, model), np.asarray(theta, dtype=float)[None], None, ())[0]
 
 
 def sigma_g(ds, model, theta, ridge_scale=DEFAULT_RIDGE_SCALE):
-    out, bad = _sigma_g(Problem.of(ds, model), np.asarray(theta, dtype=float)[None], ridge_scale)
+    out, bad = reference.sigma_g(Problem.of(ds, model), np.asarray(theta, dtype=float)[None], ridge_scale)
     assert not bad[0]
     return out[0]
 
 
-def sandwich(H, sigma_nv, sigma_g, n, N, theta, level=0.95):
-    """Omega, lower, upper and floored of one p = 1 replicate with scalar H and
-    Sigma_opt = sigma_nv - (N-n)/N sigma_g, through the batched assembly."""
-    sigma_opt = sigma_nv - (N - n) / N * sigma_g
-    omega, lower, upper, floored = _sandwich_intervals(
-        np.array([[[1.0 / H]]]), np.array([[[sigma_opt]]]), np.array([[theta]]), n, level
+def sandwich(H, sigma, n, theta, level=0.95):
+    """Omega, lower and upper of one p = 1 replicate with scalar H and Sigma,
+    through the batched assembly."""
+    omega, lower, upper = _sandwich_intervals(
+        np.array([[[1.0 / H]]]), np.array([[[sigma]]]), np.array([[theta]]), n, level
     )
-    return omega[0, 0, 0], lower[0, 0], upper[0, 0], floored[0, 0]
+    return omega[0, 0, 0], lower[0, 0], upper[0, 0]
 
 
 def test_hessian_mean_model_is_minus_one():
@@ -145,27 +148,28 @@ def test_sigma_g_approaches_sigma_nv_for_perfect_prediction():
 
 
 def test_interval_halfwidth_against_quantile_oracle():
-    # p=1, H=-1, Sigma_opt=1, n=100, level 0.95 -> z_{0.975}/10
-    omega, lower, upper, floored = sandwich(H=-1.0, sigma_nv=1.0, sigma_g=0.0, n=100, N=200, theta=0.0)
+    # p=1, H=-1, Sigma=1, n=100, level 0.95 -> z_{0.975}/10
+    omega, lower, upper = sandwich(H=-1.0, sigma=1.0, n=100, theta=0.0)
     assert np.allclose(omega, 1.0)
     half = (upper - lower) / 2
     assert abs(half - stats.norm.ppf(0.975) / 10.0) < 1e-7
-    assert not floored
 
 
 @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 1e-6, 1 - 1e-9])
 def test_halfwidth_is_the_normal_quantile_across_levels(level):
-    # p=1, H=-1, Sigma_opt=1, n=1 -> the half-width is z_{1/2 + level/2} itself
-    _, lower, upper, _ = sandwich(-1.0, 1.0, 0.0, n=1, N=2, theta=0.0, level=level)
+    # p=1, H=-1, Sigma=1, n=1 -> the half-width is z_{1/2 + level/2} itself
+    _, lower, upper = sandwich(-1.0, 1.0, n=1, theta=0.0, level=level)
     expected = stats.norm.ppf(0.5 + level / 2.0)
     assert abs(upper - expected) <= 1e-13 * expected
     assert lower == -upper
 
 
 def test_perfect_gain_shrinks_halfwidth_by_root_n_over_N():
-    # Sigma_g = Sigma_nv turns Sigma_opt into (n/N) Sigma_nv
-    _, lo_base, up_base, _ = sandwich(-1.0, 2.0, 0.0, n=60, N=200, theta=0.0)
-    _, lo_gain, up_gain, _ = sandwich(-1.0, 2.0, 2.0, n=60, N=200, theta=0.0)
+    # an exact column weighted by (N-n)/N leaves Cov_L = (n/N)^2 Sigma_nv and
+    # n/(N-n) Cov_U = n(N-n)/N^2 Sigma_nv, which sum to (n/N) Sigma_nv
+    n, N = 60, 200
+    _, lo_base, up_base = sandwich(-1.0, 2.0, n=n, theta=0.0)
+    _, lo_gain, up_gain = sandwich(-1.0, ((n / N) ** 2 + n * (N - n) / N**2) * 2.0, n=n, theta=0.0)
     ratio = (up_gain - lo_gain) / (up_base - lo_base)
     assert abs(ratio - np.sqrt(60 / 200)) < 1e-12
 
@@ -184,20 +188,13 @@ def test_estimate_always_inside_its_own_interval():
 def test_halfwidth_monotone_in_level_and_n():
     widths = []
     for level in (0.8, 0.9, 0.95, 0.99):
-        _, lower, upper, _ = sandwich(-1.0, 1.0, 0.0, n=100, N=200, theta=0.0, level=level)
+        _, lower, upper = sandwich(-1.0, 1.0, n=100, theta=0.0, level=level)
         widths.append(upper - lower)
     assert all(a < b for a, b in zip(widths, widths[1:]))
-    # the same Sigma_opt with 4x the labeled rows
-    _, lo_n, up_n, _ = sandwich(-1.0, 1.0, 0.0, n=400, N=800, theta=0.0)
-    _, lo_base, up_base, _ = sandwich(-1.0, 1.0, 0.0, n=100, N=200, theta=0.0)
+    # the same Sigma with 4x the labeled rows
+    _, lo_n, up_n = sandwich(-1.0, 1.0, n=400, theta=0.0)
+    _, lo_base, up_base = sandwich(-1.0, 1.0, n=100, theta=0.0)
     assert abs((up_n - lo_n) / (up_base - lo_base) - 0.5) < 1e-12
-
-
-def test_negative_sigma_opt_diagonal_is_floored():
-    omega, lower, upper, floored = sandwich(-1.0, 0.1, 1.0, n=10, N=20, theta=0.5)
-    assert omega == 0.0
-    assert floored
-    assert lower == upper == 0.5
 
 
 def test_singular_hessian_raises():
@@ -229,23 +226,84 @@ def test_sigma_opt_dominated_by_sigma_nv():
 
 
 def test_mean_model_omega_matches_variance_expression():
-    # Omega == mean_L (y - theta)^2 - (N-n)/N * chat' Vhat^{-1} chat, the
-    # mean-estimation variance expression with plug-in moments
+    # for the mean, H = -1 and s - w'S = (y - theta) - w'(yhat - theta), so
+    # Omega == var_L(y - w'yhat) + n/(N-n) var_U(w'yhat), the shift by theta
+    # dropping out of both variances
     rng = np.random.default_rng(4)
     y = 0.5 + rng.standard_normal(100)
     preds = np.column_stack([0.7 * y + 0.5 * rng.standard_normal(100), rng.standard_normal(100)])
     ds = Dataset.from_arrays(np.ones((100, 1)), y[:40], preds)
     m = mean_model()
     rep = sada_estimate(ds, m, ridge_scale=0.0)
-    theta = rep.theta_hat
-    omega = attach_inference(rep, ds, m, ridge_scale=0.0).covariance
+    omega = attach_inference(rep, ds, m).covariance
 
-    preds_c = ds.predictions - ds.predictions.mean(axis=0)
-    y_c = ds.labels - ds.labels.mean()
-    V = preds_c.T @ preds_c / ds.N
-    c = preds_c[: ds.n].T @ y_c / ds.n
-    expected = float(np.mean((ds.labels - theta[0]) ** 2)) - 0.6 * float(c @ np.linalg.solve(V, c))
+    w = np.asarray(rep.weights).ravel()
+    combined = ds.predictions @ w
+    n, N = ds.n, ds.N
+    expected = float(np.var(ds.labels - combined[:n]) + n / (N - n) * np.var(combined[n:]))
     assert abs(omega[0, 0] - expected) < 1e-10
+
+
+def test_ols_covariance_matches_a_per_row_oracle():
+    # at a fixed W, Omega = Hinv [Cov_L(s - W'S) + n/(N-n) Cov_U(W'S)] Hinv',
+    # with every score built one row and one column at a time
+    rng = np.random.default_rng(22)
+    N, n, K, p = 150, 40, 2, 2
+    X = np.column_stack([np.ones(N), rng.standard_normal(N)])
+    y = X @ np.array([0.5, -1.0]) + rng.standard_normal(N)
+    preds = np.column_stack([y + 0.5 * rng.standard_normal(N), rng.standard_normal(N)])
+    ds = Dataset.from_arrays(X, y[:n], preds)
+    model = ols_model(p)
+    W = rng.standard_normal((K * p, p))
+    theta, _ = solve_weighted(ds, model, W)
+    cov = attach_inference(EstimateReport(theta, "ppi", weights=W), ds, model).covariance
+
+    combined = np.array([
+        sum(W[k * p:(k + 1) * p].T @ (X[i] * (preds[i, k] - X[i] @ theta)) for k in range(K))
+        for i in range(N)
+    ])
+    s = np.array([X[i] * (y[i] - X[i] @ theta) for i in range(n)])
+    cov_L = np.cov((s - combined[:n]).T, bias=True)
+    cov_U = np.cov(combined[n:].T, bias=True)
+    Hinv = np.linalg.inv(-(X[:n].T @ X[:n]) / n)
+    expected = Hinv @ (cov_L + n / (N - n) * cov_U) @ Hinv.T
+    assert np.max(np.abs(cov - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("model_name", ["mean", "ols"])
+def test_every_variance_is_psd_and_no_interval_has_zero_width(model_name):
+    # Sigma is a sum of two sample covariances, so PSD whatever W is; a form
+    # that subtracts O(sigma^2) terms went indefinite next to an exact column,
+    # and its floored diagonal gave zero-width intervals
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        N = int(rng.integers(20, 400))
+        n = int(rng.integers(5, min(N - 5, 60)))
+        K = int(rng.integers(1, 4))
+        if model_name == "mean":
+            X, model = np.ones((N, 1)), mean_model()
+            y = rng.uniform(-1, 1) + rng.standard_normal(N)
+        else:
+            X, model = np.column_stack([np.ones(N), rng.standard_normal(N)]), ols_model(2)
+            y = X @ rng.uniform(-1, 1, size=2) + rng.standard_normal(N)
+        preds = y[:, None] + rng.uniform(0.0, 2.0, size=K) * rng.standard_normal((N, K))
+        if trial % 2:
+            preds[:, 0] = y  # an exact column
+        ds = Dataset.from_arrays(X, y[:n], preds)
+        p = model.p
+        problem = Problem.of(ds, model)
+        W = rng.standard_normal((1, K * p, p))
+        theta = problem.solve_weighted(W, range(K))[0]
+        sigma = _sigma(problem, theta, W, range(K))[0]
+        eig = np.linalg.eigvalsh(sigma)
+        assert eig.min() >= -1e-12 * np.abs(eig).max()
+        reports = [attach_inference(EstimateReport(theta[0], "ppi", weights=W[0]), ds, model)]
+        reports += [run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+                    for token in ("ppi:1", "ppi_pp:1", "sada")]
+        for report in reports:
+            eig = np.linalg.eigvalsh(report.covariance)
+            assert eig.min() >= -1e-12 * np.abs(eig).max(), report.method
+            assert np.all(report.intervals.upper > report.intervals.lower), report.method
 
 
 def test_weighted_sigma_at_zero_weight_is_sigma_nv():
@@ -254,8 +312,8 @@ def test_weighted_sigma_at_zero_weight_is_sigma_nv():
     ds = Dataset.from_arrays(np.ones((50, 1)), y[:20], rng.standard_normal((50, 2)))
     theta = np.array([[y[:20].mean()]])
     problem = Problem.of(ds, mean_model())
-    snv = problem.sigma_nv(theta)
-    out = _weighted_sigma(problem, theta, snv, np.zeros((1, 2, 1)), (0, 1))
+    snv = _sigma(problem, theta, None, ())
+    out = _sigma(problem, theta, np.zeros((1, 2, 1)), (0, 1))
     assert np.array_equal(out, snv)
     # and a report whose weights are all zero gets the naive covariance
     zero = attach_inference(EstimateReport(theta[0], "ppi", weights=np.zeros((2, 1))), ds, mean_model())
@@ -375,8 +433,6 @@ def test_library_rejects_a_bad_ridge_scale(ridge_scale):
         sada_estimate(ds, model, ridge_scale=ridge_scale)
     with pytest.raises(ConfigError, match=match):
         ppi_pp_estimate(ds, model, 1, ridge_scale=ridge_scale)
-    with pytest.raises(ConfigError, match=match):
-        attach_inference(sada_estimate(ds, model), ds, model, ridge_scale=ridge_scale)
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan")])
