@@ -47,6 +47,6 @@ from .simulate import (
     ols_coverage_study,
     run_replications,
 )
-from .weighting import DEFAULT_RIDGE_SCALE, estimate_general_weights, moment_estimates
+from .weighting import estimate_general_weights, moment_estimates
 
 __version__ = "0.1.0"

@@ -37,7 +37,6 @@ from .io import (
 from .models import mean_model, ols_model
 from .problem import Problem
 from .simulate import DEFAULT_METHODS, SyntheticConfig, efficiency_curve
-from .weighting import DEFAULT_RIDGE_SCALE, check_ridge_scale
 
 # Exit code by error class; the first match wins, so SadaError takes the rest.
 _EXIT_CODES = (
@@ -127,9 +126,8 @@ def _config_values(command_parser: argparse.ArgumentParser, command: str, config
 
 
 def _check_common(args) -> None:
-    """Reject a bad level, ridge scale or output directory before any file is read."""
+    """Reject a bad level or output directory before any file is read."""
     check_level(args.level)
-    check_ridge_scale(args.ridge_scale)
     nearest = next((p for p in (Path(args.out), *Path(args.out).parents) if p.exists()), None)
     if nearest is not None and not nearest.is_dir():
         raise ConfigError(f"out {args.out!r}: {str(nearest)!r} exists and is not a directory")
@@ -143,13 +141,12 @@ def cmd_estimate(args) -> int:
 
     problem = Problem.of(ds, model)  # one pilot and one set of design products for every method
     entries = [
-        (token, fit_method(problem, token, level=args.level, ridge_scale=args.ridge_scale).report())
+        (token, fit_method(problem, token, level=args.level).report())
         for token in args.methods
     ]
     meta = {
         "command": "estimate",
         "level": args.level,
-        "ridge_scale": args.ridge_scale,
         "out": args.out,
         "csv": str(args.csv),
         "model": model.name,
@@ -191,7 +188,7 @@ def cmd_compare(args) -> int:
     problem = Problem.of(ds, model)  # one pilot and one set of design products for every method
     entries = []
     for token in tokens:
-        report = fit_method(problem, token, level=args.level, ridge_scale=args.ridge_scale).report()
+        report = fit_method(problem, token, level=args.level).report()
         variance = float(np.trace(np.atleast_2d(report.covariance))) / ds.n
         entries.append((token, report, variance))
     entries.sort(key=lambda e: e[2])
@@ -222,7 +219,6 @@ def cmd_simulate(args) -> int:
         args.gamma_grid,
         args.methods,
         level=args.level,
-        ridge_scale=args.ridge_scale,
         workers=args.workers,
         strict=args.strict,
     )
@@ -258,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--config", help="key = value file of option defaults")
         sp.add_argument("--level", type=float, default=0.95, help="confidence level")
-        sp.add_argument("--ridge-scale", dest="ridge_scale", type=float, default=DEFAULT_RIDGE_SCALE,
-                        help="gram ridge multiplier")
         sp.add_argument("--out", default="sada_out", help="output directory")
 
     sp_est = add_command("estimate", cmd_estimate, "estimate from a CSV file")

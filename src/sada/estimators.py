@@ -33,15 +33,7 @@ from .data import Dataset
 from .errors import ConfigError, SadaError, SingularJacobian
 from .models import JACOBIAN_SINGULAR, ScoreModel, check_theta
 from .problem import Problem
-from .weighting import (
-    DEFAULT_RIDGE_SCALE,
-    NONFINITE_WEIGHTS,
-    ZERO_GRAM,
-    check_ridge_scale,
-    ridged,
-    solve_grams,
-    stacked_moments,
-)
+from .weighting import NONFINITE_WEIGHTS, ZERO_GRAM, ridged, solve_grams, stacked_moments
 
 METHOD_TAGS = ("naive", "ppi", "ppi_pp", "sada", "oracle")
 
@@ -50,17 +42,18 @@ def parse_method(token: str) -> tuple[str, int | None]:
     """Split a method token into (tag, prediction column or None).
 
     Tokens: ``naive``, ``sada``, ``oracle``, ``ppi:<k>``, ``ppi_pp:<k>`` with
-    1-based prediction column k (bare ``ppi`` / ``ppi_pp`` mean column 1).
+    1-based prediction column k (bare ``ppi`` / ``ppi_pp`` mean column 1; a
+    colon with no column after it is rejected).
     """
-    name, _, col = token.partition(":")
+    name, colon, col = token.partition(":")
     name = name.strip()
     if name not in METHOD_TAGS:
         raise ConfigError(f"unknown method {token!r}")
     if name not in ("ppi", "ppi_pp"):
-        if col:
+        if colon:
             raise ConfigError(f"method {name!r} takes no column index: {token!r}")
         return name, None
-    if not col:
+    if not colon:
         return name, 1
     try:
         k = int(col)
@@ -84,8 +77,8 @@ class Intervals:
 class EstimateReport:
     """Point estimate plus optional weights, covariance and intervals.
 
-    ``diagnostics`` records the conventions used (ridge scale, weight
-    scaling), solver iteration counts, and any fallback events.
+    ``diagnostics`` records the weight scaling, solver iteration counts, and
+    any fallback events.
     """
 
     theta_hat: np.ndarray
@@ -213,9 +206,8 @@ def fit_ppi(problem: Problem, k: int) -> Fits:
     )
 
 
-def fit_ppi_pp(problem: Problem, k: int, ridge_scale: float = DEFAULT_RIDGE_SCALE) -> Fits:
+def fit_ppi_pp(problem: Problem, k: int) -> Fits:
     """PPI with a scalar tuning weight on prediction column k (see ``ppi_pp_estimate``)."""
-    check_ridge_scale(ridge_scale)
     _check_column(problem, k)
     B, p, N, n = problem.B, problem.p, problem.N, problem.n
     pilot, ok, _ = problem.pilot
@@ -227,7 +219,7 @@ def fit_ppi_pp(problem: Problem, k: int, ridge_scale: float = DEFAULT_RIDGE_SCAL
     live = ok & hessian_ok
     if live.any():
         gram, cross = stacked_moments(problem, pilot, (k - 1,))
-        gram_reg, zero = ridged(gram, ridge_scale)
+        gram_reg, zero = ridged(gram)
         denom = np.trace(Hinv @ gram_reg @ Hinv, axis1=1, axis2=2)
         numer = np.trace(Hinv @ cross @ Hinv, axis1=1, axis2=2)
         usable = (denom > 0.0) & np.isfinite(denom) & np.isfinite(numer)
@@ -241,7 +233,7 @@ def fit_ppi_pp(problem: Problem, k: int, ridge_scale: float = DEFAULT_RIDGE_SCAL
     fail(errors, ~solved, SingularJacobian, JACOBIAN_SINGULAR)
 
     def notes(i):
-        out = {"prediction_column": k, "ridge_scale": ridge_scale}
+        out = {"prediction_column": k}
         if degenerate[i] is not None:
             out["degenerate"] = degenerate[i]
         out["solver_iterations"] = int(iters[i])
@@ -251,9 +243,8 @@ def fit_ppi_pp(problem: Problem, k: int, ridge_scale: float = DEFAULT_RIDGE_SCAL
     return Fits("ppi_pp", theta, errors, notes, weights=_column_weights(problem, k, blocks))
 
 
-def fit_sada(problem: Problem, ridge_scale: float = DEFAULT_RIDGE_SCALE) -> Fits:
+def fit_sada(problem: Problem) -> Fits:
     """Safe-and-adaptive aggregation across all prediction columns (see ``sada_estimate``)."""
-    check_ridge_scale(ridge_scale)
     B, N, n = problem.B, problem.N, problem.n
     pilot, ok, pilot_iters = problem.pilot
     errors = _jacobian_errors(ok)
@@ -261,7 +252,7 @@ def fit_sada(problem: Problem, ridge_scale: float = DEFAULT_RIDGE_SCALE) -> Fits
 
     columns = tuple(range(problem.K))
     gram, cross = stacked_moments(problem, pilot, columns)
-    solution, zero, bad = solve_grams(gram, cross, ridge_scale)
+    solution, zero, bad = solve_grams(gram, cross)
     fallback = zero | bad
     W = scale * solution  # zero where the weights fall back
     if fallback.all():
@@ -273,7 +264,7 @@ def fit_sada(problem: Problem, ridge_scale: float = DEFAULT_RIDGE_SCALE) -> Fits
         iters = np.where(fallback, 0, iters)
 
     def notes(i):
-        out = {"ridge_scale": ridge_scale, "pilot_iterations": int(pilot_iters[i]), "weight_scale": scale}
+        out = {"pilot_iterations": int(pilot_iters[i]), "weight_scale": scale}
         if zero[i]:
             out["weight_fallback"] = f"ZeroGram: {ZERO_GRAM}"
         elif bad[i]:
@@ -345,12 +336,7 @@ def ppi_estimate(ds: Dataset, model: ScoreModel, k: int = 1) -> EstimateReport:
     return fit_ppi(Problem.of(ds, model), k).report()
 
 
-def ppi_pp_estimate(
-    ds: Dataset,
-    model: ScoreModel,
-    k: int = 1,
-    ridge_scale: float = DEFAULT_RIDGE_SCALE,
-) -> EstimateReport:
+def ppi_pp_estimate(ds: Dataset, model: ScoreModel, k: int = 1) -> EstimateReport:
     """PPI with a scalar tuning weight on prediction column k.
 
     The scalar minimizes the trace of the estimated asymptotic covariance,
@@ -362,14 +348,10 @@ def ppi_pp_estimate(
     variance or Hessian yields omega = 0, i.e. the naive estimator.  For
     p = 1 this coincides with SADA restricted to column k.
     """
-    return fit_ppi_pp(Problem.of(ds, model), k, ridge_scale).report()
+    return fit_ppi_pp(Problem.of(ds, model), k).report()
 
 
-def sada_estimate(
-    ds: Dataset,
-    model: ScoreModel,
-    ridge_scale: float = DEFAULT_RIDGE_SCALE,
-) -> EstimateReport:
+def sada_estimate(ds: Dataset, model: ScoreModel) -> EstimateReport:
     """Safe-and-adaptive aggregation across all prediction columns.
 
     Pipeline: (1) naive pilot estimate, (2) stacked-score weight plug-in at
@@ -377,4 +359,4 @@ def sada_estimate(
     the weighted estimating equation.  Weight-estimation failure degrades to
     the naive estimate with a diagnostic instead of raising.
     """
-    return fit_sada(Problem.of(ds, model), ridge_scale).report()
+    return fit_sada(Problem.of(ds, model)).report()

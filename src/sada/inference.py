@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import weighting
 from .data import Dataset
 from .errors import ConfigError, SingularHessian
 from .estimators import (
@@ -48,7 +49,6 @@ from .estimators import (
 )
 from .models import ScoreModel, check_theta
 from .problem import Problem
-from .weighting import CHUNK_ROWS
 
 HESSIAN_SINGULAR = "estimated Hessian is singular"
 
@@ -58,13 +58,14 @@ def _sigma(problem: Problem, theta: np.ndarray, W: np.ndarray, columns: Sequence
 
     S holds the stacked scores of the 0-based prediction ``columns``, W is
     (B, len(columns)*p, p) and read only when there is a column, and Cov_L,
-    Cov_U divide by n and N-n.  W'S is built ``CHUNK_ROWS`` rows of each
-    replicate at a time, and only its p x p products are summed, so neither
-    the stacked matrix nor its gram is formed.  With no column, Sigma is Cov_L(s) and only the labeled rows are
-    read.  The labeled side is held whole, like the labeled scores, and
-    centred at its mean.  Each unlabeled chunk is centred at one shift, the
-    first unlabeled chunk's mean, and the sum is corrected by the mean's
-    remaining offset, as in ``weighting.stacked_moments``.
+    Cov_U divide by n and N-n.  W'S is built ``weighting.CHUNK_ROWS`` rows
+    of each replicate at a time, and only its p x p products are summed, so
+    neither the stacked matrix nor its gram is formed.  With no column,
+    Sigma is Cov_L(s) and only the labeled rows are read.  The labeled side
+    is held whole, like the labeled scores, and centred at its mean.  Each
+    unlabeled chunk is centred at one shift, the first unlabeled chunk's
+    mean, and the sum is corrected by the mean's remaining offset, as in
+    ``weighting.stacked_moments``.
     """
     n, N = problem.n, problem.N
     resid = problem.labeled_scores(theta)
@@ -73,8 +74,9 @@ def _sigma(problem: Problem, theta: np.ndarray, W: np.ndarray, columns: Sequence
         Wt = W.transpose(0, 2, 1)
         resid = resid.copy()
         shift = None
-        for lo in range(0, N, CHUNK_ROWS):
-            hi = min(lo + CHUNK_ROWS, N)
+        chunk = weighting.CHUNK_ROWS
+        for lo in range(0, N, chunk):
+            hi = min(lo + chunk, N)
             WS = Wt @ problem.stacked_scores(lo, hi, columns, theta)
             if lo < n:
                 resid[:, :, lo:hi] -= WS[:, :, : n - lo]
@@ -151,7 +153,7 @@ def attach_inference(report: EstimateReport, ds: Dataset, model: ScoreModel, lev
     return replace(report, covariance=full.covariance, intervals=full.intervals)
 
 
-def fit_method(problem: Problem, token: str, *, level: float, ridge_scale: float) -> Fits:
+def fit_method(problem: Problem, token: str, *, level: float) -> Fits:
     """Fit the method a token names (see ``parse_method``) on every replicate
     of ``problem``, with its inference.
 
@@ -175,9 +177,9 @@ def fit_method(problem: Problem, token: str, *, level: float, ridge_scale: float
     elif tag == "ppi":
         fits = fit_ppi(problem, k)
     elif tag == "ppi_pp":
-        fits = fit_ppi_pp(problem, k, ridge_scale)
+        fits = fit_ppi_pp(problem, k)
     else:
-        fits = fit_sada(problem, ridge_scale)
+        fits = fit_sada(problem)
     return infer(problem, fits, level)
 
 
@@ -187,7 +189,6 @@ def run_method(
     token: str,
     *,
     level: float,
-    ridge_scale: float,
     truth: np.ndarray | None = None,
 ) -> EstimateReport:
     """Fit the method a token names (see ``parse_method``) and attach its inference.
@@ -201,4 +202,4 @@ def run_method(
     """
     if truth is not None and parse_method(token)[0] == "oracle":
         truth = check_truth(ds, truth)
-    return fit_method(Problem.of(ds, model, truth), token, level=level, ridge_scale=ridge_scale).report()
+    return fit_method(Problem.of(ds, model, truth), token, level=level).report()

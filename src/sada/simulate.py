@@ -29,7 +29,6 @@ from .estimators import parse_method
 from .inference import check_level, fit_method
 from .models import ScoreModel, mean_model, ols_model
 from .problem import Problem
-from .weighting import DEFAULT_RIDGE_SCALE, check_ridge_scale
 
 DEFAULT_METHODS = ("naive", "ppi:1", "ppi:2", "ppi_pp:1", "ppi_pp:2", "sada")
 
@@ -193,8 +192,7 @@ class SimStudyResult:
     failures: dict = field(default_factory=dict)
 
 
-def _run_chunk(kind: str, methods: Sequence[str], level: float, ridge_scale: float,
-               strict: bool, cfg, lo: int, hi: int) -> dict:
+def _run_chunk(kind: str, methods: Sequence[str], level: float, strict: bool, cfg, lo: int, hi: int) -> dict:
     """Fit every method on replicates lo..hi-1 of one config in one batch.
 
     Returns {token: (theta, lower, upper, failed)}: (reps, p) arrays, lower
@@ -206,7 +204,7 @@ def _run_chunk(kind: str, methods: Sequence[str], level: float, ridge_scale: flo
     """
     draws = [_STUDIES[kind](cfg, rep) for rep in range(lo, hi)]
     problem = Problem.stack([ds for ds, _ in draws], _model_for(kind), [truth for _, truth in draws])
-    fits = [fit_method(problem, token, level=level, ridge_scale=ridge_scale) for token in methods]
+    fits = [fit_method(problem, token, level=level) for token in methods]
     failed = np.stack([~np.equal(f.errors, None) for f in fits], axis=1)  # (reps, tokens)
     if strict and failed.any():
         rep, j = np.argwhere(failed)[0]
@@ -274,7 +272,6 @@ def _run_studies(
     cfgs: Sequence,
     methods: Sequence[str],
     level: float,
-    ridge_scale: float,
     workers: int,
     strict: bool,
 ) -> list[SimStudyResult]:
@@ -291,13 +288,12 @@ def _run_studies(
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     check_level(level)
-    check_ridge_scale(ridge_scale)
     tokens = list(dict.fromkeys(methods))
     if "naive" not in tokens:
         tokens = ["naive"] + tokens  # baseline for relative efficiencies
     for token in tokens:
         parse_method(token)
-    run = partial(_run_chunk, kind, tokens, level, ridge_scale, strict)
+    run = partial(_run_chunk, kind, tokens, level, strict)
     workers = min(workers, os.cpu_count() or 1)
     share = -(-sum(cfg.reps for cfg in cfgs) // (workers * 4))
     jobs = []
@@ -321,7 +317,6 @@ def run_replications(
     cfg: SyntheticConfig,
     methods: Sequence[str] = DEFAULT_METHODS,
     level: float = 0.95,
-    ridge_scale: float = DEFAULT_RIDGE_SCALE,
     workers: int = 1,
     strict: bool = False,
 ) -> SimStudyResult:
@@ -331,7 +326,7 @@ def run_replications(
     Per-replicate estimator failures are excluded and counted unless
     ``strict`` is set, in which case they raise.
     """
-    return _run_studies("synthetic", [cfg], methods, level, ridge_scale, workers, strict)[0]
+    return _run_studies("synthetic", [cfg], methods, level, workers, strict)[0]
 
 
 @dataclass(frozen=True)
@@ -353,7 +348,6 @@ def efficiency_curve(
     gammas: Iterable[float],
     methods: Sequence[str] = DEFAULT_METHODS,
     level: float = 0.95,
-    ridge_scale: float = DEFAULT_RIDGE_SCALE,
     workers: int = 1,
     strict: bool = False,
 ) -> list[CurveRow]:
@@ -365,7 +359,7 @@ def efficiency_curve(
     cfgs = [replace(cfg_base, gamma=float(gamma)) for gamma in gammas]
     if not cfgs:
         raise ConfigError("gamma grid must be nonempty")
-    results = _run_studies("synthetic", cfgs, methods, level, ridge_scale, workers, strict)
+    results = _run_studies("synthetic", cfgs, methods, level, workers, strict)
     return [
         CurveRow(
             gamma=cfg.gamma,
@@ -390,7 +384,7 @@ def conditional_mean_study(
     strict: bool = False,
 ) -> SimStudyResult:
     """Monte Carlo check of the efficiency bound under a conditional-mean prediction."""
-    return _run_studies("conditional_mean", [cfg], methods, level, DEFAULT_RIDGE_SCALE, workers, strict)[0]
+    return _run_studies("conditional_mean", [cfg], methods, level, workers, strict)[0]
 
 
 def ols_coverage_study(
@@ -401,4 +395,4 @@ def ols_coverage_study(
     strict: bool = False,
 ) -> SimStudyResult:
     """Coverage study for the linear-regression coefficients."""
-    return _run_studies("ols", [cfg], methods, level, DEFAULT_RIDGE_SCALE, workers, strict)[0]
+    return _run_studies("ols", [cfg], methods, level, workers, strict)[0]

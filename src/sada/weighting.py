@@ -13,17 +13,16 @@ prediction bias to the variance, the very bias that the weighting absorbs.
 """
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, SingularGram, SingularJacobian, ZeroGram
+from .errors import SingularGram, SingularJacobian, ZeroGram
 from .models import JACOBIAN_SINGULAR, RCOND_THRESHOLD, ScoreModel, check_theta
 
-#: Default ridge multiplier: lambda = ridge_scale * trace(gram) / dim.
-DEFAULT_RIDGE_SCALE = 1e-8
+#: Ridge multiplier of every weight solve: lambda = RIDGE_SCALE * trace(gram) / dim.
+RIDGE_SCALE = 1e-8
 
 #: Row budget of one batch: the moments and the design products take the rows
 #: of each replicate this many at a time, and ``simulate`` fits
@@ -92,38 +91,26 @@ def moment_estimates(
     return gram[0], cross[0]
 
 
-def check_ridge_scale(ridge_scale: float) -> None:
-    """Raise ConfigError unless ridge_scale is a finite number >= 0, so the ridged gram stays PSD."""
-    if not (math.isfinite(ridge_scale) and ridge_scale >= 0.0):
-        raise ConfigError(f"ridge_scale must be a finite number >= 0, got {ridge_scale!r}")
-
-
-def ridged(gram: np.ndarray, ridge_scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """gram + lambda*I per matrix of a stack, lambda = ridge_scale*trace/dim,
-    and which grams are identically zero.
-
-    Raises:
-        ConfigError: ridge_scale is negative, NaN or infinite.
-    """
-    check_ridge_scale(ridge_scale)
+def ridged(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gram + lambda*I per matrix of a stack, lambda = RIDGE_SCALE*trace/dim,
+    and which grams are identically zero."""
     zero = np.all(gram == 0.0, axis=(-2, -1))
     dim = gram.shape[-1]
-    lam = ridge_scale * np.trace(gram, axis1=-2, axis2=-1) / dim
+    lam = RIDGE_SCALE * np.trace(gram, axis1=-2, axis2=-1) / dim
     return gram + lam[..., None, None] * np.eye(dim), zero
 
 
-def solve_grams(
-    gram: np.ndarray, rhs: np.ndarray, ridge_scale: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def solve_grams(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve (gram + ridge) @ x = rhs per replicate via a symmetric pseudo-inverse.
 
-    The pseudo-inverse keeps exactly collinear prediction columns usable
-    (minimum-norm solution) when the ridge is disabled.  Returns (x, zero,
-    bad): ``zero`` marks identically-zero grams (ZeroGram) and ``bad`` the
-    other grams whose solve is not finite (SingularGram); x is zero for both.
-    Those grams are replaced by the identity before the batched solve.
+    The ridge lifts the gram of exactly collinear prediction columns off
+    singular, and the pseudo-inverse drops any direction still below its
+    condition threshold.  Returns (x, zero, bad): ``zero`` marks
+    identically-zero grams (ZeroGram) and ``bad`` the other grams whose
+    solve is not finite (SingularGram); x is zero for both.  Those grams are
+    replaced by the identity before the batched solve.
     """
-    reg, zero = ridged(gram, ridge_scale)
+    reg, zero = ridged(gram)
     finite = np.all(np.isfinite(reg), axis=(-2, -1))
     usable = finite & ~zero
     reg = np.where(usable[:, None, None], reg, np.eye(reg.shape[-1]))
@@ -133,11 +120,10 @@ def solve_grams(
     return solution, zero, bad
 
 
-def solve_gram(gram: np.ndarray, rhs: np.ndarray, ridge_scale: float) -> np.ndarray:
+def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``solve_grams`` for one gram, raising ZeroGram or SingularGram where it would mark it."""
     rhs = np.asarray(rhs, dtype=float)
-    solution, zero, bad = solve_grams(np.asarray(gram, dtype=float)[None], rhs.reshape(1, rhs.shape[0], -1),
-                                      ridge_scale)
+    solution, zero, bad = solve_grams(np.asarray(gram, dtype=float)[None], rhs.reshape(1, rhs.shape[0], -1))
     if zero[0]:
         raise ZeroGram(ZERO_GRAM)
     if bad[0]:
@@ -149,7 +135,6 @@ def estimate_general_weights(
     ds: Dataset,
     model: ScoreModel,
     theta_pilot: np.ndarray | None = None,
-    ridge_scale: float = DEFAULT_RIDGE_SCALE,
 ) -> np.ndarray:
     """General stacked-score weight plug-in (no (N-n)/N factor), from centred moments.
 
@@ -158,7 +143,6 @@ def estimate_general_weights(
         model: score model defining s and its Jacobian.
         theta_pilot: parameter at which scores are evaluated; defaults to the
             naive labeled-data root.
-        ridge_scale: ridge multiplier for the gram matrix.
 
     Returns:
         (K*p, p) weight matrix; callers wanting the population convention
@@ -177,4 +161,4 @@ def estimate_general_weights(
             raise SingularJacobian(JACOBIAN_SINGULAR)
         theta_pilot = pilot[0]
     theta_pilot = check_theta(theta_pilot, model.p, "theta_pilot")
-    return solve_gram(*moment_estimates(ds, model, theta_pilot), ridge_scale)
+    return solve_gram(*moment_estimates(ds, model, theta_pilot))

@@ -8,7 +8,7 @@ on the prediction columns, which ``estimate_general_weights`` must reproduce;
 import numpy as np
 
 from sada import Dataset, DimensionMismatch
-from sada.weighting import DEFAULT_RIDGE_SCALE, solve_gram, solve_grams, stacked_moments
+from sada.weighting import solve_gram, solve_grams, stacked_moments
 
 
 def stacked_score(model, x: np.ndarray, preds: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -25,7 +25,7 @@ def stacked_score(model, x: np.ndarray, preds: np.ndarray, theta: np.ndarray) ->
     return np.concatenate(blocks)
 
 
-def estimate_mean_weights(ds: Dataset, ridge_scale: float = DEFAULT_RIDGE_SCALE) -> np.ndarray:
+def estimate_mean_weights(ds: Dataset) -> np.ndarray:
     """Mean-estimation optimal weights (closed form, factor included).
 
     Computes
@@ -45,10 +45,10 @@ def estimate_mean_weights(ds: Dataset, ridge_scale: float = DEFAULT_RIDGE_SCALE)
     gram = preds_centered.T @ preds_centered / ds.N
     cross = preds_centered[: ds.n].T @ labels_centered / ds.n
     factor = (ds.N - ds.n) / ds.N
-    return factor * solve_gram(gram, cross, ridge_scale)
+    return factor * solve_gram(gram, cross)
 
 
-def sigma_g(problem, theta: np.ndarray, ridge_scale: float = DEFAULT_RIDGE_SCALE):
+def sigma_g(problem, theta: np.ndarray):
     """Efficiency-gain matrices ``cross' gram^{-1} cross`` of every replicate of a
     ``sada.problem.Problem`` at theta (B, p), symmetrised, and where their
     weight solve is not finite.
@@ -59,6 +59,6 @@ def sigma_g(problem, theta: np.ndarray, ridge_scale: float = DEFAULT_RIDGE_SCALE
     weights remove from the naive estimator's.
     """
     gram, cross = stacked_moments(problem, theta, range(problem.K))
-    solved, _, bad = solve_grams(gram, cross, ridge_scale)
+    solved, _, bad = solve_grams(gram, cross)
     out = cross.transpose(0, 2, 1) @ solved
     return 0.5 * (out + out.transpose(0, 2, 1)), bad

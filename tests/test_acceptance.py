@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from sada import (
-    DEFAULT_RIDGE_SCALE,
     ConditionalMeanConfig,
     Dataset,
     OlsCoverageConfig,
@@ -215,7 +214,7 @@ def test_criterion_09_matrix_property_suite():
         theta = np.linalg.lstsq(X[:n], y[:n], rcond=None)[0] if use_ols else np.array([y[:n].mean()])
         problem, at = Problem.of(ds, model), theta[None]
         sigma_nv = _sigma(problem, at, None, ())[0]  # Cov_L(s), the variance at W = 0
-        sigma_g, bad = reference_sigma_g(problem, at, DEFAULT_RIDGE_SCALE)
+        sigma_g, bad = reference_sigma_g(problem, at)
         assert not bad[0]
         sigma_opt = sigma_nv - (N - n) / N * sigma_g[0]
         min_g = min(min_g, float(np.linalg.eigvalsh(sigma_g[0]).min()))

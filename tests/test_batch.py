@@ -36,7 +36,7 @@ CASES = ["plain", "constant_column", "plain", "exact_column", "rank_deficient_la
 
 def outcome(problem, token, i):
     """Replicate i of the token's fits: its error class, or the bytes of its outputs."""
-    fits = fit_method(problem, token, level=0.9, ridge_scale=1e-8)
+    fits = fit_method(problem, token, level=0.9)
     if fits.errors[i] is not None:
         return type(fits.errors[i]).__name__
     arrays = [fits.theta[i]] if fits.covariance is None else [
@@ -68,7 +68,7 @@ def test_a_fit_does_not_depend_on_its_batch(make_model):
     # the per-dataset API is the batch of one
     for (token, i), got in results["one batch"].items():
         try:
-            report = run_method(datasets[i], model, token, level=0.9, ridge_scale=1e-8, truth=truths[i])
+            report = run_method(datasets[i], model, token, level=0.9, truth=truths[i])
         except SadaError as exc:
             assert got == type(exc).__name__
             continue
@@ -120,11 +120,11 @@ def test_any_finite_input_gives_a_finite_fit_or_a_sada_error(seeds, shape, scale
     for model in (mean_model(), ols_model(d)):
         problem = Problem.stack(datasets, model)
         for token in tokens:
-            fits = fit_method(problem, token, level=0.95, ridge_scale=1e-8)
+            fits = fit_method(problem, token, level=0.95)
             for i, ds in enumerate(datasets):
                 error = fits.errors[i]
                 try:
-                    report = run_method(ds, model, token, level=0.95, ridge_scale=1e-8)
+                    report = run_method(ds, model, token, level=0.95)
                 except SadaError as exc:
                     code = next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
                     assert code == NUMERICAL_EXIT, (token, exc)

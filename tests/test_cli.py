@@ -157,11 +157,26 @@ def test_column_beyond_k_exits_two(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["estimate", "compare", "simulate"])
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
 @pytest.mark.parametrize(
-    "flags", [["--level", "1.5"], ["--level", "0"], ["--ridge-scale", "-1"], ["--ridge-scale", "nan"]]
+    "methods, error",
+    [
+        ("ppi:,ppi:1", "bad column index in method token 'ppi:'"),
+        ("naive,ppi_pp:", "bad column index in method token 'ppi_pp:'"),
+        ("sada:", "method 'sada' takes no column index: 'sada:'"),
+    ],
 )
-def test_out_of_range_level_or_ridge_scale_exits_two(tmp_path, capsys, command, flags):
+def test_a_colon_with_no_column_exits_two(tmp_path, capsys, command, methods, error):
+    # "ppi:" once read as column 1, so "ppi:,ppi:1" fitted column 1 twice
+    args = [command] if command == "simulate" else [command, str(make_csv(tmp_path))]
+    assert main(args + ["--methods", methods, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"ConfigError: {error}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare", "simulate"])
+@pytest.mark.parametrize("flags", [["--level", "1.5"], ["--level", "0"]])
+def test_out_of_range_level_exits_two(tmp_path, capsys, command, flags):
     args = [command] if command == "simulate" else [command, str(make_csv(tmp_path))]
     assert main(args + flags + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("ConfigError:")
@@ -315,18 +330,21 @@ def test_option_of_another_command_exits_two(tmp_path, capsys, command, config):
 
 
 @pytest.mark.parametrize("command", ["estimate", "compare", "simulate"])
-def test_centering_is_no_option_of_any_command(tmp_path, capsys, command):
-    # moments are always centred, so neither the flag nor the config key exists
+@pytest.mark.parametrize("key, value", [("centering", "off"), ("ridge_scale", "0.01")])
+def test_centering_is_no_option_of_any_command(tmp_path, capsys, command, key, value):
+    # moments are always centred and the weight-solve ridge is fixed, so
+    # neither option has a flag or a config key
     args = [command] if command == "simulate" else [command, str(make_csv(tmp_path))]
     args += ["--out", str(tmp_path / "out")]
+    flag = "--" + key.replace("_", "-")
     with pytest.raises(SystemExit) as exc:
-        main(args + ["--centering", "off"])
+        main(args + [flag, value])
     assert exc.value.code == 2
-    assert "--centering" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
     path = tmp_path / "run.cfg"
-    path.write_text("centering = off\n")
+    path.write_text(f"{key} = {value}\n")
     assert main(args + ["--config", str(path)]) == 2
-    assert capsys.readouterr().err == f"ConfigError: {command} takes no config key 'centering'\n"
+    assert capsys.readouterr().err == f"ConfigError: {command} takes no config key '{key}'\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -404,10 +422,10 @@ def test_simulate_non_finite_theta_star_exits_two(tmp_path, capsys):
 
 # one non-default value for every option of each command
 NON_DEFAULTS = {
-    "estimate": [("model", "ols"), ("level", "0.9"), ("ridge_scale", "0.01"),
-                 ("methods", "naive,ppi:1,ppi_pp:2,sada"), ("out", "elsewhere")],
-    "compare": [("model", "ols"), ("level", "0.8"), ("ridge_scale", "0.01"), ("out", "elsewhere")],
-    "simulate": [("level", "0.9"), ("ridge_scale", "0.01"), ("out", "elsewhere"),
+    "estimate": [("model", "ols"), ("level", "0.9"), ("methods", "naive,ppi:1,ppi_pp:2,sada"),
+                 ("out", "elsewhere")],
+    "compare": [("model", "ols"), ("level", "0.8"), ("out", "elsewhere")],
+    "simulate": [("level", "0.9"), ("out", "elsewhere"),
                  ("methods", "naive,ppi:1,sada"), ("seed", "4"), ("reps", "4"), ("gamma_grid", "0,1"),
                  ("workers", "2"), ("strict", "on"), ("theta_star", "1.5"), ("total_rows", "50"),
                  ("labeled_rows", "12")],
@@ -459,7 +477,7 @@ def test_help_shows_every_default(capsys, command):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     options = re.findall(r"^  (--[a-z-]+)", text, flags=re.M)
-    assert len(options) == (6 if command == "estimate" else 5 if command == "compare" else 13)
+    assert len(options) == (5 if command == "estimate" else 4 if command == "compare" else 12)
     assert " ".join(text.split()).count("(default: ") == len(options)
     assert "(default: 0.95)" in text
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sada import (
-    DEFAULT_RIDGE_SCALE,
     Dataset,
     EstimateReport,
     ScoreModel,
@@ -357,8 +356,8 @@ def test_permuting_prediction_columns_permutes_per_column_methods(make_model):
     for j, src in enumerate(perm):
         pairs += [(f"ppi:{j + 1}", f"ppi:{src + 1}"), (f"ppi_pp:{j + 1}", f"ppi_pp:{src + 1}")]
     for token_permuted, token in pairs:
-        a = run_method(permuted, model, token_permuted, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
-        b = run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+        a = run_method(permuted, model, token_permuted, level=0.95)
+        b = run_method(ds, model, token, level=0.95)
         for got, want in ((a.theta_hat, b.theta_hat), (a.intervals.lower, b.intervals.lower),
                           (a.intervals.upper, b.intervals.upper)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), token
@@ -374,8 +373,8 @@ def test_ols_intercept_is_shift_equivariant(seed, c):
     model = ols_model(2)
     tokens = ["naive", "sada"] + [f"{m}:{k}" for m in ("ppi", "ppi_pp") for k in range(1, ds.K + 1)]
     for token in tokens:
-        base = run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
-        moved = run_method(shifted, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+        base = run_method(ds, model, token, level=0.95)
+        moved = run_method(shifted, model, token, level=0.95)
         want = base.theta_hat + np.array([c, 0.0])
         assert np.max(np.abs(moved.theta_hat - want)) <= 1e-9 * (1.0 + abs(c)), token
         gap = np.max(np.abs(moved.covariance - base.covariance))
@@ -395,8 +394,8 @@ def test_every_method_is_equivariant_to_the_units_of_y(make_model, c):
         ds = ols_dataset(np.random.default_rng(100 + seed))
         scaled = Dataset.from_arrays(ds.features, c * ds.labels, c * ds.predictions)
         for token in compare_tokens(ds.K):
-            base = run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
-            moved = run_method(scaled, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+            base = run_method(ds, model, token, level=0.95)
+            moved = run_method(scaled, model, token, level=0.95)
             for got, want in ((moved.theta_hat / c, base.theta_hat),
                               (moved.covariance / c**2, base.covariance)):
                 assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (seed, token)
@@ -410,8 +409,8 @@ def test_closed_form_matches_newton(make_model):
     newton = dataclasses.replace(model, design=None)
     ds = ols_dataset(np.random.default_rng(17))
     for token in compare_tokens(ds.K):
-        a = run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
-        b = run_method(ds, newton, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+        a = run_method(ds, model, token, level=0.95)
+        b = run_method(ds, newton, token, level=0.95)
         for got, want in ((a.theta_hat, b.theta_hat), (a.covariance, b.covariance),
                           (a.intervals.lower, b.intervals.lower),
                           (a.intervals.upper, b.intervals.upper)):
@@ -463,10 +462,10 @@ def test_a_custom_design_on_rows_matches_ols(name):
     assert close(estimate_general_weights(own, custom), estimate_general_weights(ds, ols))
     batch = sada.problem.Problem.stack(mine, custom, truths)
     for token in compare_tokens(ds.K) + ["oracle"]:
-        fits = fit_method(batch, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+        fits = fit_method(batch, token, level=0.95)
         for i, (ds, own, truth) in enumerate(zip(datasets, mine, truths)):
-            a = run_method(own, custom, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE, truth=truth)
-            b = run_method(ds, ols, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE, truth=truth)
+            a = run_method(own, custom, token, level=0.95, truth=truth)
+            b = run_method(ds, ols, token, level=0.95, truth=truth)
             assert close(a.theta_hat, b.theta_hat) and close(fits.theta[i], b.theta_hat), token
             if token != "oracle":
                 assert close(a.covariance, b.covariance) and close(fits.covariance[i], b.covariance), token
@@ -484,8 +483,8 @@ def test_newton_does_not_depend_on_the_units_of_y(make_model):
     model = make_model()
     newton = dataclasses.replace(model, design=None)
     for token in ("naive", "ppi:1", "ppi_pp:1", "sada"):
-        a = run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
-        b = run_method(ds, newton, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+        a = run_method(ds, model, token, level=0.95)
+        b = run_method(ds, newton, token, level=0.95)
         for got, want in ((b.theta_hat, a.theta_hat), (b.covariance, a.covariance)):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), token
 
@@ -519,7 +518,7 @@ def test_built_in_models_never_reach_newton(monkeypatch):
     truth = np.concatenate([ds.labels, rng.standard_normal(ds.N - ds.n)])
     for model in (mean_model(), ols_model(2)):
         for token in compare_tokens(ds.K) + ["oracle"]:
-            report = run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE, truth=truth)
+            report = run_method(ds, model, token, level=0.95, truth=truth)
             assert report.diagnostics["solver_iterations"] == 1, token
 
 
@@ -560,7 +559,7 @@ def test_logistic_model_is_solved_by_newton():
     naive = naive_estimate(ds, model)
     assert np.max(np.abs(naive.theta_hat - beta)) <= 1e-10 * np.max(np.abs(beta))
     for token in ("ppi:1", "ppi_pp:1", "sada"):
-        report = run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+        report = run_method(ds, model, token, level=0.95)
         assert np.all(np.isfinite(report.theta_hat)), token
         lower, upper = report.intervals.lower, report.intervals.upper
         assert np.all(np.isfinite(lower)) and np.all(np.isfinite(upper)), token
@@ -615,8 +614,8 @@ def test_degenerate_inputs_give_finite_estimates_and_intervals(make_model, case,
         or case == "one_unlabeled_row" and model.p == 2 and token.startswith("ppi:")
     ):
         with pytest.raises(SingularJacobian):
-            run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+            run_method(ds, model, token, level=0.95)
         return
-    report = run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+    report = run_method(ds, model, token, level=0.95)
     assert np.all(np.isfinite(report.theta_hat))
     assert np.all(np.isfinite(report.intervals.lower)) and np.all(np.isfinite(report.intervals.upper))

@@ -4,7 +4,6 @@ from scipy import stats
 
 import sada.simulate
 from sada import (
-    DEFAULT_RIDGE_SCALE,
     ConfigError,
     Dataset,
     EstimateReport,
@@ -18,7 +17,6 @@ from sada import (
     moment_estimates,
     naive_estimate,
     ols_model,
-    ppi_pp_estimate,
     sada_estimate,
     solve_weighted,
 )
@@ -57,8 +55,8 @@ def sigma_nv(ds, model, theta):
     return _sigma(Problem.of(ds, model), np.asarray(theta, dtype=float)[None], None, ())[0]
 
 
-def sigma_g(ds, model, theta, ridge_scale=DEFAULT_RIDGE_SCALE):
-    out, bad = reference.sigma_g(Problem.of(ds, model), np.asarray(theta, dtype=float)[None], ridge_scale)
+def sigma_g(ds, model, theta):
+    out, bad = reference.sigma_g(Problem.of(ds, model), np.asarray(theta, dtype=float)[None])
     assert not bad[0]
     return out[0]
 
@@ -126,9 +124,9 @@ def test_sigma_g_constant_predictions_is_zero():
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
-def test_sigma_g_triple_product_fixture():
+def test_sigma_g_triple_product_fixture(no_ridge):
     ds = Dataset.from_arrays(np.ones((8, 1)), SG_YLAB, SG_YHAT)
-    out = sigma_g(ds, mean_model(), np.array([2.25]), ridge_scale=0.0)
+    out = sigma_g(ds, mean_model(), np.array([2.25]))
     assert abs(out[0, 0] - SG_SIGMA_G) < 1e-12
 
 
@@ -225,7 +223,7 @@ def test_sigma_opt_dominated_by_sigma_nv():
         assert np.linalg.eigvalsh(gap).min() >= -1e-8
 
 
-def test_mean_model_omega_matches_variance_expression():
+def test_mean_model_omega_matches_variance_expression(no_ridge):
     # for the mean, H = -1 and s - w'S = (y - theta) - w'(yhat - theta), so
     # Omega == var_L(y - w'yhat) + n/(N-n) var_U(w'yhat), the shift by theta
     # dropping out of both variances
@@ -234,7 +232,7 @@ def test_mean_model_omega_matches_variance_expression():
     preds = np.column_stack([0.7 * y + 0.5 * rng.standard_normal(100), rng.standard_normal(100)])
     ds = Dataset.from_arrays(np.ones((100, 1)), y[:40], preds)
     m = mean_model()
-    rep = sada_estimate(ds, m, ridge_scale=0.0)
+    rep = sada_estimate(ds, m)
     omega = attach_inference(rep, ds, m).covariance
 
     w = np.asarray(rep.weights).ravel()
@@ -298,7 +296,7 @@ def test_every_variance_is_psd_and_no_interval_has_zero_width(model_name):
         eig = np.linalg.eigvalsh(sigma)
         assert eig.min() >= -1e-12 * np.abs(eig).max()
         reports = [attach_inference(EstimateReport(theta[0], "ppi", weights=W[0]), ds, model)]
-        reports += [run_method(ds, model, token, level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+        reports += [run_method(ds, model, token, level=0.95)
                     for token in ("ppi:1", "ppi_pp:1", "sada")]
         for report in reports:
             eig = np.linalg.eigvalsh(report.covariance)
@@ -422,26 +420,13 @@ def test_a_non_finite_theta_is_rejected(entry, bad, model):
             THETA_ENTRY_POINTS[entry](ds, model, theta)
 
 
-@pytest.mark.parametrize("ridge_scale", [-1.0, float("nan"), float("inf")])
-def test_library_rejects_a_bad_ridge_scale(ridge_scale):
-    # a negative ridge can make the regularised gram indefinite and the
-    # interval zero-width; NaN and infinity used to fall back to naive
-    ds, _ = generate_synthetic(SyntheticConfig(N=400, n=80), 0)
-    model = mean_model()
-    match = "ridge_scale must be a finite number >= 0"
-    with pytest.raises(ConfigError, match=match):
-        sada_estimate(ds, model, ridge_scale=ridge_scale)
-    with pytest.raises(ConfigError, match=match):
-        ppi_pp_estimate(ds, model, 1, ridge_scale=ridge_scale)
-
-
 @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan")])
 def test_library_rejects_a_level_outside_zero_one(monkeypatch, level):
     ds, _ = generate_synthetic(SyntheticConfig(N=400, n=80), 0)
     model = mean_model()
     match = r"level must be in \(0, 1\)"
     with pytest.raises(ConfigError, match=match):
-        run_method(ds, model, "sada", level=level, ridge_scale=DEFAULT_RIDGE_SCALE)
+        run_method(ds, model, "sada", level=level)
     with pytest.raises(ConfigError, match=match):
         attach_inference(naive_estimate(ds, model), ds, model, level)
 
@@ -454,15 +439,8 @@ def no_replicate(*args):
     raise AssertionError("a replicate ran")
 
 
-@pytest.mark.parametrize("ridge_scale", [-1.0, float("nan")])
-def test_studies_reject_a_bad_ridge_scale_before_any_replicate(monkeypatch, ridge_scale):
-    monkeypatch.setattr(sada.simulate, "_run_chunk", no_replicate)
-    with pytest.raises(ConfigError, match="ridge_scale must be a finite number >= 0"):
-        efficiency_curve(SyntheticConfig(reps=5, seed=1), [0.5], ["naive", "sada"], ridge_scale=ridge_scale)
-
-
-def test_run_method_takes_level_and_ridge_scale_only_by_keyword():
+def test_run_method_takes_level_only_by_keyword():
     # a positional call past the token would bind values to the wrong options
     ds, _ = generate_synthetic(SyntheticConfig(N=400, n=80), 0)
     with pytest.raises(TypeError):
-        run_method(ds, mean_model(), "sada", 0.95, DEFAULT_RIDGE_SCALE)
+        run_method(ds, mean_model(), "sada", 0.95)

@@ -1,6 +1,9 @@
 """The names bound in ``sada``, pinned so that adding or removing one is a
 deliberate one-line edit here."""
+import importlib
 import inspect
+
+import pytest
 
 import sada
 
@@ -8,7 +11,6 @@ PUBLIC_NAMES = [
     "ConditionalMeanConfig",
     "ConfigError",
     "CurveRow",
-    "DEFAULT_RIDGE_SCALE",
     "Dataset",
     "DimensionMismatch",
     "EstimateReport",
@@ -57,3 +59,31 @@ def test_the_public_surface_is_the_pinned_list():
         if not name.startswith("_") and not inspect.ismodule(value)
     )
     assert bound == PUBLIC_NAMES
+
+
+#: Every function that took the weight-solve ridge as an option before it
+#: became the constant ``sada.weighting.RIDGE_SCALE``.
+FORMER_RIDGE_TAKERS = [
+    "estimators.fit_ppi_pp",
+    "estimators.fit_sada",
+    "estimators.ppi_pp_estimate",
+    "estimators.sada_estimate",
+    "inference.fit_method",
+    "inference.run_method",
+    "weighting.estimate_general_weights",
+    "weighting.solve_grams",
+    "weighting.solve_gram",
+    "weighting.ridged",
+    "simulate._run_chunk",
+    "simulate._run_studies",
+    "simulate.run_replications",
+    "simulate.efficiency_curve",
+]
+
+
+@pytest.mark.parametrize("path", FORMER_RIDGE_TAKERS)
+def test_no_function_takes_a_ridge_option(path):
+    module, name = path.split(".")
+    params = inspect.signature(getattr(importlib.import_module(f"sada.{module}"), name)).parameters
+    assert "ridge_scale" not in params
+    assert not any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())

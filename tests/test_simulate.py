@@ -78,7 +78,7 @@ def test_parse_method_tokens():
     assert parse_method("naive") == ("naive", None)
     assert parse_method("ppi") == ("ppi", 1)
     assert parse_method("ppi_pp:2") == ("ppi_pp", 2)
-    for bad in ("mystery", "ppi:x", "ppi:0", "sada:1"):
+    for bad in ("mystery", "ppi:x", "ppi:0", "sada:1", "ppi:", "ppi_pp:", "naive:"):
         with pytest.raises(ConfigError):
             parse_method(bad)
 
@@ -257,10 +257,10 @@ FAILING_METHODS = ("naive", "ppi:1", "ppi:2", "ppi_pp:1", "sada", "oracle")
 @pytest.mark.parametrize("chunk_rows", [16384, 600])
 def test_failures_are_counted_per_replicate_and_token(monkeypatch, chunk_rows):
     cfg = OlsCoverageConfig(N=200, n=60, reps=12, seed=5)
-    clean = simulate._run_studies("ols", [cfg], FAILING_METHODS, 0.95, 1e-8, 1, False)[0]
+    clean = simulate._run_studies("ols", [cfg], FAILING_METHODS, 0.95, 1, False)[0]
     monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk_rows)  # 600 rows: batches of 3 replicates
     monkeypatch.setitem(simulate._STUDIES, "ols", rank_deficient_at({3, 8}, {5}))
-    res = simulate._run_studies("ols", [cfg], FAILING_METHODS, 0.95, 1e-8, 1, False)
+    res = simulate._run_studies("ols", [cfg], FAILING_METHODS, 0.95, 1, False)
     res = res[0]
     # the counts the per-replicate harness gave before fits were batched
     assert res.failures == {"naive": 2, "ppi:1": 3, "ppi:2": 3, "ppi_pp:1": 2, "sada": 2, "oracle": 0}
@@ -283,7 +283,7 @@ def test_strict_raises_the_error_of_the_first_failing_replicate(monkeypatch, chu
 
     def strict(methods, labeled=(), unlabeled=(), everywhere=()):
         monkeypatch.setitem(simulate._STUDIES, "ols", rank_deficient_at(labeled, unlabeled, everywhere))
-        simulate._run_studies("ols", [cfg], methods, 0.95, 1e-8, 1, True)
+        simulate._run_studies("ols", [cfg], methods, 0.95, 1, True)
 
     # ppi:1 raises SingularHessian where only the labeled design is singular
     # and SingularJacobian where the unlabeled one is; naive, always fitted,

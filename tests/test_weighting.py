@@ -8,7 +8,6 @@ import pytest
 
 import sada.weighting
 from sada import (
-    DEFAULT_RIDGE_SCALE,
     Dataset,
     SingularGram,
     ZeroGram,
@@ -51,9 +50,9 @@ def mean_dataset(rng, N=200, n=60, yhat1=None, yhat2=None, theta=0.5):
     return Dataset.from_arrays(np.ones((N, 1)), y[:n], np.column_stack(cols)), y
 
 
-def test_fixed_dataset_matches_hand_solved_system():
+def test_fixed_dataset_matches_hand_solved_system(no_ridge):
     ds = fixed_dataset()
-    w = estimate_mean_weights(ds, ridge_scale=0.0)
+    w = estimate_mean_weights(ds)
     assert np.allclose(w, FIXED_OMEGA, atol=1e-12)
     # in-test re-derivation of the oracle, kept alongside the frozen constants
     m1, m2 = np.mean(FIXED_YHAT1), np.mean(FIXED_YHAT2)
@@ -140,21 +139,41 @@ def test_perfect_single_prediction_weight_near_factor():
 
 
 def test_regularize_identity():
-    out, zero = ridged(np.eye(3), ridge_scale=1e-8)
+    out, zero = ridged(np.eye(3))
     assert np.allclose(out, (1 + 1e-8) * np.eye(3), atol=1e-18)
     assert not zero
 
 
 def test_regularize_rank_deficient_spectrum():
     gram = np.array([[1.0, 1.0], [1.0, 1.0]])
-    out, _ = ridged(gram, ridge_scale=1e-8)
+    out, _ = ridged(gram)
     lam = 1e-8 * 2.0 / 2.0
     eigs = np.sort(np.linalg.eigvalsh(out))
     assert np.allclose(eigs, [lam, 2.0 + lam], atol=1e-15)
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e-8, 0.25])
+def test_the_ridge_is_the_module_constant_read_at_call_time(monkeypatch, scale):
+    # lambda = RIDGE_SCALE * trace / dim, for a stack of grams, and the weight
+    # solve takes the constant as it stands when it runs
+    gram = np.array([[[4.0, 1.0], [1.0, 2.0]], [[1.0, 0.0], [0.0, 9.0]]])
+    monkeypatch.setattr(sada.weighting, "RIDGE_SCALE", scale)
+    out, zero = ridged(gram)
+    assert np.array_equal(out[0], gram[0] + scale * 3.0 * np.eye(2))
+    assert np.array_equal(out[1], gram[1] + scale * 5.0 * np.eye(2))
+    assert not zero.any()
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal(60)
+    ds = Dataset.from_arrays(np.ones((60, 1)), y[:20], (y + rng.standard_normal(60))[:, None])
+    with monkeypatch.context() as m:
+        m.setattr(sada.weighting, "RIDGE_SCALE", 0.0)
+        exact = estimate_general_weights(ds, mean_model())[0, 0]
+    # one column: w = c / (v + scale * v) = exact / (1 + scale)
+    assert estimate_general_weights(ds, mean_model())[0, 0] == pytest.approx(exact / (1.0 + scale), rel=1e-12)
+
+
 def test_regularize_zero_gram_raises():
-    out, zero = ridged(np.zeros((2, 2)), DEFAULT_RIDGE_SCALE)
+    out, zero = ridged(np.zeros((2, 2)))
     assert zero and not out.any()
     # a zero gram raises ZeroGram from the weight plug-in, which surfaces as SingularGram upstream
     ds = Dataset.from_arrays(np.ones((6, 1)), [1.0, 2.0], np.full((6, 2), 3.0))
@@ -174,17 +193,17 @@ def test_all_constant_predictions_raise_singular_gram():
         estimate_mean_weights(ds)
 
 
-def test_scaling_a_column_rescales_its_weight():
+def test_scaling_a_column_rescales_its_weight(no_ridge):
     # multiplying column k by c multiplies omega_k by 1/c and leaves the
     # fitted combination invariant (ridge off, nondegenerate gram)
     rng = np.random.default_rng(18)
     ds, _ = mean_dataset(rng, yhat1="truth")
-    w = estimate_mean_weights(ds, ridge_scale=0.0)
+    w = estimate_mean_weights(ds)
     c = 7.5
     scaled_preds = ds.predictions.copy()
     scaled_preds[:, 1] *= c
     ds2 = Dataset.from_arrays(ds.features, ds.labels, scaled_preds)
-    w2 = estimate_mean_weights(ds2, ridge_scale=0.0)
+    w2 = estimate_mean_weights(ds2)
     assert abs(w2[0] - w[0]) < 1e-10
     assert abs(w2[1] - w[1] / c) < 1e-10
     assert np.allclose(ds.predictions @ w, ds2.predictions @ w2, atol=1e-10)
@@ -205,24 +224,24 @@ def variance_quadratic(ds, w):
     )
 
 
-def test_duplicate_column_never_hurts_the_objective():
+def test_duplicate_column_never_hurts_the_objective(no_ridge):
     rng = np.random.default_rng(19)
     ds, _ = mean_dataset(rng, yhat1="truth")
-    w = estimate_mean_weights(ds, ridge_scale=0.0)
+    w = estimate_mean_weights(ds)
     base = variance_quadratic(ds, w)
     dup = Dataset.from_arrays(
         ds.features, ds.labels, np.column_stack([ds.predictions, ds.predictions[:, 0]])
     )
-    w_dup = estimate_mean_weights(dup, ridge_scale=0.0)  # pseudo-solve path
+    w_dup = estimate_mean_weights(dup)  # pseudo-solve path
     assert variance_quadratic(dup, w_dup) <= base + 1e-10
 
 
-def test_single_column_weight_equals_ratio_form():
+def test_single_column_weight_equals_ratio_form(no_ridge):
     rng = np.random.default_rng(20)
     y = 0.5 + rng.standard_normal(120)
     yhat = 0.8 * y + 0.4 * rng.standard_normal(120)
     ds = Dataset.from_arrays(np.ones((120, 1)), y[:40], yhat[:, None])
-    w = estimate_mean_weights(ds, ridge_scale=0.0)
+    w = estimate_mean_weights(ds)
     cov = float(
         (ds.predictions[: ds.n, 0] - ds.predictions[:, 0].mean())
         @ (ds.labels - ds.labels.mean())
@@ -292,13 +311,13 @@ def test_moments_do_not_depend_on_the_chunk_size(monkeypatch, shape, model_name,
     gram, cross = exact_moments(ds, model, pilot)
     root = np.sqrt(np.diag(gram))
     gram, cross = scale_free(gram, cross, root)
-    report = run_method(ds, model, "sada", level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+    report = run_method(ds, model, "sada", level=0.95)
     for chunk in (1, 7, 64, sada.weighting.CHUNK_ROWS):
         monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk)
         gram_c, cross_c = scale_free(*moment_estimates(ds, model, pilot), root)
         assert np.max(np.abs(gram_c - gram)) <= 1e-12, chunk
         assert np.max(np.abs(cross_c - cross)) <= 1e-12, chunk
-        report_c = run_method(ds, model, "sada", level=0.95, ridge_scale=DEFAULT_RIDGE_SCALE)
+        report_c = run_method(ds, model, "sada", level=0.95)
         for got, want in ((report_c.theta_hat, report.theta_hat),
                           (report_c.covariance, report.covariance)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), chunk
