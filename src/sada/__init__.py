@@ -41,10 +41,8 @@ from .simulate import (
     OlsCoverageConfig,
     SimStudyResult,
     SyntheticConfig,
-    conditional_mean_study,
     efficiency_curve,
     generate_synthetic,
-    ols_coverage_study,
     run_replications,
 )
 from .weighting import estimate_general_weights, moment_estimates

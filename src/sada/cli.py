@@ -24,7 +24,7 @@ from .errors import (
     SadaError,
     SchemaError,
 )
-from .estimators import parse_method
+from .estimators import unique_methods
 from .inference import check_level, fit_method
 from .io import (
     format_human_table,
@@ -86,12 +86,10 @@ def parse_gamma_grid(spec: str) -> list[float]:
 
 
 def _parse_methods(spec: str) -> list[str]:
-    """Comma-separated method tokens, each checked, repeats dropped in first-seen order."""
-    tokens = list(dict.fromkeys(tok.strip() for tok in spec.split(",") if tok.strip()))
+    """Comma-separated method tokens, each checked, repeats of a method dropped in first-seen order."""
+    tokens = unique_methods(tok.strip() for tok in spec.split(",") if tok.strip())
     if not tokens:
         raise ConfigError("methods list is empty")
-    for token in tokens:
-        parse_method(token)
     return tokens
 
 

@@ -25,7 +25,7 @@ workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -62,6 +62,14 @@ def parse_method(token: str) -> tuple[str, int | None]:
     if k < 1:
         raise ConfigError(f"column index must be >= 1 in {token!r}")
     return name, k
+
+
+def unique_methods(tokens: Iterable[str]) -> list[str]:
+    """The tokens, each checked, less any naming an already-seen (tag, column); first-seen order."""
+    seen: dict[tuple[str, int | None], str] = {}
+    for token in tokens:
+        seen.setdefault(parse_method(token), token)
+    return list(seen.values())
 
 
 @dataclass(frozen=True)

@@ -105,15 +105,10 @@ class Problem:
                    None if truth is None else np.asarray(truth, dtype=float)[None])
 
     @classmethod
-    def stack(cls, datasets: Sequence[Dataset], model: ScoreModel, truths=None) -> "Problem":
-        """Datasets of one shape, in order, as one batch."""
-        return cls(
-            model,
-            np.stack([ds.features for ds in datasets]),
-            np.stack([ds.labels for ds in datasets]),
-            np.stack([ds.predictions for ds in datasets]),
-            None if truths is None else np.stack(truths),
-        )
+    def stack(cls, model: ScoreModel, draws: Sequence[tuple]) -> "Problem":
+        """Replicates of one shape, in order, as one batch: each draw is the (features,
+        labels, predictions[, truth]) arrays of one, copied once here and not validated."""
+        return cls(model, *map(np.stack, zip(*draws)))
 
     @cached_property
     def _labeled(self) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,11 @@
 """Monte Carlo replication harness for comparing the estimators.
 
-Every replicate draws its own RNG substream from ``SeedSequence(seed,
-spawn_key=(rep_index,))``.  A job is a range of replicates of one config:
-they are drawn one by one, stacked into one ``problem.Problem``, and every
+A study is its config: ``SyntheticConfig``, ``ConditionalMeanConfig`` and
+``OlsCoverageConfig`` each draw their replicates (``draw``), name their score
+model (``model``) and their estimand (``target``).  Every replicate draws its
+own RNG substream from ``SeedSequence(seed, spawn_key=(rep_index,))``.  A job
+is a range of replicates of one config: their arrays are drawn straight into
+one ``problem.Problem``, copied once and not validated as datasets, and every
 method is fitted on all of them in one batched pass.  Each replicate's fit
 does not depend on which others share its batch, so results are
 bit-identical no matter how the replicates are split into jobs and
@@ -25,7 +28,7 @@ import numpy as np
 from . import weighting
 from .data import Dataset
 from .errors import ConfigError
-from .estimators import parse_method
+from .estimators import unique_methods
 from .inference import check_level, fit_method
 from .models import ScoreModel, mean_model, ols_model
 from .problem import Problem
@@ -44,6 +47,16 @@ def _check_design(cfg) -> None:
     for name in ("theta_star", "noise_sd"):
         if not np.all(np.isfinite(getattr(cfg, name, 0.0))):
             raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
+
+
+def _rng_for(seed: int, rep_index: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep_index,)))
+
+
+def _prediction_pair(rng: np.random.Generator, y: np.ndarray, gamma: float) -> np.ndarray:
+    """(Yhat1, Yhat2) = (gamma*Y + (1-gamma)*eps1, (1-gamma)*Y + gamma*eps2) as (N, 2)."""
+    eps1, eps2 = rng.standard_normal(y.shape[0]), rng.standard_normal(y.shape[0])
+    return np.column_stack([gamma * y + (1.0 - gamma) * eps1, (1.0 - gamma) * y + gamma * eps2])
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,18 @@ class SyntheticConfig:
     def __post_init__(self):
         _check_design(self)
 
+    def draw(self, rep_index: int) -> tuple[np.ndarray, ...]:
+        """Replicate ``rep_index`` as (features, labels, predictions, truth)."""
+        rng = _rng_for(self.seed, rep_index)
+        y = self.theta_star + rng.standard_normal(self.N)
+        return np.ones((self.N, 1)), y[: self.n], _prediction_pair(rng, y, self.gamma), y
+
+    def model(self) -> ScoreModel:
+        return mean_model()
+
+    def target(self) -> np.ndarray:
+        return np.array([self.theta_star])
+
 
 @dataclass(frozen=True)
 class ConditionalMeanConfig:
@@ -80,6 +105,20 @@ class ConditionalMeanConfig:
 
     def __post_init__(self):
         _check_design(self)
+
+    def draw(self, rep_index: int) -> tuple[np.ndarray, ...]:
+        """Replicate ``rep_index`` as (features, labels, predictions, truth)."""
+        rng = _rng_for(self.seed, rep_index)
+        x = rng.standard_normal(self.N)
+        y = x + self.noise_sd * rng.standard_normal(self.N)
+        noise = rng.standard_normal(self.N)
+        return x[:, None], y[: self.n], np.column_stack([x, noise]), y
+
+    def model(self) -> ScoreModel:
+        return mean_model()
+
+    def target(self) -> np.ndarray:
+        return np.array([0.0])
 
 
 @dataclass(frozen=True)
@@ -102,83 +141,34 @@ class OlsCoverageConfig:
     def __post_init__(self):
         _check_design(self)
 
+    def draw(self, rep_index: int) -> tuple[np.ndarray, ...]:
+        """Replicate ``rep_index`` as (features, labels, predictions, truth)."""
+        rng = _rng_for(self.seed, rep_index)
+        X = np.column_stack([np.ones(self.N), rng.standard_normal(self.N)])
+        y = X @ self.target() + rng.standard_normal(self.N)
+        return X, y[: self.n], _prediction_pair(rng, y, self.gamma), y
 
-def _rng_for(seed: int, rep_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep_index,)))
+    def model(self) -> ScoreModel:
+        return ols_model(2)
+
+    def target(self) -> np.ndarray:
+        return np.asarray(self.theta_star, dtype=float)
 
 
 def generate_synthetic(cfg: SyntheticConfig, rep_index: int) -> tuple[Dataset, np.ndarray]:
-    """One synthetic replicate; deterministic given (cfg.seed, rep_index)."""
-    rng = _rng_for(cfg.seed, rep_index)
-    y = cfg.theta_star + rng.standard_normal(cfg.N)
-    eps1 = rng.standard_normal(cfg.N)
-    eps2 = rng.standard_normal(cfg.N)
-    yhat1 = cfg.gamma * y + (1.0 - cfg.gamma) * eps1
-    yhat2 = (1.0 - cfg.gamma) * y + cfg.gamma * eps2
-    ds = Dataset.from_arrays(
-        features=np.ones((cfg.N, 1)),
-        labels=y[: cfg.n],
-        predictions=np.column_stack([yhat1, yhat2]),
-    )
-    return ds, y
-
-
-def generate_conditional_mean(cfg: ConditionalMeanConfig, rep_index: int) -> tuple[Dataset, np.ndarray]:
-    rng = _rng_for(cfg.seed, rep_index)
-    x = rng.standard_normal(cfg.N)
-    y = x + cfg.noise_sd * rng.standard_normal(cfg.N)
-    noise = rng.standard_normal(cfg.N)
-    ds = Dataset.from_arrays(
-        features=x[:, None],
-        labels=y[: cfg.n],
-        predictions=np.column_stack([x, noise]),
-    )
-    return ds, y
-
-
-def generate_ols(cfg: OlsCoverageConfig, rep_index: int) -> tuple[Dataset, np.ndarray]:
-    rng = _rng_for(cfg.seed, rep_index)
-    z = rng.standard_normal(cfg.N)
-    X = np.column_stack([np.ones(cfg.N), z])
-    y = X @ np.asarray(cfg.theta_star) + rng.standard_normal(cfg.N)
-    eps1 = rng.standard_normal(cfg.N)
-    eps2 = rng.standard_normal(cfg.N)
-    yhat1 = cfg.gamma * y + (1.0 - cfg.gamma) * eps1
-    yhat2 = (1.0 - cfg.gamma) * y + cfg.gamma * eps2
-    ds = Dataset.from_arrays(
-        features=X, labels=y[: cfg.n], predictions=np.column_stack([yhat1, yhat2])
-    )
-    return ds, y
-
-
-_STUDIES = {
-    "synthetic": generate_synthetic,
-    "conditional_mean": generate_conditional_mean,
-    "ols": generate_ols,
-}
-
-
-def _model_for(kind: str) -> ScoreModel:
-    return ols_model(2) if kind == "ols" else mean_model()
-
-
-def _theta_star_for(kind: str, cfg) -> np.ndarray:
-    if kind == "synthetic":
-        return np.array([cfg.theta_star])
-    if kind == "conditional_mean":
-        return np.array([0.0])
-    return np.asarray(cfg.theta_star, dtype=float)
+    """Replicate ``rep_index`` of ``cfg`` as a validated dataset and its true labels."""
+    features, labels, predictions, truth = cfg.draw(rep_index)
+    return Dataset.from_arrays(features, labels, predictions), truth
 
 
 @dataclass(frozen=True)
 class SimStudyResult:
-    """Aggregated Monte Carlo results for one study configuration.
+    """Aggregated Monte Carlo results for one study config; ``theta_star`` is its ``target()``.
 
     Per-method arrays are indexed by parameter component; ``estimates``
     carries the raw per-replication estimates for replay and plotting.
     """
 
-    kind: str
     methods: tuple[str, ...]
     theta_star: np.ndarray
     reps: int
@@ -192,7 +182,7 @@ class SimStudyResult:
     failures: dict = field(default_factory=dict)
 
 
-def _run_chunk(kind: str, methods: Sequence[str], level: float, strict: bool, cfg, lo: int, hi: int) -> dict:
+def _run_chunk(methods: Sequence[str], level: float, strict: bool, cfg, lo: int, hi: int) -> dict:
     """Fit every method on replicates lo..hi-1 of one config in one batch.
 
     Returns {token: (theta, lower, upper, failed)}: (reps, p) arrays, lower
@@ -202,8 +192,7 @@ def _run_chunk(kind: str, methods: Sequence[str], level: float, strict: bool, cf
     raised instead.  A configuration error is the same for every replicate,
     so it is raised, never counted as a failed fit.
     """
-    draws = [_STUDIES[kind](cfg, rep) for rep in range(lo, hi)]
-    problem = Problem.stack([ds for ds, _ in draws], _model_for(kind), [truth for _, truth in draws])
+    problem = Problem.stack(cfg.model(), [cfg.draw(rep) for rep in range(lo, hi)])
     fits = [fit_method(problem, token, level=level) for token in methods]
     failed = np.stack([~np.equal(f.errors, None) for f in fits], axis=1)  # (reps, tokens)
     if strict and failed.any():
@@ -215,9 +204,9 @@ def _run_chunk(kind: str, methods: Sequence[str], level: float, strict: bool, cf
     return {token: (f.theta, f.lower, f.upper, bad) for token, f, bad in zip(methods, fits, failed.T)}
 
 
-def _aggregate(kind: str, cfg, tokens: list[str], chunks: Iterable[dict]) -> SimStudyResult:
+def _aggregate(cfg, tokens: list[str], chunks: Iterable[dict]) -> SimStudyResult:
     """Reduce one config's replicate chunks, in rep order, to its summary."""
-    theta_star = _theta_star_for(kind, cfg)
+    theta_star = cfg.target()
     p = theta_star.shape[0]
     reps = cfg.reps
     chunks = list(chunks)
@@ -252,7 +241,6 @@ def _aggregate(kind: str, cfg, tokens: list[str], chunks: Iterable[dict]) -> Sim
             rel_eff[token] = sd[token] / sd["naive"]
 
     return SimStudyResult(
-        kind=kind,
         methods=tuple(tokens),
         theta_star=theta_star,
         reps=reps,
@@ -268,7 +256,6 @@ def _aggregate(kind: str, cfg, tokens: list[str], chunks: Iterable[dict]) -> Sim
 
 
 def _run_studies(
-    kind: str,
     cfgs: Sequence,
     methods: Sequence[str],
     level: float,
@@ -288,12 +275,10 @@ def _run_studies(
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     check_level(level)
-    tokens = list(dict.fromkeys(methods))
+    tokens = unique_methods(methods)
     if "naive" not in tokens:
         tokens = ["naive"] + tokens  # baseline for relative efficiencies
-    for token in tokens:
-        parse_method(token)
-    run = partial(_run_chunk, kind, tokens, level, strict)
+    run = partial(_run_chunk, tokens, level, strict)
     workers = min(workers, os.cpu_count() or 1)
     share = -(-sum(cfg.reps for cfg in cfgs) // (workers * 4))
     jobs = []
@@ -310,23 +295,24 @@ def _run_studies(
         else:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             chunks = pool.map(run, *zip(*flat))
-        return [_aggregate(kind, cfg, tokens, islice(chunks, len(ranges))) for cfg, ranges in zip(cfgs, jobs)]
+        return [_aggregate(cfg, tokens, islice(chunks, len(ranges))) for cfg, ranges in zip(cfgs, jobs)]
 
 
 def run_replications(
-    cfg: SyntheticConfig,
+    cfg: SyntheticConfig | ConditionalMeanConfig | OlsCoverageConfig,
     methods: Sequence[str] = DEFAULT_METHODS,
     level: float = 0.95,
     workers: int = 1,
     strict: bool = False,
 ) -> SimStudyResult:
-    """Run the synthetic study at one gamma and aggregate across replicates.
+    """Run every replicate of one study config, any of the three, and aggregate them.
 
-    The naive method is always included as the relative-efficiency baseline.
-    Per-replicate estimator failures are excluded and counted unless
-    ``strict`` is set, in which case they raise.
+    All three configs have K = 2 prediction columns, so the default methods
+    apply to each.  The naive method is always included as the
+    relative-efficiency baseline.  Per-replicate estimator failures are
+    excluded and counted unless ``strict`` is set, in which case they raise.
     """
-    return _run_studies("synthetic", [cfg], methods, level, workers, strict)[0]
+    return _run_studies([cfg], methods, level, workers, strict)[0]
 
 
 @dataclass(frozen=True)
@@ -359,7 +345,7 @@ def efficiency_curve(
     cfgs = [replace(cfg_base, gamma=float(gamma)) for gamma in gammas]
     if not cfgs:
         raise ConfigError("gamma grid must be nonempty")
-    results = _run_studies("synthetic", cfgs, methods, level, workers, strict)
+    results = _run_studies(cfgs, methods, level, workers, strict)
     return [
         CurveRow(
             gamma=cfg.gamma,
@@ -375,24 +361,3 @@ def efficiency_curve(
         for token in res.methods
     ]
 
-
-def conditional_mean_study(
-    cfg: ConditionalMeanConfig,
-    methods: Sequence[str] = ("naive", "sada"),
-    level: float = 0.95,
-    workers: int = 1,
-    strict: bool = False,
-) -> SimStudyResult:
-    """Monte Carlo check of the efficiency bound under a conditional-mean prediction."""
-    return _run_studies("conditional_mean", [cfg], methods, level, workers, strict)[0]
-
-
-def ols_coverage_study(
-    cfg: OlsCoverageConfig,
-    methods: Sequence[str] = ("naive", "sada"),
-    level: float = 0.95,
-    workers: int = 1,
-    strict: bool = False,
-) -> SimStudyResult:
-    """Coverage study for the linear-regression coefficients."""
-    return _run_studies("ols", [cfg], methods, level, workers, strict)[0]

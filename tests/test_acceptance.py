@@ -14,10 +14,8 @@ from sada import (
     Dataset,
     OlsCoverageConfig,
     SyntheticConfig,
-    conditional_mean_study,
     efficiency_curve,
     mean_model,
-    ols_coverage_study,
     ols_model,
     ppi_pp_estimate,
     run_replications,
@@ -162,7 +160,7 @@ def test_criterion_07_confidence_interval_coverage():
         strict=True,
     )
     cov_mean = float(res_mean.coverage["sada"][0])
-    res_ols = ols_coverage_study(
+    res_ols = run_replications(
         OlsCoverageConfig(reps=2000, seed=ACC_SEED), ["naive", "sada"], workers=2, strict=True
     )
     cov_slope = float(res_ols.coverage["sada"][1])
@@ -182,7 +180,7 @@ def test_criterion_08_semiparametric_bound():
     # efficient-influence-function variance: (sigma^2/pi + Var[E(Y|X)]) / N
     pi = cfg.n / cfg.N
     bound_sd = np.sqrt((cfg.noise_sd**2 / pi + 1.0) / cfg.N)
-    res = conditional_mean_study(cfg, ["naive", "sada"], workers=2, strict=True)
+    res = run_replications(cfg, ["naive", "sada"], workers=2, strict=True)
     sd = float(res.sd["sada"][0])
     ok = abs(sd - bound_sd) <= 0.07 * bound_sd
     check(

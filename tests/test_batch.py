@@ -49,6 +49,7 @@ def test_a_fit_does_not_depend_on_its_batch(make_model):
     rng = np.random.default_rng(40)
     draws = [replicate(rng, case) for case in CASES]
     datasets, truths = [ds for ds, _ in draws], [y for _, y in draws]
+    arrays = [(ds.features, ds.labels, ds.predictions, y) for ds, y in draws]
     model = make_model()
     splits = {
         "one batch": [(0, len(draws))],
@@ -58,7 +59,7 @@ def test_a_fit_does_not_depend_on_its_batch(make_model):
     results = {}
     for name, ranges in splits.items():
         results[name] = {
-            (token, lo + i): outcome(Problem.stack(datasets[lo:hi], model, truths[lo:hi]), token, i)
+            (token, lo + i): outcome(Problem.stack(model, arrays[lo:hi]), token, i)
             for lo, hi in ranges for token in TOKENS for i in range(hi - lo)
         }
     assert results["one batch"] == results["batches of one"] == results["uneven"]
@@ -118,7 +119,7 @@ def test_any_finite_input_gives_a_finite_fit_or_a_sada_error(seeds, shape, scale
                 for j, seed in enumerate(seeds)]
     tokens = ["naive", "sada"] + [f"{m}:{k}" for m in ("ppi", "ppi_pp") for k in range(1, K + 1)]
     for model in (mean_model(), ols_model(d)):
-        problem = Problem.stack(datasets, model)
+        problem = Problem.stack(model, [(ds.features, ds.labels, ds.predictions) for ds in datasets])
         for token in tokens:
             fits = fit_method(problem, token, level=0.95)
             for i, ds in enumerate(datasets):

@@ -494,14 +494,18 @@ def test_estimate_names_rows_by_method_token(tmp_path):
 
 def test_estimate_drops_repeated_method_tokens(tmp_path, capsys):
     csv_path = make_csv(tmp_path)
-    out = tmp_path / "out"
-    assert main(["estimate", str(csv_path), "--methods", "naive,naive,ppi,ppi:1", "--out", str(out)]) == 0
-    expected = ["naive", "ppi", "ppi:1"]
-    table = capsys.readouterr().out.splitlines()[2:-1]  # between the rule and the "wrote" line
-    assert [line.split()[0] for line in table] == expected
-    lines = (out / "estimates.csv").read_text().splitlines()[1:]
-    assert [line.split(",")[0] for line in lines] == expected
-    assert json.loads((out / "report.json").read_text())["methods"] == expected
+    # a repeat is dropped by the method it names, not by its text
+    for i, (spec, expected) in enumerate([
+        ("naive,naive,ppi,ppi:1", ["naive", "ppi"]),
+        ("naive,ppi_pp,ppi_pp:1", ["naive", "ppi_pp"]),
+    ]):
+        out = tmp_path / f"out{i}"
+        assert main(["estimate", str(csv_path), "--methods", spec, "--out", str(out)]) == 0
+        table = capsys.readouterr().out.splitlines()[2:-1]  # between the rule and the "wrote" line
+        assert [line.split()[0] for line in table] == expected
+        lines = (out / "estimates.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == expected
+        assert json.loads((out / "report.json").read_text())["methods"] == expected
 
 
 def test_cli_imports_only_numpy_beyond_the_standard_library():

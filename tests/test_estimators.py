@@ -460,7 +460,8 @@ def test_a_custom_design_on_rows_matches_ols(name):
     assert close(solve_score_root(custom, own.features[:80], own.labels)[0],
                  solve_score_root(ols, ds.features[:80], ds.labels)[0])
     assert close(estimate_general_weights(own, custom), estimate_general_weights(ds, ols))
-    batch = sada.problem.Problem.stack(mine, custom, truths)
+    batch = sada.problem.Problem.stack(custom, [(ds.features, ds.labels, ds.predictions, truth)
+                                                for ds, truth in zip(mine, truths)])
     for token in compare_tokens(ds.K) + ["oracle"]:
         fits = fit_method(batch, token, level=0.95)
         for i, (ds, own, truth) in enumerate(zip(datasets, mine, truths)):

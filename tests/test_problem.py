@@ -66,7 +66,7 @@ def test_a_replicates_scores_do_not_depend_on_its_batch(name):
     model, features = MODELS[name]
     datasets = [dataset(seed, features) for seed in (61, 62, 63)]
     thetas = np.array([[0.3, -0.7, 1.9], [-2.0, 0.1, 0.4], [5.0, 3.0, -1.0]])[:, : model.p]
-    batch = Problem.stack(datasets, model)
+    batch = Problem.stack(model, [(ds.features, ds.labels, ds.predictions) for ds in datasets])
     labeled = batch.labeled_scores(thetas)
     for i, ds in enumerate(datasets):
         one = Problem.of(ds, model)

@@ -31,14 +31,12 @@ PUBLIC_NAMES = [
     "SyntheticConfig",
     "ZeroGram",
     "attach_inference",
-    "conditional_mean_study",
     "efficiency_curve",
     "estimate_general_weights",
     "generate_synthetic",
     "mean_model",
     "moment_estimates",
     "naive_estimate",
-    "ols_coverage_study",
     "ols_model",
     "oracle_estimate",
     "ppi_estimate",

@@ -1,3 +1,4 @@
+import hashlib
 import os
 from concurrent.futures import Future
 
@@ -9,15 +10,12 @@ from sada import simulate
 from sada import (
     ConditionalMeanConfig,
     ConfigError,
-    Dataset,
     SingularHessian,
     SingularJacobian,
     OlsCoverageConfig,
     SyntheticConfig,
-    conditional_mean_study,
     efficiency_curve,
     generate_synthetic,
-    ols_coverage_study,
     run_replications,
 )
 from sada.estimators import parse_method
@@ -49,6 +47,26 @@ def test_generator_layout():
     assert (ds.N, ds.n, ds.K, ds.d) == (50, 10, 2, 1)
     assert np.array_equal(ds.features, np.ones((50, 1)))
     assert np.array_equal(ds.labels, y[:10])
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (SyntheticConfig(N=50, n=10, gamma=0.3, seed=11), "840ad3909c6ab93e"),
+    (ConditionalMeanConfig(N=50, n=10, seed=11, noise_sd=0.7), "eb9dde3967bc6a0c"),
+    (OlsCoverageConfig(N=50, n=10, gamma=0.3, seed=11), "f16f380f63f7ffd5"),
+], ids=["synthetic", "conditional_mean", "ols"])
+def test_drawn_replicates_are_pinned_bit_for_bit(cfg, digest):
+    # sha256 over the float64 bytes of features, labels, predictions, truth:
+    # a reordered or changed RNG call changes it
+    draw = cfg.draw(4)
+    h = hashlib.sha256()
+    for array in draw:
+        assert array.dtype == np.float64
+        h.update(np.ascontiguousarray(array).tobytes())
+    assert h.hexdigest()[:16] == digest
+    if isinstance(cfg, SyntheticConfig):
+        ds, truth = generate_synthetic(cfg, 4)
+        for got, want in zip((ds.features, ds.labels, ds.predictions, truth), draw):
+            assert np.array_equal(got, want)
 
 
 def test_config_validation():
@@ -93,6 +111,11 @@ def test_naive_baseline_added_when_absent():
     res = run_replications(SyntheticConfig(reps=10, seed=3), ["sada"])
     assert res.methods[0] == "naive"
     assert np.isfinite(res.rel_efficiency["sada"][0])
+
+
+def test_a_method_named_twice_is_fitted_once():
+    res = run_replications(SyntheticConfig(reps=4, seed=3), ["ppi", "ppi:1"])
+    assert res.methods == ("naive", "ppi")
 
 
 def test_oracle_has_no_coverage():
@@ -147,14 +170,14 @@ def test_efficiency_curve_requires_grid_and_methods():
 
 def test_conditional_mean_study_naive_sd():
     # Var(Y) = 2 and n = 60 labeled rows: naive SD ~ sqrt(2/60) = 0.1826
-    res = conditional_mean_study(ConditionalMeanConfig(reps=600, seed=30))
+    res = run_replications(ConditionalMeanConfig(reps=600, seed=30), ["naive", "sada"])
     assert abs(res.sd["naive"][0] - np.sqrt(2.0 / 60.0)) < 0.02
     assert res.sd["sada"][0] < res.sd["naive"][0]
     assert abs(res.mean["sada"][0]) < 0.02
 
 
 def test_ols_coverage_study_smoke():
-    res = ols_coverage_study(OlsCoverageConfig(N=200, n=60, reps=150, seed=31))
+    res = run_replications(OlsCoverageConfig(N=200, n=60, reps=150, seed=31), ["naive", "sada"])
     assert res.theta_star.shape == (2,)
     assert 0.75 <= res.coverage["naive"][1] <= 1.0
     assert abs(res.bias["sada"][1]) < 0.05
@@ -213,11 +236,13 @@ def test_pool_is_capped_at_cpus_and_chunks(pool_sizes):
 def test_bad_gamma_anywhere_in_grid_fails_before_any_replicate(monkeypatch):
     drawn = []
 
+    draw = SyntheticConfig.draw
+
     def recording(cfg, rep):
         drawn.append((cfg.gamma, rep))
-        return generate_synthetic(cfg, rep)
+        return draw(cfg, rep)
 
-    monkeypatch.setitem(simulate._STUDIES, "synthetic", recording)
+    monkeypatch.setattr(SyntheticConfig, "draw", recording)
     with pytest.raises(ConfigError, match="gamma"):
         efficiency_curve(SyntheticConfig(reps=2), [0.5, 1.5], ["sada"])
     assert drawn == []
@@ -234,21 +259,25 @@ def test_workers_below_one_raise(workers):
 
 # --- failure accounting when only some replicates of a batch fail ---
 
+#: The unpatched OLS draw; captured once, so that patching the draw again
+#: replaces the wrapper instead of wrapping it.
+OLS_DRAW = OlsCoverageConfig.draw
+
+
 def rank_deficient_at(labeled, unlabeled, everywhere=()):
     """The OLS study with the feature made constant on the labeled rows of the
     replicates in ``labeled``, on the unlabeled rows of those in ``unlabeled``
     and on all rows, so that even the oracle fails, of those in ``everywhere``."""
-    def generate(cfg, rep):
-        ds, y = simulate.generate_ols(cfg, rep)
-        X = ds.features.copy()
+    def draw(cfg, rep):
+        X, labels, predictions, y = OLS_DRAW(cfg, rep)
         if rep in labeled:
             X[: cfg.n, 1] = 1.0
         if rep in unlabeled:
             X[cfg.n:, 1] = 0.5
         if rep in everywhere:
             X[:, 1] = 2.0
-        return Dataset.from_arrays(X, ds.labels, ds.predictions), y
-    return generate
+        return X, labels, predictions, y
+    return draw
 
 
 FAILING_METHODS = ("naive", "ppi:1", "ppi:2", "ppi_pp:1", "sada", "oracle")
@@ -257,10 +286,10 @@ FAILING_METHODS = ("naive", "ppi:1", "ppi:2", "ppi_pp:1", "sada", "oracle")
 @pytest.mark.parametrize("chunk_rows", [16384, 600])
 def test_failures_are_counted_per_replicate_and_token(monkeypatch, chunk_rows):
     cfg = OlsCoverageConfig(N=200, n=60, reps=12, seed=5)
-    clean = simulate._run_studies("ols", [cfg], FAILING_METHODS, 0.95, 1, False)[0]
+    clean = simulate._run_studies([cfg], FAILING_METHODS, 0.95, 1, False)[0]
     monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk_rows)  # 600 rows: batches of 3 replicates
-    monkeypatch.setitem(simulate._STUDIES, "ols", rank_deficient_at({3, 8}, {5}))
-    res = simulate._run_studies("ols", [cfg], FAILING_METHODS, 0.95, 1, False)
+    monkeypatch.setattr(OlsCoverageConfig, "draw", rank_deficient_at({3, 8}, {5}))
+    res = simulate._run_studies([cfg], FAILING_METHODS, 0.95, 1, False)
     res = res[0]
     # the counts the per-replicate harness gave before fits were batched
     assert res.failures == {"naive": 2, "ppi:1": 3, "ppi:2": 3, "ppi_pp:1": 2, "sada": 2, "oracle": 0}
@@ -282,8 +311,8 @@ def test_strict_raises_the_error_of_the_first_failing_replicate(monkeypatch, chu
     monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk_rows)  # 600 rows: batches of 3 replicates
 
     def strict(methods, labeled=(), unlabeled=(), everywhere=()):
-        monkeypatch.setitem(simulate._STUDIES, "ols", rank_deficient_at(labeled, unlabeled, everywhere))
-        simulate._run_studies("ols", [cfg], methods, 0.95, 1, True)
+        monkeypatch.setattr(OlsCoverageConfig, "draw", rank_deficient_at(labeled, unlabeled, everywhere))
+        simulate._run_studies([cfg], methods, 0.95, 1, True)
 
     # ppi:1 raises SingularHessian where only the labeled design is singular
     # and SingularJacobian where the unlabeled one is; naive, always fitted,
