@@ -25,6 +25,13 @@ class Dataset:
         features: (N, d) feature matrix (d may be 0 for models that ignore x).
         labels: (n,) outcomes for the first n rows.
         predictions: (N, K) matrix; column k holds the k-th predicted label.
+
+    A validated dataset (``from_arrays``, ``validate_dataset``) stores
+    ``features`` and ``predictions`` column-major, so each column is
+    contiguous: every pass of the estimators runs along the rows of the few
+    columns it reads (see ``problem.Problem``).  A dataset built directly
+    from row-major arrays gives the same results, at the cost of one
+    transposing copy per ``Problem`` built on it.
     """
 
     features: np.ndarray
@@ -70,8 +77,9 @@ class Dataset:
 def validate_dataset(raw: Dataset) -> Dataset:
     """Check shapes, finiteness and the 1 <= n < N counting invariant.
 
-    Returns an immutable (read-only buffers) dataset.  Validating an already
-    validated dataset returns an equal dataset.
+    Returns an immutable (read-only buffers) dataset, with ``features`` and
+    ``predictions`` copied column-major.  Validating an already validated
+    dataset returns an equal dataset.
 
     Raises:
         DimensionMismatch: arrays have inconsistent shapes.
@@ -111,9 +119,9 @@ def validate_dataset(raw: Dataset) -> Dataset:
         if arr.size and not np.isfinite(arr).all():
             raise NonFiniteValue(f"{name} contains non-finite entries")
 
-    features = features.copy()
+    features = features.copy(order="F")
     labels = labels.copy()
-    predictions = predictions.copy()
+    predictions = predictions.copy(order="F")
     for arr in (features, labels, predictions):
         arr.setflags(write=False)
     return Dataset(features=features, labels=labels, predictions=predictions)

@@ -87,11 +87,11 @@ def _sigma(problem: Problem, theta: np.ndarray, W: np.ndarray, columns: Sequence
                 shift = WS.mean(axis=2, keepdims=True)
             WS -= shift  # WS is freshly built, so centre it in place
             total = total + WS.sum(axis=2)
-            gram = gram + WS @ WS.transpose(0, 2, 1)
+            gram = gram + weighting.row_gram(WS)
         offset = total / (N - n)
         gram = gram / (N - n) - offset[:, :, None] * offset[:, None, :]
     resid = resid - resid.mean(axis=2, keepdims=True)
-    sigma = resid @ resid.transpose(0, 2, 1) / n + n / (N - n) * gram
+    sigma = weighting.row_gram(resid) / n + n / (N - n) * gram
     return 0.5 * (sigma + sigma.transpose(0, 2, 1))
 
 

@@ -237,7 +237,7 @@ def solve_score_root(
         from .problem import design_root  # problem imports this module
 
         X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-        theta, ok = design_root(model, X.reshape(1, X.shape[0], -1), y[None])
+        theta, ok = design_root(model, X.reshape(X.shape[0], -1).T[None], y[None])
         if not ok[0]:
             raise SingularJacobian(JACOBIAN_SINGULAR)
         return theta[0], 1

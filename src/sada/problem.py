@@ -2,28 +2,33 @@
 in which models with and without a design differ.
 
 A ``Problem`` stacks B datasets with the same N, n, K and d on a leading
-replicate axis: features (B, N, d), labels (B, n), predictions (B, N, K) and,
-for the oracle, true labels (B, N).  The estimators, the weight plug-ins and
-the sandwich inference are written once, over that axis, against four
-primitives:
+replicate axis, each with its rows last: features (B, d, N), labels (B, n),
+predictions (B, K, N) and, for the oracle, true labels (B, N), all
+C-contiguous.  Every pass over the rows then reads only the columns it uses,
+at unit stride, and numpy's innermost loops and BLAS's long dimension run
+over the many rows rather than over the few columns.  ``Problem.of`` takes
+these as views of a validated dataset, whose columns are contiguous;
+``Problem.stack`` transposes each batch once as it copies it.  Both give
+each replicate the same layout, so its BLAS calls, and its results, do not
+depend on its batch.  The estimators, the weight plug-ins and the sandwich
+inference are written once, over that axis, against four primitives:
 
 * ``score_root`` (and the cached ``pilot``): root of the plain score equation;
 * ``solve_weighted``: root of the weighted equation for given weights;
 * ``stacked_scores``/``labeled_scores``: the per-row scores at theta behind
   the weight moments (``weighting.stacked_moments``) and the variance
-  (``inference.infer``), with the rows on the last axis, so that numpy's
-  innermost loops run over the many rows rather than over the few score
-  entries;
+  (``inference.infer``), also with the rows on the last axis;
 * ``hessian``: the labeled mean Jacobian, with its inverse and check.
 
 A model with a design (the mean and OLS) evaluates each for all B replicates
 at once.  Its scores are affine in theta, so the solves need only the design
 products Z'Z, Z'y and Z'Yhat on the labeled and unlabeled rows, taken once per
-problem by ``design_sums``.  A check that fails marks the replicate in a
-boolean mask, and its matrix is replaced by the identity before any batched
-solve: one singular or non-finite matrix would make numpy's batched
-``solve``/``inv``/``svd`` raise for the whole stack.  Any other model is
-solved by Newton one dataset at a time (B = 1), and its failures raise.
+problem by ``design_sums`` from the transposed design Z' (``design_rows``).  A
+check that fails marks the replicate in a boolean mask, and its matrix is
+replaced by the identity before any batched solve: one singular or
+non-finite matrix would make numpy's batched ``solve``/``inv``/``svd`` raise
+for the whole stack.  Any other model is solved by Newton one dataset at a
+time (B = 1), on rows-first views of its data, and its failures raise.
 
 Derived values are cached on the problem, which lives only as long as the
 call, or the CLI command, that built it.
@@ -47,42 +52,48 @@ from .models import (
 
 
 def design_rows(model: ScoreModel, X: np.ndarray) -> np.ndarray:
-    """design(x) of every row of a (B, m, d) stack, as (B, m, p).
+    """The transposed design Z' of a rows-last (B, d, m) stack of features, as
+    (B, p, m) with unit stride along the rows.
 
     ``design`` is called on the (B*m, d) rows, its documented (m, d) -> (m, p)
-    contract, so a custom design need not know of the replicate axis.
+    contract, so a custom design need not know of the replicate axis.  For
+    OLS on a batch of one, whose design returns its rows, Z' is a view of X;
+    any design whose output is not rows-last is copied into a C-ordered
+    array.
     """
-    B, m, d = X.shape
-    return np.asarray(model.design(X.reshape(B * m, d)), dtype=float).reshape(B, m, model.p)
+    B, d, m = X.shape
+    Z = np.asarray(model.design(X.transpose(0, 2, 1).reshape(B * m, d)), dtype=float)
+    Zt = Z.reshape(B, m, model.p).transpose(0, 2, 1)
+    return Zt if Zt.strides[-1] == Zt.itemsize else np.ascontiguousarray(Zt)
 
 
 def design_sums(model: ScoreModel, X: np.ndarray, *targets: np.ndarray, gram: bool = True):
-    """Z'Z and each Z't over the rows of X (B, rows, d), divided by the row count.
+    """Z'Z and each Z't over the rows of X (B, d, rows), divided by the row count.
 
-    Z = design(X) is built ``weighting.CHUNK_ROWS`` rows at a time, so its
-    memory is O(CHUNK_ROWS * p) per replicate for any N.  Every design
+    Z' = design_rows(X) is built ``weighting.CHUNK_ROWS`` rows at a time, so
+    its memory is O(CHUNK_ROWS * p) per replicate for any N.  Every design
     product of the package is taken here, so a change of basis of Z (such
     as a QR basis of the labeled design) would be applied in one place.
-    Each target is (B, rows, q); returns (Z'Z/m or None, [Z't/m, ...]).
+    Each target is rows-last, (B, q, rows); returns (Z'Z/m or None,
+    [Z't/m, ...]), the gram taken by ``weighting.row_gram``.
     """
-    m = X.shape[1]
+    m = X.shape[2]
     chunk = weighting.CHUNK_ROWS
     zz, sums = 0.0, [0.0] * len(targets)
     for lo in range(0, m, chunk):
-        Z = design_rows(model, X[:, lo:lo + chunk])
-        Zt = Z.transpose(0, 2, 1)
+        Zt = design_rows(model, X[:, :, lo:lo + chunk])
         if gram:
-            zz = zz + Zt @ Z
-        sums = [s + Zt @ t[:, lo:lo + chunk] for s, t in zip(sums, targets)]
+            zz = zz + weighting.row_gram(Zt)
+        sums = [s + Zt @ t[:, :, lo:lo + chunk].transpose(0, 2, 1) for s, t in zip(sums, targets)]
     return (zz / m if gram else None), [s / m for s in sums]
 
 
 def design_root(model: ScoreModel, X: np.ndarray, y: np.ndarray):
     """Closed-form root of mean_i z_i (y_i - z_i'theta) = 0 per replicate: (theta, ok).
 
-    X is (B, m, d) and y (B, m); see ``solve_affine``.
+    X is rows-last (B, d, m) and y (B, m); see ``solve_affine``.
     """
-    G, (b,) = design_sums(model, X, y[..., None])
+    G, (b,) = design_sums(model, X, y[:, None, :])
     return solve_affine(G, b[..., 0])
 
 
@@ -90,9 +101,11 @@ class Problem:
     """A score model on B datasets stacked on a leading replicate axis."""
 
     def __init__(self, model: ScoreModel, features, labels, predictions, truth=None):
+        """The arrays are rows last: features (B, d, N), labels (B, n),
+        predictions (B, K, N) and truth (B, N) or None."""
         self.model = model
         self.features, self.labels, self.predictions, self.truth = features, labels, predictions, truth
-        self.B, self.N, self.K = predictions.shape
+        self.B, self.K, self.N = predictions.shape
         self.n = labels.shape[1]
         self.p = model.p
         if model.design is None and self.B != 1:
@@ -100,20 +113,29 @@ class Problem:
 
     @classmethod
     def of(cls, ds: Dataset, model: ScoreModel, truth: np.ndarray | None = None) -> "Problem":
-        """The batch of one that every per-dataset call fits."""
-        return cls(model, ds.features[None], ds.labels[None], ds.predictions[None],
+        """The batch of one that every per-dataset call fits.
+
+        The features and predictions of a validated dataset are column-major,
+        so their transposes are views; a row-major dataset is copied here.
+        """
+        return cls(model, np.ascontiguousarray(ds.features.T)[None], ds.labels[None],
+                   np.ascontiguousarray(ds.predictions.T)[None],
                    None if truth is None else np.asarray(truth, dtype=float)[None])
 
     @classmethod
     def stack(cls, model: ScoreModel, draws: Sequence[tuple]) -> "Problem":
         """Replicates of one shape, in order, as one batch: each draw is the (features,
-        labels, predictions[, truth]) arrays of one, copied once here and not validated."""
-        return cls(model, *map(np.stack, zip(*draws)))
+        labels, predictions[, truth]) arrays of one, rows first as in a ``Dataset``,
+        copied once here, rows last, and not validated."""
+        features, labels, predictions, *truth = zip(*draws)
+        # np.array, not np.stack: stacking transposed views would keep their order
+        return cls(model, np.array([X.T for X in features]), np.stack(labels),
+                   np.array([Yhat.T for Yhat in predictions]), *map(np.stack, truth))
 
     @cached_property
     def _labeled(self) -> tuple[np.ndarray, np.ndarray]:
         """G_L = Z_L'Z_L/n and b_L = Z_L'y/n."""
-        G, (b,) = design_sums(self.model, self.features[:, : self.n], self.labels[..., None])
+        G, (b,) = design_sums(self.model, self.features[:, :, : self.n], self.labels[:, None, :])
         return G, b[..., 0]
 
     @cached_property
@@ -121,16 +143,17 @@ class Problem:
         """What a weight matrix multiplies: G_U - G_L and P_U - P_L, P_R = Z_R'Yhat_R/m_R."""
         n = self.n
         G_L, _ = self._labeled
-        _, (P_L,) = design_sums(self.model, self.features[:, :n], self.predictions[:, :n], gram=False)
-        G_U, (P_U,) = design_sums(self.model, self.features[:, n:], self.predictions[:, n:])
+        _, (P_L,) = design_sums(self.model, self.features[:, :, :n], self.predictions[:, :, :n], gram=False)
+        G_U, (P_U,) = design_sums(self.model, self.features[:, :, n:], self.predictions[:, :, n:])
         return G_U - G_L, P_U - P_L
 
     # --- primitive 1: the plain score root ---
 
     def score_root(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Root of mean_i s(x_i, y_i; theta) = 0 per replicate: (theta, ok, iterations)."""
+        """Root of mean_i s(x_i, y_i; theta) = 0 per replicate, X rows last (B, d, m):
+        (theta, ok, iterations)."""
         if self.model.design is None:
-            theta, iters = solve_score_root(self.model, X[0], y[0])
+            theta, iters = solve_score_root(self.model, X[0].T, y[0])
             return theta[None], np.ones(1, dtype=bool), np.array([iters])
         theta, ok = design_root(self.model, X, y)
         return theta, ok, np.ones(self.B, dtype=int)
@@ -139,7 +162,7 @@ class Problem:
     def pilot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The naive labeled-data root, solved once per problem: (theta, ok, iterations)."""
         if self.model.design is None:
-            return self.score_root(self.features[:, : self.n], self.labels)
+            return self.score_root(self.features[:, :, : self.n], self.labels)
         theta, ok = solve_affine(*self._labeled)
         return theta, ok, np.ones(self.B, dtype=int)
 
@@ -176,12 +199,13 @@ class Problem:
 
     def _newton_weighted(self, W: np.ndarray, columns: Sequence[int], theta0: np.ndarray):
         model, n = self.model, self.n
-        X_lab, y_lab = self.features[0, :n], self.labels[0]
+        X = self.features[0].T  # rows first, as the model's score and Jacobian take them
+        X_lab, y_lab = X[:n], self.labels[0]
         blocks = W.reshape(len(columns), self.p, self.p)
-        used = [(W_k, self.predictions[0, :, k]) for W_k, k in zip(blocks, columns) if W_k.any()]
+        used = [(W_k, self.predictions[0, k]) for W_k, k in zip(blocks, columns) if W_k.any()]
         if not used:
             return solve_score_root(model, X_lab, y_lab, theta0)
-        X_U = self.features[0, n:]
+        X_U = X[n:]
 
         def weighted(f, theta):
             """f(L, y) + sum_k W_k' [f(U, yhat_k) - f(L, yhat_k)], one prediction column at a time."""
@@ -202,17 +226,17 @@ class Problem:
     # --- primitive 3: the scores behind the moments at theta ---
 
     @staticmethod
-    def _fitted(Z: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """z'theta per row, (B, m).
+    def _fitted(Zt: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """theta'Z' per row, (B, m), from the transposed design Zt (B, p, m).
 
         For p = 1 this is one exact product over the whole batch.  For p > 1
         it stays the BLAS product of each replicate: the order of the sum
         over p moves the fitted values by an ulp, and an ill-conditioned gram
         turns that into visible changes of the SADA weights.
         """
-        if Z.shape[-1] == 1:
-            return Z[..., 0] * theta
-        return (Z @ theta[..., None])[..., 0]
+        if Zt.shape[1] == 1:
+            return Zt[:, 0] * theta
+        return (theta[:, None, :] @ Zt)[:, 0]
 
     def labeled_scores(self, theta: np.ndarray) -> np.ndarray:
         """Scores of the labeled rows at theta (B, p), rows last: (B, p, n).
@@ -220,12 +244,12 @@ class Problem:
         For a model with a design they are written into a C-ordered buffer,
         as in ``stacked_scores``, so later passes over the rows do not stride.
         """
-        X, y = self.features[:, : self.n], self.labels
+        X, y = self.features[:, :, : self.n], self.labels
         if self.model.design is None:
-            return np.asarray(self.model.score(X[0], y[0], theta[0]), dtype=float).T[None]
-        Z = design_rows(self.model, X)
+            return np.asarray(self.model.score(X[0].T, y[0], theta[0]), dtype=float).T[None]
+        Zt = design_rows(self.model, X)
         out = np.empty((self.B, self.p, self.n))
-        np.multiply((y - self._fitted(Z, theta))[:, None, :], Z.transpose(0, 2, 1), out=out)
+        np.multiply((y - self._fitted(Zt, theta))[:, None, :], Zt, out=out)
         return out
 
     def stacked_scores(self, lo: int, hi: int, columns: Sequence[int], theta: np.ndarray) -> np.ndarray:
@@ -235,21 +259,21 @@ class Problem:
         Block j of the middle axis holds the score at prediction column
         ``columns[j]``.  For a model with a design, the residuals of every
         column, (B, len(columns), rows), are multiplied by the transposed
-        design in one product, so numpy's innermost loop runs over the rows
-        rather than over p.  Any other model's ``stacked_score_matrix`` is
-        returned as a transposed view.
+        design in one product, and each reads only its own prediction column.
+        Any other model's ``stacked_score_matrix`` is computed on rows-first
+        views and returned transposed.
         """
-        X, Yhat = self.features[:, lo:hi], self.predictions[:, lo:hi]
+        X, Yhat = self.features[:, :, lo:hi], self.predictions[:, :, lo:hi]
         if self.model.design is None:
-            return stacked_score_matrix(self.model, X[0], Yhat[0][:, list(columns)], theta[0]).T[None]
+            return stacked_score_matrix(self.model, X[0].T, Yhat[0, list(columns)].T, theta[0]).T[None]
         B, c, p = self.B, len(columns), self.p
-        Z = design_rows(self.model, X)
-        fitted = self._fitted(Z, theta)
+        Zt = design_rows(self.model, X)
+        fitted = self._fitted(Zt, theta)
         R = np.empty((B, c, hi - lo))
         for j, k in enumerate(columns):  # several times faster than a fancy-indexed gather
-            np.subtract(Yhat[:, :, k], fitted, out=R[:, j])
+            np.subtract(Yhat[:, k], fitted, out=R[:, j])
         out = np.empty((B, c, p, hi - lo))
-        np.multiply(R[:, :, None, :], Z.transpose(0, 2, 1)[:, None], out=out)
+        np.multiply(R[:, :, None, :], Zt[:, None], out=out)
         return out.reshape(B, c * p, hi - lo)
 
     # --- primitive 4: the Hessian ---
@@ -263,7 +287,7 @@ class Problem:
         """
         if self.model.design is None:
             n = self.n
-            H = np.asarray(self.model.jacobian(self.features[0, :n], self.labels[0], theta[0]), dtype=float)
+            H = np.asarray(self.model.jacobian(self.features[0, :, :n].T, self.labels[0], theta[0]), dtype=float)
             return (H[None], *checked_inverse(H[None]))
         return self._design_hessian
 

@@ -31,8 +31,29 @@ RIDGE_SCALE = 1e-8
 #: number of replicates.
 CHUNK_ROWS = 16384
 
+#: Widest rows-last matrix whose gram ``row_gram`` takes by BLAS gemm.  numpy
+#: sends a product of one buffer with its own transpose to syrk, which for
+#: narrow, long matrices is slower than gemm against a copy: per 16384-row
+#: chunk on one thread, 0.10 ms against 0.04 ms at width 3 and 0.18 against
+#: 0.06 ms at width 5, while syrk wins from width 8 on (0.45 against 0.74 ms
+#: at width 15, SADA's five columns of OLS scores).  An OLS SADA fit with its
+#: inference at N = 1e6, K = 5 took 0.106 s with this rule, 0.125 s with gemm
+#: at every width and 0.115 s with syrk at every width.
+GEMM_MAX_WIDTH = 7
+
 ZERO_GRAM = "gram matrix is identically zero"
 NONFINITE_WEIGHTS = "weight solve produced non-finite values"
+
+
+def row_gram(A: np.ndarray) -> np.ndarray:
+    """A A' of each (w, rows) matrix of a rows-last stack (B, w, rows): (B, w, w).
+
+    Taken by gemm against a copy of A when 1 < w <= ``GEMM_MAX_WIDTH``, and
+    by syrk otherwise: at w = 1 the copy costs more than it saves.
+    """
+    if not 1 < A.shape[1] <= GEMM_MAX_WIDTH:
+        return A @ A.transpose(0, 2, 1)
+    return A @ A.copy().transpose(0, 2, 1)
 
 
 def stacked_moments(problem, theta: np.ndarray, columns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -43,13 +64,14 @@ def stacked_moments(problem, theta: np.ndarray, columns: Sequence[int]) -> tuple
     The stacked scores are built and accumulated ``CHUNK_ROWS`` rows of each
     replicate at a time, so the (N, K*p) stacked matrix is never formed.
     Each chunk S is (B, c, rows) and the labeled scores (B, p, n), rows last,
-    so the products are S @ ones, S @ S' and S @ s_lab' and every elementwise
-    pass runs along the rows.  Every chunk is centred at one shift, the first
-    chunk's row mean, before its products are taken, so score entries far
-    from zero or of very different scales do not cancel; the gram is then
-    corrected by the outer product of the mean's remaining offset from the
-    shift.  The cross moment needs no correction, because the labeled scores
-    it multiplies are centred and sum to zero.
+    so the products are S @ ones, S S' (``row_gram``) and S @ s_lab', every
+    elementwise pass runs along the rows, and BLAS's long dimension is the
+    rows.  Every chunk is centred at one shift, the first chunk's row mean,
+    before its products are taken, so score entries far from zero or of very
+    different scales do not cancel; the gram is then corrected by the outer
+    product of the mean's remaining offset from the shift.  The cross moment
+    needs no correction, because the labeled scores it multiplies are
+    centred and sum to zero.
     """
     n, N = problem.n, problem.N
     s_lab = problem.labeled_scores(theta)
@@ -63,7 +85,7 @@ def stacked_moments(problem, theta: np.ndarray, columns: Sequence[int]) -> tuple
             shift = (S @ ones / (hi - lo))[:, :, None]  # row means, by BLAS
         S -= shift  # S is freshly built, so centre it in place
         total = total + S @ ones[: hi - lo]
-        gram = gram + S @ S.transpose(0, 2, 1)
+        gram = gram + row_gram(S)
         if lo < n:
             cross = cross + S[:, :, : n - lo] @ s_lab[:, :, lo:hi].transpose(0, 2, 1)
     offset = total / N

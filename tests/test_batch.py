@@ -44,6 +44,17 @@ def outcome(problem, token, i):
     return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
 
 
+def reported(ds, model, token, truth):
+    """``run_method``'s outcome on one dataset, in the form ``outcome`` gives it."""
+    try:
+        report = run_method(ds, model, token, level=0.9, truth=truth)
+    except SadaError as exc:
+        return type(exc).__name__
+    arrays = [report.theta_hat] if report.covariance is None else [
+        report.theta_hat, report.covariance, report.intervals.lower, report.intervals.upper]
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
 @pytest.mark.parametrize("make_model", [mean_model, lambda: ols_model(2)], ids=["mean", "ols"])
 def test_a_fit_does_not_depend_on_its_batch(make_model):
     rng = np.random.default_rng(40)
@@ -76,6 +87,19 @@ def test_a_fit_does_not_depend_on_its_batch(make_model):
         arrays = [report.theta_hat] if report.covariance is None else [
             report.theta_hat, report.covariance, report.intervals.lower, report.intervals.upper]
         assert got == b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+@pytest.mark.parametrize("make_model", [mean_model, lambda: ols_model(2)], ids=["mean", "ols"])
+def test_a_fit_does_not_depend_on_the_memory_order_of_its_dataset(make_model):
+    # a Dataset built directly from row-major arrays skips validation's
+    # column-major copy, so ``Problem.of`` transposes it instead of taking views
+    rng = np.random.default_rng(40)
+    model = make_model()
+    for ds, y in (replicate(rng, case) for case in CASES):
+        row_major = Dataset(np.ascontiguousarray(ds.features), ds.labels, np.ascontiguousarray(ds.predictions))
+        assert not row_major.predictions.flags.f_contiguous
+        for token in TOKENS:
+            assert reported(row_major, model, token, y) == reported(ds, model, token, y), token
 
 
 # --- ROADMAP item 6: any finite input gives a finite answer or a SadaError ---

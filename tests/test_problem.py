@@ -75,3 +75,19 @@ def test_a_replicates_scores_do_not_depend_on_its_batch(name):
             for columns in COLUMNS:
                 got = batch.stacked_scores(lo, hi, columns, thetas)[i]
                 assert close(got, one.stacked_scores(lo, hi, columns, thetas[i][None])[0]), (i, lo, hi, columns)
+
+
+def test_a_problem_holds_its_data_rows_last_and_a_dataset_is_not_copied():
+    ds = dataset(64, lambda X: X)
+    for arr in (ds.features, ds.predictions):
+        assert arr.flags.f_contiguous and not arr.flags.writeable
+    model = ols_model(3)
+    one = Problem.of(ds, model)
+    batch = Problem.stack(model, [(ds.features, ds.labels, ds.predictions)] * 2)
+    for name in ("features", "predictions"):
+        source, got, stacked = getattr(ds, name), getattr(one, name), getattr(batch, name)
+        assert got.shape == (1,) + source.T.shape and got.flags.c_contiguous
+        assert np.shares_memory(got, source)
+        assert stacked.shape == (2,) + source.T.shape and stacked.flags.c_contiguous
+        for replicate in stacked:
+            assert np.array_equal(replicate, got[0]) and replicate.strides == got[0].strides
