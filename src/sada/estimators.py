@@ -198,7 +198,7 @@ def fit_naive(problem: Problem) -> Fits:
 
 def fit_oracle(problem: Problem) -> Fits:
     """Infeasible benchmark using the true labels of all N rows (simulation use)."""
-    theta, ok, iters = problem.score_root(problem.features, problem.truth)
+    theta, ok, iters = problem.score_root(problem.truth)
     return Fits("oracle", theta, _jacobian_errors(ok), lambda i: {"solver_iterations": int(iters[i])})
 
 

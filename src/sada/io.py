@@ -26,17 +26,12 @@ from .estimators import EstimateReport
 from .simulate import CurveRow
 
 
-def _fmt(x: float) -> str:
-    """Full-precision machine format (round-trips doubles exactly)."""
+def _fmt(x: float, digits: int = 17) -> str:
+    """x to ``digits`` significant digits; the default, full precision,
+    round-trips doubles exactly."""
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return "nan"
-    return f"{float(x):.17g}"
-
-
-def _fmt4(x: float) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return "nan"
-    return f"{float(x):.4g}"
+    return f"{float(x):.{digits}g}"
 
 
 @dataclass(frozen=True)
@@ -391,7 +386,7 @@ def write_compare_table(
 
 def format_human_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     """Fixed-width text table with 4-significant-digit numbers."""
-    cells = [[_fmt4(c) if isinstance(c, float) else str(c) for c in row] for row in rows]
+    cells = [[_fmt(c, 4) if isinstance(c, float) else str(c) for c in row] for row in rows]
     widths = [
         max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
         for i, h in enumerate(headers)

@@ -177,7 +177,7 @@ def solve_estimating_equation(
     )
 
 
-JACOBIAN_SINGULAR = f"Jacobian is singular at iteration 0 (rcond < {RCOND_THRESHOLD:g})"
+JACOBIAN_SINGULAR = f"Jacobian is singular (rcond < {RCOND_THRESHOLD:g})"
 
 
 def _check_jacobian(J: np.ndarray, iteration: int) -> None:
@@ -230,14 +230,16 @@ def solve_score_root(
     """Solve the plain sample score equation mean_i s(x_i, y_i; theta) = 0.
 
     A model with a design is solved in closed form from G = Z'Z/m and
-    b = Z'y/m (``problem.design_root``, batch of one), and ignores theta0;
-    any other by Newton from theta0 (zeros by default).
+    b = Z'y/m (``problem.design_root``, batch of one), Z = design(X) taken
+    by one call, and ignores theta0; any other by Newton from theta0 (zeros
+    by default).
     """
     if model.design is not None:
-        from .problem import design_root  # problem imports this module
+        from .problem import design_root, transposed_design  # problem imports this module
 
         X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-        theta, ok = design_root(model, X.reshape(X.shape[0], -1).T[None], y[None])
+        Zt = np.ascontiguousarray(transposed_design(model, X.reshape(X.shape[0], -1)))
+        theta, ok = design_root(Zt[None], y[None])
         if not ok[0]:
             raise SingularJacobian(JACOBIAN_SINGULAR)
         return theta[0], 1

@@ -1,34 +1,40 @@
 """One score model on a batch of same-shaped datasets, and the four primitives
 in which models with and without a design differ.
 
-A ``Problem`` stacks B datasets with the same N, n, K and d on a leading
-replicate axis, each with its rows last: features (B, d, N), labels (B, n),
-predictions (B, K, N) and, for the oracle, true labels (B, N), all
-C-contiguous.  Every pass over the rows then reads only the columns it uses,
-at unit stride, and numpy's innermost loops and BLAS's long dimension run
-over the many rows rather than over the few columns.  ``Problem.of`` takes
-these as views of a validated dataset, whose columns are contiguous;
-``Problem.stack`` transposes each batch once as it copies it.  Both give
-each replicate the same layout, so its BLAS calls, and its results, do not
-depend on its batch.  The estimators, the weight plug-ins and the sandwich
-inference are written once, over that axis, against four primitives:
+A ``Problem`` stacks B datasets with the same N, n, K and p on a leading
+replicate axis, each with its rows last: the transposed design Z' (B, p, N),
+labels (B, n), predictions (B, K, N) and, for the oracle, true labels (B, N),
+all C-contiguous.  Z' is data: ``Problem.of`` and ``Problem.stack`` call the
+model's ``design`` once per dataset, on its rows-first (N, d) features, and
+no primitive calls it again.  A model without a design holds the features
+X' (B, d, N) in its place.  Every pass over the rows then reads only the
+columns it uses, at unit stride, and numpy's innermost loops and BLAS's long
+dimension run over the many rows rather than over the few columns.
+``Problem.of`` takes the predictions, and OLS's Z', as views of a validated
+dataset, whose columns are contiguous; any other design costs one (p, N)
+array.  ``Problem.stack`` transposes each batch once as it copies it.  Both
+give each replicate the same layout, so its BLAS calls, and its results, do
+not depend on its batch.  The estimators, the weight plug-ins and the
+sandwich inference are written once, over that axis, against four
+primitives:
 
 * ``score_root`` (and the cached ``pilot``): root of the plain score equation;
 * ``solve_weighted``: root of the weighted equation for given weights;
 * ``stacked_scores``/``labeled_scores``: the per-row scores at theta behind
   the weight moments (``weighting.stacked_moments``) and the variance
-  (``inference.infer``), also with the rows on the last axis;
+  (``inference.infer``), also with the rows on the last axis, from one body
+  in which the labels are one more target;
 * ``hessian``: the labeled mean Jacobian, with its inverse and check.
 
 A model with a design (the mean and OLS) evaluates each for all B replicates
 at once.  Its scores are affine in theta, so the solves need only the design
 products Z'Z, Z'y and Z'Yhat on the labeled and unlabeled rows, taken once per
-problem by ``design_sums`` from the transposed design Z' (``design_rows``).  A
-check that fails marks the replicate in a boolean mask, and its matrix is
-replaced by the identity before any batched solve: one singular or
-non-finite matrix would make numpy's batched ``solve``/``inv``/``svd`` raise
-for the whole stack.  Any other model is solved by Newton one dataset at a
-time (B = 1), on rows-first views of its data, and its failures raise.
+problem by ``design_sums``.  A check that fails marks the replicate in a
+boolean mask, and its matrix is replaced by the identity before any batched
+solve: one singular or non-finite matrix would make numpy's batched
+``solve``/``inv``/``svd`` raise for the whole stack.  Any other model is
+solved by Newton one dataset at a time (B = 1), on rows-first views of its
+features, and its failures raise.
 
 Derived values are cached on the problem, which lives only as long as the
 call, or the CLI command, that built it.
@@ -51,60 +57,52 @@ from .models import (
 )
 
 
-def design_rows(model: ScoreModel, X: np.ndarray) -> np.ndarray:
-    """The transposed design Z' of a rows-last (B, d, m) stack of features, as
-    (B, p, m) with unit stride along the rows.
+def transposed_design(model: ScoreModel, X: np.ndarray) -> np.ndarray:
+    """Z' (p, m) of rows-first features X (m, d), by one call of ``model.design``
+    on X, its documented contract; X' for a model without a design.  Not
+    copied: where the design returns X, as OLS does, Z' is X'."""
+    return np.asarray(X if model.design is None else model.design(X), dtype=float).T
 
-    ``design`` is called on the (B*m, d) rows, its documented (m, d) -> (m, p)
-    contract, so a custom design need not know of the replicate axis.  For
-    OLS on a batch of one, whose design returns its rows, Z' is a view of X;
-    any design whose output is not rows-last is copied into a C-ordered
-    array.
+
+def design_sums(Zt: np.ndarray, *targets: np.ndarray):
+    """Z'Z and each Z't over the rows of the transposed design Zt (B, p, rows),
+    divided by the row count.
+
+    The products are taken ``weighting.CHUNK_ROWS`` rows at a time, so no
+    copy of Zt of more than that many rows is made.  Every design product of
+    the package is taken here, so a change of basis of Z (such as a QR basis
+    of the labeled design) would be applied in one place.  Each target is
+    rows-last, (B, q, rows); returns (Z'Z/m, [Z't/m, ...]), the gram taken by
+    ``weighting.row_gram``.
     """
-    B, d, m = X.shape
-    Z = np.asarray(model.design(X.transpose(0, 2, 1).reshape(B * m, d)), dtype=float)
-    Zt = Z.reshape(B, m, model.p).transpose(0, 2, 1)
-    return Zt if Zt.strides[-1] == Zt.itemsize else np.ascontiguousarray(Zt)
-
-
-def design_sums(model: ScoreModel, X: np.ndarray, *targets: np.ndarray, gram: bool = True):
-    """Z'Z and each Z't over the rows of X (B, d, rows), divided by the row count.
-
-    Z' = design_rows(X) is built ``weighting.CHUNK_ROWS`` rows at a time, so
-    its memory is O(CHUNK_ROWS * p) per replicate for any N.  Every design
-    product of the package is taken here, so a change of basis of Z (such
-    as a QR basis of the labeled design) would be applied in one place.
-    Each target is rows-last, (B, q, rows); returns (Z'Z/m or None,
-    [Z't/m, ...]), the gram taken by ``weighting.row_gram``.
-    """
-    m = X.shape[2]
+    m = Zt.shape[2]
     chunk = weighting.CHUNK_ROWS
     zz, sums = 0.0, [0.0] * len(targets)
     for lo in range(0, m, chunk):
-        Zt = design_rows(model, X[:, :, lo:lo + chunk])
-        if gram:
-            zz = zz + weighting.row_gram(Zt)
-        sums = [s + Zt @ t[:, :, lo:lo + chunk].transpose(0, 2, 1) for s, t in zip(sums, targets)]
-    return (zz / m if gram else None), [s / m for s in sums]
+        Z = Zt[:, :, lo:lo + chunk]
+        zz = zz + weighting.row_gram(Z)
+        sums = [s + Z @ t[:, :, lo:lo + chunk].transpose(0, 2, 1) for s, t in zip(sums, targets)]
+    return zz / m, [s / m for s in sums]
 
 
-def design_root(model: ScoreModel, X: np.ndarray, y: np.ndarray):
+def design_root(Zt: np.ndarray, y: np.ndarray):
     """Closed-form root of mean_i z_i (y_i - z_i'theta) = 0 per replicate: (theta, ok).
 
-    X is rows-last (B, d, m) and y (B, m); see ``solve_affine``.
+    Zt is the transposed design (B, p, m) and y (B, m); see ``solve_affine``.
     """
-    G, (b,) = design_sums(model, X, y[:, None, :])
+    G, (b,) = design_sums(Zt, y[:, None, :])
     return solve_affine(G, b[..., 0])
 
 
 class Problem:
     """A score model on B datasets stacked on a leading replicate axis."""
 
-    def __init__(self, model: ScoreModel, features, labels, predictions, truth=None):
-        """The arrays are rows last: features (B, d, N), labels (B, n),
-        predictions (B, K, N) and truth (B, N) or None."""
+    def __init__(self, model: ScoreModel, design, labels, predictions, truth=None):
+        """The arrays are rows last: design (B, p, N), the transposed design Z'
+        (for a model without a design, the features X', (B, d, N)), labels
+        (B, n), predictions (B, K, N) and truth (B, N) or None."""
         self.model = model
-        self.features, self.labels, self.predictions, self.truth = features, labels, predictions, truth
+        self.design, self.labels, self.predictions, self.truth = design, labels, predictions, truth
         self.B, self.K, self.N = predictions.shape
         self.n = labels.shape[1]
         self.p = model.p
@@ -116,9 +114,10 @@ class Problem:
         """The batch of one that every per-dataset call fits.
 
         The features and predictions of a validated dataset are column-major,
-        so their transposes are views; a row-major dataset is copied here.
+        so their transposes are views; OLS's Z' is one, and any other design,
+        or a row-major dataset, is copied here.
         """
-        return cls(model, np.ascontiguousarray(ds.features.T)[None], ds.labels[None],
+        return cls(model, np.ascontiguousarray(transposed_design(model, ds.features))[None], ds.labels[None],
                    np.ascontiguousarray(ds.predictions.T)[None],
                    None if truth is None else np.asarray(truth, dtype=float)[None])
 
@@ -126,44 +125,44 @@ class Problem:
     def stack(cls, model: ScoreModel, draws: Sequence[tuple]) -> "Problem":
         """Replicates of one shape, in order, as one batch: each draw is the (features,
         labels, predictions[, truth]) arrays of one, rows first as in a ``Dataset``,
-        copied once here, rows last, and not validated."""
+        its Z' and predictions copied once here, rows last, and not validated."""
         features, labels, predictions, *truth = zip(*draws)
         # np.array, not np.stack: stacking transposed views would keep their order
-        return cls(model, np.array([X.T for X in features]), np.stack(labels),
+        return cls(model, np.array([transposed_design(model, X) for X in features]), np.stack(labels),
                    np.array([Yhat.T for Yhat in predictions]), *map(np.stack, truth))
 
     @cached_property
-    def _labeled(self) -> tuple[np.ndarray, np.ndarray]:
-        """G_L = Z_L'Z_L/n and b_L = Z_L'y/n."""
-        G, (b,) = design_sums(self.model, self.features[:, :, : self.n], self.labels[:, None, :])
-        return G, b[..., 0]
+    def _labeled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """G_L = Z_L'Z_L/n, b_L = Z_L'y/n and P_L = Z_L'Yhat_L/n."""
+        n = self.n
+        G, (b, P) = design_sums(self.design[:, :, :n], self.labels[:, None, :], self.predictions[:, :, :n])
+        return G, b[..., 0], P
 
     @cached_property
     def _weighted(self) -> tuple[np.ndarray, np.ndarray]:
         """What a weight matrix multiplies: G_U - G_L and P_U - P_L, P_R = Z_R'Yhat_R/m_R."""
-        n = self.n
-        G_L, _ = self._labeled
-        _, (P_L,) = design_sums(self.model, self.features[:, :, :n], self.predictions[:, :, :n], gram=False)
-        G_U, (P_U,) = design_sums(self.model, self.features[:, :, n:], self.predictions[:, :, n:])
+        G_L, _, P_L = self._labeled
+        G_U, (P_U,) = design_sums(self.design[:, :, self.n:], self.predictions[:, :, self.n:])
         return G_U - G_L, P_U - P_L
 
     # --- primitive 1: the plain score root ---
 
-    def score_root(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Root of mean_i s(x_i, y_i; theta) = 0 per replicate, X rows last (B, d, m):
-        (theta, ok, iterations)."""
+    def score_root(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Root of mean_i s(x_i, y_i; theta) = 0 per replicate over the first m
+        rows, y (B, m): (theta, ok, iterations)."""
+        m = y.shape[1]
         if self.model.design is None:
-            theta, iters = solve_score_root(self.model, X[0].T, y[0])
+            theta, iters = solve_score_root(self.model, self.design[0, :, :m].T, y[0])
             return theta[None], np.ones(1, dtype=bool), np.array([iters])
-        theta, ok = design_root(self.model, X, y)
+        theta, ok = design_root(self.design[:, :, :m], y)
         return theta, ok, np.ones(self.B, dtype=int)
 
     @cached_property
     def pilot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The naive labeled-data root, solved once per problem: (theta, ok, iterations)."""
         if self.model.design is None:
-            return self.score_root(self.features[:, :, : self.n], self.labels)
-        theta, ok = solve_affine(*self._labeled)
+            return self.score_root(self.labels)
+        theta, ok = solve_affine(*self._labeled[:2])
         return theta, ok, np.ones(self.B, dtype=int)
 
     # --- primitive 2: the weighted solve ---
@@ -189,7 +188,7 @@ class Problem:
             theta0 = np.zeros(p) if theta0 is None else theta0[0]
             theta, iters = self._newton_weighted(W[0], columns, theta0)
             return theta[None], np.ones(1, dtype=bool), np.array([iters])
-        G_L, b_L = self._labeled
+        G_L, b_L, _ = self._labeled
         dG, dP = self._weighted
         G = G_L + W.reshape(B, -1, p, p).sum(axis=1).transpose(0, 2, 1) @ dG
         shift = dP[:, :, list(columns)].transpose(0, 2, 1).reshape(B, -1, 1)
@@ -199,7 +198,7 @@ class Problem:
 
     def _newton_weighted(self, W: np.ndarray, columns: Sequence[int], theta0: np.ndarray):
         model, n = self.model, self.n
-        X = self.features[0].T  # rows first, as the model's score and Jacobian take them
+        X = self.design[0].T  # rows first, as the model's score and Jacobian take them
         X_lab, y_lab = X[:n], self.labels[0]
         blocks = W.reshape(len(columns), self.p, self.p)
         used = [(W_k, self.predictions[0, k]) for W_k, k in zip(blocks, columns) if W_k.any()]
@@ -225,53 +224,39 @@ class Problem:
 
     # --- primitive 3: the scores behind the moments at theta ---
 
-    @staticmethod
-    def _fitted(Zt: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """theta'Z' per row, (B, m), from the transposed design Zt (B, p, m).
-
-        For p = 1 this is one exact product over the whole batch.  For p > 1
-        it stays the BLAS product of each replicate: the order of the sum
-        over p moves the fitted values by an ulp, and an ill-conditioned gram
-        turns that into visible changes of the SADA weights.
-        """
-        if Zt.shape[1] == 1:
-            return Zt[:, 0] * theta
-        return (theta[:, None, :] @ Zt)[:, 0]
-
     def labeled_scores(self, theta: np.ndarray) -> np.ndarray:
-        """Scores of the labeled rows at theta (B, p), rows last: (B, p, n).
-
-        For a model with a design they are written into a C-ordered buffer,
-        as in ``stacked_scores``, so later passes over the rows do not stride.
-        """
-        X, y = self.features[:, :, : self.n], self.labels
-        if self.model.design is None:
-            return np.asarray(self.model.score(X[0].T, y[0], theta[0]), dtype=float).T[None]
-        Zt = design_rows(self.model, X)
-        out = np.empty((self.B, self.p, self.n))
-        np.multiply((y - self._fitted(Zt, theta))[:, None, :], Zt, out=out)
-        return out
+        """Scores of the labeled rows at theta (B, p), rows last: (B, p, n)."""
+        return self._scores(0, self.n, [self.labels], theta)
 
     def stacked_scores(self, lo: int, hi: int, columns: Sequence[int], theta: np.ndarray) -> np.ndarray:
         """Rows lo..hi of the stacked scores of ``columns`` at theta, rows last:
-        (B, len(columns)*p, hi-lo).
+        (B, len(columns)*p, hi-lo); block j of the middle axis holds the score
+        at prediction column ``columns[j]``."""
+        return self._scores(lo, hi, [self.predictions[:, k, lo:hi] for k in columns], theta)
 
-        Block j of the middle axis holds the score at prediction column
-        ``columns[j]``.  For a model with a design, the residuals of every
-        column, (B, len(columns), rows), are multiplied by the transposed
-        design in one product, and each reads only its own prediction column.
-        Any other model's ``stacked_score_matrix`` is computed on rows-first
-        views and returned transposed.
+    def _scores(self, lo: int, hi: int, targets: Sequence[np.ndarray], theta: np.ndarray) -> np.ndarray:
+        """Scores at theta of rows lo..hi with each target (B, hi-lo) as y, rows
+        last: (B, len(targets)*p, hi-lo), block j for ``targets[j]``.
+
+        For a model with a design, the residuals of every target, (B,
+        len(targets), rows), are multiplied by the transposed design in one
+        product into a C-ordered buffer, so later passes over the rows do not
+        stride.  The fitted values theta'Z' are one exact product over the
+        batch for p = 1; for p > 1 they stay the BLAS product of each
+        replicate, since the order of the sum over p moves them by an ulp,
+        and an ill-conditioned gram turns that into visible changes of the
+        SADA weights.  Any other model's ``stacked_score_matrix`` is computed
+        on rows-first views and returned transposed.
         """
-        X, Yhat = self.features[:, :, lo:hi], self.predictions[:, :, lo:hi]
         if self.model.design is None:
-            return stacked_score_matrix(self.model, X[0].T, Yhat[0, list(columns)].T, theta[0]).T[None]
-        B, c, p = self.B, len(columns), self.p
-        Zt = design_rows(self.model, X)
-        fitted = self._fitted(Zt, theta)
+            Y = np.stack([t[0] for t in targets], axis=1)
+            return stacked_score_matrix(self.model, self.design[0, :, lo:hi].T, Y, theta[0]).T[None]
+        B, c, p = self.B, len(targets), self.p
+        Zt = self.design[:, :, lo:hi]
+        fitted = Zt[:, 0] * theta if p == 1 else (theta[:, None, :] @ Zt)[:, 0]
         R = np.empty((B, c, hi - lo))
-        for j, k in enumerate(columns):  # several times faster than a fancy-indexed gather
-            np.subtract(Yhat[:, k], fitted, out=R[:, j])
+        for j, t in enumerate(targets):  # several times faster than a fancy-indexed gather
+            np.subtract(t, fitted, out=R[:, j])
         out = np.empty((B, c, p, hi - lo))
         np.multiply(R[:, :, None, :], Zt[:, None], out=out)
         return out.reshape(B, c * p, hi - lo)
@@ -286,8 +271,7 @@ class Problem:
         identity.
         """
         if self.model.design is None:
-            n = self.n
-            H = np.asarray(self.model.jacobian(self.features[0, :, :n].T, self.labels[0], theta[0]), dtype=float)
+            H = np.asarray(self.model.jacobian(self.design[0, :, : self.n].T, self.labels[0], theta[0]), dtype=float)
             return (H[None], *checked_inverse(H[None]))
         return self._design_hessian
 

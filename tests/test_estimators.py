@@ -401,6 +401,25 @@ def test_every_method_is_equivariant_to_the_units_of_y(make_model, c):
                 assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (seed, token)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_naive_and_ppi_are_equivariant_to_a_change_of_feature_basis(scale):
+    # features X T estimate T^-1 theta: theta_hat = T theta_hat' and
+    # Cov = T Cov' T'.  The second new feature is scaled by `scale`.  SADA's
+    # ridge and PPI++'s omega act in the basis the user gives, so they are
+    # not equivariant.
+    T = np.array([[1.0, 0.5], [-0.3, 1.2]]) * np.array([1.0, scale])
+    model = ols_model(2)
+    for seed in range(4):
+        ds = ols_dataset(np.random.default_rng(110 + seed))
+        moved = Dataset.from_arrays(ds.features @ T, ds.labels, ds.predictions)
+        for token in ["naive"] + [f"ppi:{k}" for k in range(1, ds.K + 1)]:
+            base = run_method(ds, model, token, level=0.95)
+            new = run_method(moved, model, token, level=0.95)
+            for got, want in ((T @ new.theta_hat, base.theta_hat),
+                              (T @ new.covariance @ T.T, base.covariance)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (seed, token)
+
+
 # --- the closed-form path of the built-in models ---
 
 @pytest.mark.parametrize("make_model", [mean_model, lambda: ols_model(2)])

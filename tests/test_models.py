@@ -117,10 +117,17 @@ def test_solver_ols_matches_normal_equations():
 
 
 def test_solver_zero_jacobian_raises():
-    with pytest.raises(SingularJacobian):
+    with pytest.raises(SingularJacobian, match=r"^Jacobian is singular at iteration 0 \(rcond < 1e-12\)$"):
         solve_estimating_equation(
             lambda t: np.array([1.0]), lambda t: np.array([[0.0]]), np.array([0.0])
         )
+
+
+def test_a_closed_form_solve_reports_no_iteration():
+    # collinear features: the closed-form solve has no iteration to name
+    X = np.column_stack([np.ones(4), np.ones(4)])
+    with pytest.raises(SingularJacobian, match=r"^Jacobian is singular \(rcond < 1e-12\)$"):
+        solve_score_root(ols_model(2), X, np.arange(4.0))
 
 
 def test_solver_reports_nonconvergence():

@@ -1,9 +1,10 @@
-"""The per-row score primitives of ``problem.Problem``, rows last.
+"""The data a ``problem.Problem`` holds and its per-row score primitives, rows last.
 
 ``stacked_scores`` and ``labeled_scores`` lay their rows on the last axis, so
 that numpy's innermost loop runs over rows.  Whatever the model, they must
 hold the same numbers as ``stacked_score_matrix`` and ``model.score``, which
-lay rows first, and a replicate's block must not depend on its batch.
+lay rows first, and a replicate's block must not depend on its batch.  The
+transposed design is taken once per dataset, when the problem is built.
 """
 import dataclasses
 
@@ -12,6 +13,7 @@ import pytest
 
 from sada import Dataset, mean_model, ols_model
 from sada.data import stacked_score_matrix
+from sada.inference import fit_method
 from sada.problem import Problem
 from test_estimators import least_squares
 
@@ -81,13 +83,44 @@ def test_a_problem_holds_its_data_rows_last_and_a_dataset_is_not_copied():
     ds = dataset(64, lambda X: X)
     for arr in (ds.features, ds.predictions):
         assert arr.flags.f_contiguous and not arr.flags.writeable
-    model = ols_model(3)
-    one = Problem.of(ds, model)
-    batch = Problem.stack(model, [(ds.features, ds.labels, ds.predictions)] * 2)
-    for name in ("features", "predictions"):
-        source, got, stacked = getattr(ds, name), getattr(one, name), getattr(batch, name)
-        assert got.shape == (1,) + source.T.shape and got.flags.c_contiguous
-        assert np.shares_memory(got, source)
-        assert stacked.shape == (2,) + source.T.shape and stacked.flags.c_contiguous
-        for replicate in stacked:
-            assert np.array_equal(replicate, got[0]) and replicate.strides == got[0].strides
+    for name in ("mean", "ols", "custom_design"):
+        model, features = MODELS[name]
+        own = Dataset.from_arrays(features(ds.features), ds.labels, ds.predictions)
+        one = Problem.of(own, model)
+        batch = Problem.stack(model, [(own.features, own.labels, own.predictions)] * 2)
+        # a problem holds the transposed design Z', which only OLS takes as a
+        # view of the features, and takes the predictions as a view
+        assert np.shares_memory(one.design, own.features) == (name == "ols")
+        assert np.shares_memory(one.predictions, own.predictions)
+        Z = np.asarray(model.design(own.features), dtype=float)
+        for source, got, stacked in ((Z, one.design, batch.design),
+                                     (own.predictions, one.predictions, batch.predictions)):
+            assert got.shape == (1,) + source.T.shape and got.flags.c_contiguous
+            assert np.array_equal(got[0], source.T)
+            assert stacked.shape == (2,) + source.T.shape and stacked.flags.c_contiguous
+            for replicate in stacked:
+                assert np.array_equal(replicate, got[0]) and replicate.flags.c_contiguous
+
+
+def test_a_design_is_evaluated_once_per_dataset():
+    base, features = MODELS["custom_design"]
+    calls = []
+
+    def design(x):
+        calls.append(len(x))
+        return base.design(x)
+
+    model = dataclasses.replace(base, design=design)
+    ds = dataset(65, features)
+    problem = Problem.of(ds, model)
+    tokens = ["naive", "sada"] + [f"{m}:{k}" for m in ("ppi", "ppi_pp") for k in range(1, K + 1)]
+    for token in tokens:
+        fits = fit_method(problem, token, level=0.9)
+        assert fits.errors[0] is None and fits.covariance is not None
+    assert calls == [N]
+    calls.clear()
+    datasets = [dataset(seed, features) for seed in (66, 67, 68)]
+    batch = Problem.stack(model, [(ds.features, ds.labels, ds.predictions) for ds in datasets])
+    for token in tokens:
+        fit_method(batch, token, level=0.9)
+    assert calls == [N] * 3
