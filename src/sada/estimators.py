@@ -16,8 +16,9 @@ labeled/unlabeled rows and W is a (K*p, p) weight matrix:
 
 Each estimator is written once, over the B replicates of a
 ``problem.Problem`` (``fit_naive`` ... ``fit_sada``), and returns a ``Fits``
-of arrays with a leading replicate axis.  A replicate that fails carries the
-SadaError it raises instead of stopping the batch.  The per-dataset functions
+of arrays with a leading replicate axis.  PPI, PPI++ and SADA choose W, and
+then ``_weighted_fit`` solves the one weighted equation.  A replicate that
+fails carries the SadaError it raises instead of stopping the batch.  The per-dataset functions
 (``naive_estimate`` ... ``sada_estimate``) fit a batch of one and raise that
 error.  Every function is pure and safe to call from concurrent replication
 workers.
@@ -162,23 +163,18 @@ def fail(errors: np.ndarray, bad: np.ndarray, error: type[SadaError], message: s
             errors[i] = error(message)
 
 
-def weight_blocks(W: np.ndarray, K: int, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """W as (K*p, p), and the 0-based prediction columns whose (p, p) block is non-zero.
-
-    W is (K*p, p) or, when p = 1, a length-K vector.  A column with a zero
-    block adds nothing to the weighted equation or to its covariance, so it
-    is never scored.
-    """
+def weight_blocks(W: np.ndarray, K: int, p: int) -> np.ndarray:
+    """W as (K*p, p); W is (K*p, p) or, when p = 1, a length-K vector."""
     W = np.asarray(W, dtype=float)
     if W.ndim == 1:
         W = W[:, None]
     if W.shape != (K * p, p):
         raise ValueError(f"weight matrix shape {W.shape} != {(K * p, p)}")
-    return W, tuple(np.flatnonzero(W.reshape(K, p, p).any(axis=(1, 2))).tolist())
+    return W
 
 
 def _column_weights(problem: Problem, k: int, blocks: np.ndarray) -> np.ndarray:
-    """(B, K*p, p) weight matrices with ``blocks`` (B, p, p) in block k (1-based), zero elsewhere."""
+    """(B, K*p, p) weight matrices with ``blocks`` ((B, p, p) or (p, p)) in block k (1-based), zero elsewhere."""
     p = problem.p
     W = np.zeros((problem.B, problem.K * p, p))
     W[:, (k - 1) * p: k * p] = blocks
@@ -188,6 +184,27 @@ def _column_weights(problem: Problem, k: int, blocks: np.ndarray) -> np.ndarray:
 def _check_column(problem: Problem, k: int) -> None:
     if not 1 <= k <= problem.K:
         raise ValueError(f"prediction index k={k} outside 1..{problem.K}")
+
+
+def _weighted_fit(problem: Problem, method: str, W: np.ndarray, notes: Callable[[int], dict],
+                  pilot: tuple | None = None, fallback: np.ndarray | None = None) -> Fits:
+    """The fits of the weighted equation with weights W (B, K*p, p), ``notes``
+    giving each replicate's diagnostics less ``solver_iterations``.
+
+    A method that chose W at ``pilot``, the problem's (theta, ok, iterations),
+    starts Newton there and keeps the pilot's errors.  Where ``fallback`` is
+    set, W fell back to zero: the replicate keeps the pilot, with 0
+    iterations and no SingularJacobian from this solve.
+    """
+    theta0 = None if pilot is None else pilot[0]
+    errors = no_errors(problem.B) if pilot is None else _jacobian_errors(pilot[1])
+    theta, solved, iters = problem.solve_weighted(W, theta0)
+    if fallback is not None:
+        solved = solved | fallback
+        theta = np.where(fallback[:, None], theta0, theta)
+        iters = np.where(fallback, 0, iters)
+    fail(errors, ~solved, SingularJacobian, JACOBIAN_SINGULAR)
+    return Fits(method, theta, errors, lambda i: {**notes(i), "solver_iterations": int(iters[i])}, weights=W)
 
 
 def fit_naive(problem: Problem) -> Fits:
@@ -205,71 +222,44 @@ def fit_oracle(problem: Problem) -> Fits:
 def fit_ppi(problem: Problem, k: int) -> Fits:
     """Prediction-powered estimator with identity weight on prediction column k (1-based)."""
     _check_column(problem, k)
-    blocks = np.broadcast_to(np.eye(problem.p), (problem.B, problem.p, problem.p))
-    theta, ok, iters = problem.solve_weighted(blocks, (k - 1,))
-    return Fits(
-        "ppi", theta, _jacobian_errors(ok),
-        lambda i: {"solver_iterations": int(iters[i]), "prediction_column": k},
-        weights=_column_weights(problem, k, blocks),
-    )
+    W = _column_weights(problem, k, np.eye(problem.p))
+    return _weighted_fit(problem, "ppi", W, lambda i: {"prediction_column": k})
 
 
 def fit_ppi_pp(problem: Problem, k: int) -> Fits:
     """PPI with a scalar tuning weight on prediction column k (see ``ppi_pp_estimate``)."""
     _check_column(problem, k)
-    B, p, N, n = problem.B, problem.p, problem.N, problem.n
+    N, n = problem.N, problem.n
     pilot, ok, _ = problem.pilot
-    errors = _jacobian_errors(ok)
-
     _, Hinv, hessian_ok = problem.hessian(pilot)
-    degenerate = np.where(hessian_ok, None, "singular_hessian")
-    omega = np.zeros(B)
+    gram, cross = stacked_moments(problem, pilot, (k - 1,))
+    gram_reg, zero = ridged(gram)
+    denom = np.trace(Hinv @ gram_reg @ Hinv, axis1=1, axis2=2)
+    numer = np.trace(Hinv @ cross @ Hinv, axis1=1, axis2=2)
+    usable = (denom > 0.0) & np.isfinite(denom) & np.isfinite(numer)
     live = ok & hessian_ok
-    if live.any():
-        gram, cross = stacked_moments(problem, pilot, (k - 1,))
-        gram_reg, zero = ridged(gram)
-        denom = np.trace(Hinv @ gram_reg @ Hinv, axis1=1, axis2=2)
-        numer = np.trace(Hinv @ cross @ Hinv, axis1=1, axis2=2)
-        usable = (denom > 0.0) & np.isfinite(denom) & np.isfinite(numer)
-        degenerate[live & zero] = "singular_gram"
-        degenerate[live & ~zero & ~usable] = "nonpositive_variance"
-        good = live & ~zero & usable
-        np.divide((N - n) / N * numer, denom, out=omega, where=good)
-
-    blocks = omega[:, None, None] * np.eye(p)
-    theta, solved, iters = problem.solve_weighted(blocks, (k - 1,), pilot)
-    fail(errors, ~solved, SingularJacobian, JACOBIAN_SINGULAR)
+    degenerate = np.where(hessian_ok, None, "singular_hessian")
+    degenerate[live & zero] = "singular_gram"
+    degenerate[live & ~zero & ~usable] = "nonpositive_variance"
+    omega = np.zeros(problem.B)
+    np.divide((N - n) / N * numer, denom, out=omega, where=live & ~zero & usable)
 
     def notes(i):
-        out = {"prediction_column": k}
+        out = {"prediction_column": k, "omega": float(omega[i])}
         if degenerate[i] is not None:
             out["degenerate"] = degenerate[i]
-        out["solver_iterations"] = int(iters[i])
-        out["omega"] = float(omega[i])
         return out
 
-    return Fits("ppi_pp", theta, errors, notes, weights=_column_weights(problem, k, blocks))
+    W = _column_weights(problem, k, omega[:, None, None] * np.eye(problem.p))
+    return _weighted_fit(problem, "ppi_pp", W, notes, problem.pilot)
 
 
 def fit_sada(problem: Problem) -> Fits:
     """Safe-and-adaptive aggregation across all prediction columns (see ``sada_estimate``)."""
-    B, N, n = problem.B, problem.N, problem.n
-    pilot, ok, pilot_iters = problem.pilot
-    errors = _jacobian_errors(ok)
-    scale = (N - n) / N
-
-    columns = tuple(range(problem.K))
-    gram, cross = stacked_moments(problem, pilot, columns)
+    pilot, _, pilot_iters = problem.pilot
+    scale = (problem.N - problem.n) / problem.N
+    gram, cross = stacked_moments(problem, pilot, range(problem.K))
     solution, zero, bad = solve_grams(gram, cross)
-    fallback = zero | bad
-    W = scale * solution  # zero where the weights fall back
-    if fallback.all():
-        theta, iters = pilot, np.zeros(B, dtype=int)
-    else:
-        theta, solved, iters = problem.solve_weighted(W, columns, pilot)
-        fail(errors, ~solved & ~fallback, SingularJacobian, JACOBIAN_SINGULAR)
-        theta = np.where(fallback[:, None], pilot, theta)
-        iters = np.where(fallback, 0, iters)
 
     def notes(i):
         out = {"pilot_iterations": int(pilot_iters[i]), "weight_scale": scale}
@@ -277,10 +267,9 @@ def fit_sada(problem: Problem) -> Fits:
             out["weight_fallback"] = f"ZeroGram: {ZERO_GRAM}"
         elif bad[i]:
             out["weight_fallback"] = f"SingularGram: {NONFINITE_WEIGHTS}"
-        out["solver_iterations"] = int(iters[i])
         return out
 
-    return Fits("sada", theta, errors, notes, weights=W)
+    return _weighted_fit(problem, "sada", scale * solution, notes, problem.pilot, zero | bad)
 
 
 def solve_weighted(
@@ -305,11 +294,9 @@ def solve_weighted(
         ValueError: W is not (K*p, p), or theta0 not a finite (p,) array.
         SingularJacobian: the weighted equation's Jacobian is singular.
     """
-    p = model.p
-    W, columns = weight_blocks(W, ds.K, p)
-    W = W.reshape(ds.K, p, p)[list(columns)].reshape(-1, p)
-    theta0 = None if theta0 is None else check_theta(theta0, p, "theta0")[None]
-    theta, ok, iters = Problem.of(ds, model).solve_weighted(W[None], columns, theta0)
+    W = weight_blocks(W, ds.K, model.p)
+    theta0 = None if theta0 is None else check_theta(theta0, model.p, "theta0")[None]
+    theta, ok, iters = Problem.of(ds, model).solve_weighted(W[None], theta0)
     if not ok[0]:
         raise SingularJacobian(JACOBIAN_SINGULAR)
     return theta[0], int(iters[0])

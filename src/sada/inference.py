@@ -147,7 +147,7 @@ def attach_inference(report: EstimateReport, ds: Dataset, model: ScoreModel, lev
         ValueError: theta_hat is not a finite array of shape (p,), or the weights not (K*p, p).
     """
     theta = check_theta(report.theta_hat, model.p, "theta_hat")
-    weights = None if report.weights is None else weight_blocks(report.weights, ds.K, model.p)[0][None]
+    weights = None if report.weights is None else weight_blocks(report.weights, ds.K, model.p)[None]
     fits = Fits(report.method, theta[None], no_errors(1), lambda i: dict(report.diagnostics), weights=weights)
     full = infer(Problem.of(ds, model), fits, level).report()
     return replace(report, covariance=full.covariance, intervals=full.intervals)

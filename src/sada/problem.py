@@ -19,7 +19,7 @@ sandwich inference are written once, over that axis, against four
 primitives:
 
 * ``score_root`` (and the cached ``pilot``): root of the plain score equation;
-* ``solve_weighted``: root of the weighted equation for given weights;
+* ``solve_weighted``: root of the weighted equation for weights W (B, K*p, p);
 * ``stacked_scores``/``labeled_scores``: the per-row scores at theta behind
   the weight moments (``weighting.stacked_moments``) and the variance
   (``inference.infer``), also with the rows on the last axis, from one body
@@ -48,6 +48,7 @@ import numpy as np
 
 from . import weighting
 from .data import Dataset, stacked_score_matrix
+from .errors import DimensionMismatch
 from .models import (
     ScoreModel,
     checked_inverse,
@@ -100,7 +101,8 @@ class Problem:
     def __init__(self, model: ScoreModel, design, labels, predictions, truth=None):
         """The arrays are rows last: design (B, p, N), the transposed design Z'
         (for a model without a design, the features X', (B, d, N)), labels
-        (B, n), predictions (B, K, N) and truth (B, N) or None."""
+        (B, n), predictions (B, K, N) and truth (B, N) or None.  A model with a
+        design whose Z' has other than p rows raises DimensionMismatch."""
         self.model = model
         self.design, self.labels, self.predictions, self.truth = design, labels, predictions, truth
         self.B, self.K, self.N = predictions.shape
@@ -108,6 +110,8 @@ class Problem:
         self.p = model.p
         if model.design is None and self.B != 1:
             raise ValueError("a model without a design is fitted one dataset at a time")
+        if model.design is not None and design.shape[1] != self.p:
+            raise DimensionMismatch(f"the design has {design.shape[1]} columns but the model has p={self.p}")
 
     @classmethod
     def of(cls, ds: Dataset, model: ScoreModel, truth: np.ndarray | None = None) -> "Problem":
@@ -167,47 +171,43 @@ class Problem:
 
     # --- primitive 2: the weighted solve ---
 
-    def solve_weighted(
-        self, W: np.ndarray, columns: Sequence[int], theta0: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def solve_weighted(self, W: np.ndarray, theta0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Roots of the weighted estimating equation: (theta, ok, iterations).
 
-        W is (B, len(columns)*p, p), one (p, p) block per 0-based prediction
-        column in ``columns``.  For a model with a design the equation is
-        b - G theta = 0 with
+        W is (B, K*p, p), one (p, p) block per prediction column.  For a model
+        with a design the equation is b - G theta = 0 with
 
             G = G_L + (sum_k W_k)' (G_U - G_L),
             b = Z_L'y / n + sum_k W_k' (P_U - P_L)[:, k],
 
-        solved in closed form, and theta0 is not used; any other model goes
-        through Newton from theta0 (zeros by default), scoring only the
-        columns whose block of W is non-zero, one at a time.
+        solved in closed form, and theta0 is not used; a zero block adds
+        exact zeros, even where its column's products are not finite.  Any
+        other model goes through Newton from theta0 (zeros by default),
+        scoring only the columns whose block of W is non-zero, one at a time.
         """
-        B, p = self.B, self.p
+        B, K, p = self.B, self.K, self.p
         if self.model.design is None:
             theta0 = np.zeros(p) if theta0 is None else theta0[0]
-            theta, iters = self._newton_weighted(W[0], columns, theta0)
+            theta, iters = self._newton_weighted(W[0], theta0)
             return theta[None], np.ones(1, dtype=bool), np.array([iters])
         G_L, b_L, _ = self._labeled
         dG, dP = self._weighted
-        G = G_L + W.reshape(B, -1, p, p).sum(axis=1).transpose(0, 2, 1) @ dG
-        shift = dP[:, :, list(columns)].transpose(0, 2, 1).reshape(B, -1, 1)
-        b = b_L + (W.transpose(0, 2, 1) @ shift)[..., 0]
+        blocks = W.reshape(B, K, p, p)
+        G = G_L + blocks.sum(axis=1).transpose(0, 2, 1) @ dG
+        dP = np.where(blocks.any(axis=(2, 3))[:, None, :], dP, 0.0)
+        b = b_L + (W.transpose(0, 2, 1) @ dP.transpose(0, 2, 1).reshape(B, -1, 1))[..., 0]
         theta, ok = solve_affine(G, b)
         return theta, ok, np.ones(B, dtype=int)
 
-    def _newton_weighted(self, W: np.ndarray, columns: Sequence[int], theta0: np.ndarray):
+    def _newton_weighted(self, W: np.ndarray, theta0: np.ndarray):
         model, n = self.model, self.n
         X = self.design[0].T  # rows first, as the model's score and Jacobian take them
-        X_lab, y_lab = X[:n], self.labels[0]
-        blocks = W.reshape(len(columns), self.p, self.p)
-        used = [(W_k, self.predictions[0, k]) for W_k, k in zip(blocks, columns) if W_k.any()]
-        if not used:
-            return solve_score_root(model, X_lab, y_lab, theta0)
-        X_U = X[n:]
+        X_lab, y_lab, X_U = X[:n], self.labels[0], X[n:]
+        blocks = W.reshape(self.K, self.p, self.p)
+        used = [(W_k, yhat) for W_k, yhat in zip(blocks, self.predictions[0]) if W_k.any()]
 
         def weighted(f, theta):
-            """f(L, y) + sum_k W_k' [f(U, yhat_k) - f(L, yhat_k)], one prediction column at a time."""
+            """f(L, y) + sum_k W_k' [f(U, yhat_k) - f(L, yhat_k)], one used prediction column at a time."""
             out = f(X_lab, y_lab, theta)
             for W_k, yhat in used:
                 out = out + W_k.T @ (f(X_U, yhat[n:], theta) - f(X_lab, yhat[:n], theta))

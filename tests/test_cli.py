@@ -108,6 +108,29 @@ def test_cell_over_the_csv_field_limit_exits_three(tmp_path, capsys, where):
     )
 
 
+@pytest.mark.parametrize(
+    "case, code, error",
+    [
+        ("empty methods list", 2, "ConfigError: methods list is empty"),
+        ("ols without features", 2, "ConfigError: ols model requires at least one x_ feature column"),
+        ("empty file", 3, "SchemaError: {csv}: empty file, header row required"),
+    ],
+)
+def test_bad_request_exits_with_its_code(tmp_path, capsys, case, code, error):
+    csv_path, flags = make_csv(tmp_path), []
+    if case == "empty methods list":
+        flags = ["--methods", ","]
+    elif case == "ols without features":
+        lines = csv_path.read_text().splitlines()
+        csv_path.write_text("\n".join(line.split(",", 1)[1] for line in lines) + "\n")
+        flags = ["--model", "ols"]
+    else:
+        csv_path.write_text("")
+    assert main(["estimate", str(csv_path), "--out", str(tmp_path / "out"), *flags]) == code
+    assert capsys.readouterr().err.strip() == error.format(csv=csv_path)
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_exits_three(tmp_path, capsys):
     assert main(["estimate", str(tmp_path / "nope.csv")]) == 3
 

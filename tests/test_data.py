@@ -72,6 +72,24 @@ def test_shape_mismatch_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "shapes, message",
+    [
+        (((5,), (2,), (5, 2)), "features must be 2-D, got ndim=1"),
+        (((5, 3), (2,), (5,)), "predictions must be 2-D, got ndim=1"),
+        (((5, 3), (2, 1), (5, 2)), "labels must be 1-D, got ndim=2"),
+        (((5, 3), (2,), (5, 0)), "at least one prediction column is required"),
+        (((5, 3), (6,), (5, 2)), r"more labels \(6\) than rows \(5\)"),
+    ],
+    ids=["features_1d", "predictions_1d", "labels_2d", "no_prediction_column", "more_labels_than_rows"],
+)
+def test_each_shape_error_names_itself(shapes, message):
+    rng = np.random.default_rng(5)
+    features, labels, predictions = (rng.standard_normal(shape) for shape in shapes)
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        Dataset.from_arrays(features=features, labels=labels, predictions=predictions)
+
+
 def test_validation_is_idempotent():
     ds = small_dataset()
     again = validate_dataset(ds)

@@ -10,6 +10,7 @@ from sada import (
     Dataset,
     EstimateReport,
     ScoreModel,
+    SingularGram,
     SingularJacobian,
     attach_inference,
     estimate_general_weights,
@@ -26,6 +27,7 @@ from sada import (
 import sada.models
 import sada.problem
 from sada.inference import fit_method, run_method
+from sada.weighting import NONFINITE_WEIGHTS
 
 
 def mean_dataset(rng, N=200, n=60, theta=0.5, perfect_first=False):
@@ -161,6 +163,24 @@ def test_sada_all_constant_predictions_falls_back_to_naive():
     assert not rep.weights.any()
 
 
+def test_sada_falls_back_to_naive_where_the_weight_solve_is_not_finite():
+    ds, _ = mean_dataset(np.random.default_rng(21))
+    preds = ds.predictions.copy()
+    preds[:, 1] *= 1e200
+    huge = Dataset.from_arrays(ds.features, ds.labels, preds)
+    m = mean_model()
+    # the moments of the 1e200 column overflow, as they are meant to here
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = run_method(huge, m, "sada", level=0.95)
+        with pytest.raises(SingularGram, match=NONFINITE_WEIGHTS) as raised:
+            estimate_general_weights(huge, m)
+    assert type(raised.value) is SingularGram  # not its ZeroGram subclass
+    assert np.array_equal(rep.theta_hat, naive_estimate(huge, m).theta_hat)
+    assert rep.diagnostics["weight_fallback"] == "SingularGram: weight solve produced non-finite values"
+    assert rep.diagnostics["solver_iterations"] == 0 and not rep.weights.any()
+    assert np.all(np.isfinite(rep.covariance))
+
+
 def test_sada_population_weights_perfect_prediction_gives_full_mean():
     # with the exact optimal weights (N-n)/N * (1, 0), the estimator is the
     # all-N average of the first prediction column
@@ -260,6 +280,30 @@ def test_weighted_solver_reduces_to_naive_and_ppi():
     assert abs(theta0[0] - naive_estimate(ds, m).theta_hat[0]) <= 1e-10
     theta1, _ = solve_weighted(ds, m, np.eye(1))
     assert abs(theta1[0] - ppi_estimate(ds, m, 1).theta_hat[0]) <= 1e-10
+
+
+def test_the_weighted_newton_with_no_column_is_the_naive_newton():
+    ds = logistic_dataset(np.random.default_rng(22))
+    model = logistic_model(2)
+    theta, iters = solve_weighted(ds, model, np.zeros((ds.K * 2, 2)))
+    naive = naive_estimate(ds, model)
+    assert np.array_equal(theta, naive.theta_hat)
+    assert iters == naive.diagnostics["solver_iterations"] > 1
+
+
+@pytest.mark.parametrize("make_model", [mean_model, lambda: ols_model(2)], ids=["mean", "ols"])
+def test_a_column_whose_products_overflow_does_not_reach_another_columns_ppi(make_model):
+    # a zero block of W must add exact zeros, also where its column's sums are infinite
+    rng = np.random.default_rng(23)
+    ds = ols_dataset(rng, K=2)
+    preds = ds.predictions.copy()
+    preds[:, 1] = 1e307 * (1.0 + rng.random(ds.N))
+    huge = Dataset.from_arrays(ds.features, ds.labels, preds)
+    alone = Dataset.from_arrays(ds.features, ds.labels, preds[:, :1])
+    m = make_model()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = ppi_estimate(huge, m, 1).theta_hat
+    assert np.allclose(got, ppi_estimate(alone, m, 1).theta_hat, rtol=1e-13, atol=0.0)
 
 
 def test_a_far_off_theta0_does_not_move_the_closed_form_root():

@@ -291,7 +291,7 @@ def test_every_variance_is_psd_and_no_interval_has_zero_width(model_name):
         p = model.p
         problem = Problem.of(ds, model)
         W = rng.standard_normal((1, K * p, p))
-        theta = problem.solve_weighted(W, range(K))[0]
+        theta = problem.solve_weighted(W)[0]
         sigma = _sigma(problem, theta, W, range(K))[0]
         eig = np.linalg.eigvalsh(sigma)
         assert eig.min() >= -1e-12 * np.abs(eig).max()

@@ -11,11 +11,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sada import Dataset, mean_model, ols_model
+from sada import DimensionMismatch, Dataset, mean_model, naive_estimate, ols_model, ppi_estimate, sada_estimate
 from sada.data import stacked_score_matrix
+from sada.estimators import fit_ppi
 from sada.inference import fit_method
 from sada.problem import Problem
-from test_estimators import least_squares
+from test_estimators import least_squares, logistic_dataset, logistic_model
 
 N, n, K = 40, 13, 4
 
@@ -124,3 +125,45 @@ def test_a_design_is_evaluated_once_per_dataset():
     for token in tokens:
         fit_method(batch, token, level=0.9)
     assert calls == [N] * 3
+
+
+# models whose design is not p wide on the d = 3 features of ``dataset``
+WRONG_WIDTH = {
+    "ols_narrower": (ols_model(2), 3),
+    "ols_wider": (ols_model(4), 3),
+    "custom_design": (least_squares(lambda x: np.column_stack([np.ones(len(x)), x]), 3), 4),
+}
+FITS = {
+    "naive": naive_estimate,
+    "ppi": ppi_estimate,
+    "sada": sada_estimate,
+    "stack": lambda ds, model: Problem.stack(model, [(ds.features, ds.labels, ds.predictions)]),
+}
+
+
+@pytest.mark.parametrize("fit", FITS)
+@pytest.mark.parametrize("name", WRONG_WIDTH)
+def test_a_design_whose_width_is_not_p_is_rejected(name, fit):
+    model, width = WRONG_WIDTH[name]
+    ds = dataset(69, lambda X: X)
+    with pytest.raises(DimensionMismatch, match=rf"design has {width} columns but the model has p={model.p}"):
+        FITS[fit](ds, model)
+
+
+def test_a_model_without_a_design_has_a_p_unrelated_to_d():
+    ds = dataset(70, lambda X: X)
+    model = dataclasses.replace(mean_model(), design=None)
+    assert model.p == 1 != ds.d
+    assert np.isclose(naive_estimate(ds, model).theta_hat[0], ds.labels.mean(), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["mean", "logistic"])
+def test_ppi_neither_reads_nor_solves_the_pilot(name):
+    if name == "mean":
+        ds, model = dataset(71, lambda X: X), mean_model()
+    else:
+        ds, model = logistic_dataset(np.random.default_rng(72)), logistic_model(2)
+    problem = Problem.of(ds, model)
+    fits = fit_ppi(problem, 1)
+    assert fits.errors[0] is None
+    assert "pilot" not in vars(problem)
