@@ -275,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp_sim.add_argument("--reps", type=int, default=study.reps, help="Monte Carlo replications per gamma")
     sp_sim.add_argument("--gamma-grid", dest="gamma_grid", type=parse_gamma_grid, default="0:1:11",
                         help="comma list or start:stop:count")
-    sp_sim.add_argument("--workers", type=int, default=1, help="worker processes")
+    sp_sim.add_argument("--workers", type=int, default=1,
+                        help="at most this many worker processes; a sweep too small to repay a "
+                        "process pool runs in this process")
     sp_sim.add_argument("--strict", action="store_true", help="abort on any replicate failure")
     sp_sim.add_argument("--theta-star", dest="theta_star", type=float, default=study.theta_star,
                         help="true mean")

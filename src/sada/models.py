@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergence, SingularJacobian
+from .errors import DimensionMismatch, NonConvergence, SingularJacobian
 
 #: Reciprocal condition number below which a Jacobian, Hessian or covariance
 #: is treated as singular; also the relative cutoff of the gram pseudo-inverse.
@@ -232,13 +232,15 @@ def solve_score_root(
     A model with a design is solved in closed form from G = Z'Z/m and
     b = Z'y/m (``problem.design_root``, batch of one), Z = design(X) taken
     by one call, and ignores theta0; any other by Newton from theta0 (zeros
-    by default).
+    by default).  A design of other than p columns raises DimensionMismatch.
     """
     if model.design is not None:
         from .problem import design_root, transposed_design  # problem imports this module
 
         X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
         Zt = np.ascontiguousarray(transposed_design(model, X.reshape(X.shape[0], -1)))
+        if Zt.shape[0] != model.p:
+            raise DimensionMismatch(f"the design has {Zt.shape[0]} columns but the model has p={model.p}")
         theta, ok = design_root(Zt[None], y[None])
         if not ok[0]:
             raise SingularJacobian(JACOBIAN_SINGULAR)

@@ -3,24 +3,23 @@
 A study is its config: ``SyntheticConfig``, ``ConditionalMeanConfig`` and
 ``OlsCoverageConfig`` each draw their replicates (``draw``), name their score
 model (``model``) and their estimand (``target``).  Every replicate draws its
-own RNG substream from ``SeedSequence(seed, spawn_key=(rep_index,))``.  A job
-is a range of replicates of one config: their arrays are drawn straight into
-one ``problem.Problem``, copied once and not validated as datasets, and every
+own RNG substream from ``SeedSequence(seed, spawn_key=(rep_index,))``.  The
+replicates of every config of one call are cut, in config and replicate
+order, into batches of at most ``weighting.CHUNK_ROWS`` rows, so a batch may
+span the gammas of a sweep.  A batch's arrays are drawn straight into one
+``problem.Problem``, copied once and not validated as datasets, and every
 method is fitted on all of them in one batched pass.  Each replicate's fit
 does not depend on which others share its batch, so results are
-bit-identical no matter how the replicates are split into jobs and
-distributed over worker processes.  Aggregation is a single deterministic
-reduction over rep-indexed arrays.  Methods are named by the tokens of
-``estimators.parse_method``.
+bit-identical no matter how the replicates are batched, or whether the
+batches run in this process or in a process pool.  Aggregation is a single
+deterministic reduction over rep-indexed arrays.  Methods are named by the
+tokens of ``estimators.parse_method``.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -182,17 +181,18 @@ class SimStudyResult:
     failures: dict = field(default_factory=dict)
 
 
-def _run_chunk(methods: Sequence[str], level: float, strict: bool, cfg, lo: int, hi: int) -> dict:
-    """Fit every method on replicates lo..hi-1 of one config in one batch.
+def _run_chunk(methods: Sequence[str], level: float, strict: bool, replicates) -> dict:
+    """Fit every method on the (config, replicate index) pairs of one batch,
+    with the model of its first config.
 
-    Returns {token: (theta, lower, upper, failed)}: (reps, p) arrays, lower
-    and upper None for the oracle, and ``failed`` (reps,) marking the
+    Returns {token: (theta, lower, upper, failed)}: arrays with one row per
+    pair, lower and upper None for the oracle, and ``failed`` marking the
     replicates whose fit raised a SadaError.  Under ``strict`` the error of
-    the first failing replicate, in replicate and then token order, is
-    raised instead.  A configuration error is the same for every replicate,
-    so it is raised, never counted as a failed fit.
+    the first failing replicate, in pair and then token order, is raised
+    instead.  A configuration error is the same for every replicate, so it
+    is raised, never counted as a failed fit.
     """
-    problem = Problem.stack(cfg.model(), [cfg.draw(rep) for rep in range(lo, hi)])
+    problem = Problem.stack(replicates[0][0].model(), [cfg.draw(rep) for cfg, rep in replicates])
     fits = [fit_method(problem, token, level=level) for token in methods]
     failed = np.stack([~np.equal(f.errors, None) for f in fits], axis=1)  # (reps, tokens)
     if strict and failed.any():
@@ -204,20 +204,14 @@ def _run_chunk(methods: Sequence[str], level: float, strict: bool, cfg, lo: int,
     return {token: (f.theta, f.lower, f.upper, bad) for token, f, bad in zip(methods, fits, failed.T)}
 
 
-def _aggregate(cfg, tokens: list[str], chunks: Iterable[dict]) -> SimStudyResult:
-    """Reduce one config's replicate chunks, in rep order, to its summary."""
+def _aggregate(cfg, tokens: list[str], results: dict) -> SimStudyResult:
+    """Reduce one config's {token: (theta, lower, upper, failed)}, in rep order, to its summary."""
     theta_star = cfg.target()
     p = theta_star.shape[0]
     reps = cfg.reps
-    chunks = list(chunks)
     estimates, covered, failures = {}, {}, {}
     for token in tokens:
-        # each chunk's (theta, lower, upper, failed) joined in rep order; the
-        # oracle's lower and upper are None
-        theta, lower, upper, failed = (
-            None if parts[0] is None else np.concatenate(parts)
-            for parts in zip(*(chunk[token] for chunk in chunks))
-        )
+        theta, lower, upper, failed = results[token]
         failures[token] = int(failed.sum())
         estimates[token] = np.where(failed[:, None], np.nan, theta)
         covered[token] = np.full((reps, p), np.nan)
@@ -255,6 +249,20 @@ def _aggregate(cfg, tokens: list[str], chunks: Iterable[dict]) -> SimStudyResult
     )
 
 
+#: Fewest full batches each worker must get before ``_run_studies`` starts a
+#: process pool; a smaller sweep is fitted in this process, since starting a
+#: pool costs more than the fits it takes over.  ``run_replications`` of
+#: batches of 81 replicates (N = 200, the six default methods) in a fresh
+#: interpreter, one BLAS thread, 2-vCPU VM, fastest of 5 to 7 runs:
+#:
+#:     full batches     4      8      12     16     20     24     48     64
+#:     one process (s)  0.041  0.087  0.109  0.151  0.188  0.234  0.495  0.714
+#:     pool of 2 (s)    0.078  0.104  0.114  0.165  0.180  0.181  0.403  0.536
+#:
+#: The pool, its import included, pays from about 20 batches, 10 per worker.
+MIN_BATCHES_PER_WORKER = 10
+
+
 def _run_studies(
     cfgs: Sequence,
     methods: Sequence[str],
@@ -262,13 +270,19 @@ def _run_studies(
     workers: int,
     strict: bool,
 ) -> list[SimStudyResult]:
-    """Run every replicate of every config through one ordered map of
-    replicate ranges, then reduce each config from its ranges' results.
+    """Run every replicate of every config as one list of batches, then
+    reduce each config from its replicates' results.
 
-    A range holds at most ``weighting.CHUNK_ROWS // N`` replicates (at least
-    one), so a batch stays within that row budget.  More than one worker
-    uses one process pool for the whole call, with about four ranges per
-    worker and no more processes than CPUs or ranges.
+    The configs must share their class, N and n, as the gammas of
+    ``efficiency_curve`` do: a batch may span configs, and is fitted with
+    the ``model()`` of its first.  The (config, replicate) pairs, in config
+    and then replicate order, are cut into batches of
+    ``weighting.CHUNK_ROWS // N`` replicates (at least one), so a batch
+    stays within that row budget.  The batches are fitted in this process
+    unless each worker would get at least ``MIN_BATCHES_PER_WORKER`` full
+    batches; then one process pool fits them all, with at most ``workers``
+    processes, one per CPU and one per ``MIN_BATCHES_PER_WORKER`` full
+    batches.
     """
     if not methods:
         raise ConfigError("methods must be nonempty")
@@ -279,23 +293,31 @@ def _run_studies(
     if "naive" not in tokens:
         tokens = ["naive"] + tokens  # baseline for relative efficiencies
     run = partial(_run_chunk, tokens, level, strict)
-    workers = min(workers, os.cpu_count() or 1)
-    share = -(-sum(cfg.reps for cfg in cfgs) // (workers * 4))
-    jobs = []
+    replicates = [(cfg, rep) for cfg in cfgs for rep in range(cfg.reps)]
+    size = max(1, weighting.CHUNK_ROWS // cfgs[0].N)
+    batches = [replicates[lo:lo + size] for lo in range(0, len(replicates), size)]
+    workers = min(workers, os.cpu_count() or 1, len(replicates) // size // MIN_BATCHES_PER_WORKER)
+    if workers < 2:
+        results = list(map(run, batches))
+    else:
+        # imported here, where it is used: the import alone costs every CLI
+        # command about 15 ms and 1.9 MB
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, batches))
+    # every batch's (theta, lower, upper, failed) joined in pair order; the
+    # oracle's lower and upper are None
+    joined = {
+        token: [None if parts[0] is None else np.concatenate(parts) for parts in zip(*(r[token] for r in results))]
+        for token in tokens
+    }
+    studies, lo = [], 0
     for cfg in cfgs:
-        size = max(1, weighting.CHUNK_ROWS // cfg.N)
-        if workers > 1:
-            size = min(size, share)
-        jobs.append([(cfg, lo, min(lo + size, cfg.reps)) for lo in range(0, cfg.reps, size)])
-    flat = [job for ranges in jobs for job in ranges]
-    workers = min(workers, len(flat))  # no more processes than ranges
-    with ExitStack() as stack:
-        if workers <= 1:
-            chunks = map(run, *zip(*flat))
-        else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            chunks = pool.map(run, *zip(*flat))
-        return [_aggregate(cfg, tokens, islice(chunks, len(ranges))) for cfg, ranges in zip(cfgs, jobs)]
+        own = {token: [None if a is None else a[lo:lo + cfg.reps] for a in arrays] for token, arrays in joined.items()}
+        studies.append(_aggregate(cfg, tokens, own))
+        lo += cfg.reps
+    return studies
 
 
 def run_replications(

@@ -1,10 +1,11 @@
 """The batched engine: a replicate's fit does not depend on its batch, and no
 input makes a batch raise a raw numpy error.
 
-``simulate`` fits a range of replicates as one ``Problem`` and splits the
-replicates into ranges by worker count, so its outputs are identical across
-``--workers`` only because every replicate's fit is the same whatever else
-shares its batch (acceptance criterion 10 relies on that).
+``simulate`` fits a batch of replicates, which may span gammas, as one
+``Problem``, and runs the batches in this process or in a process pool, so
+its outputs are identical across ``--workers`` only because every
+replicate's fit is the same whatever else shares its batch (acceptance
+criterion 10 relies on that).
 """
 import numpy as np
 import pytest

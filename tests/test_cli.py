@@ -149,6 +149,23 @@ def test_numerical_failure_exits_four(tmp_path, capsys):
     assert "SingularJacobian" in capsys.readouterr().err
 
 
+def test_a_variance_that_overflows_exits_four(tmp_path, capsys):
+    # ppi:2 on a column of noise times 1e200: a finite estimate whose
+    # variance overflows is a numerical failure, not a NaN interval
+    rng = np.random.default_rng(6)
+    lines = ["x_1,y,yhat_1,yhat_2"]
+    for i in range(80):
+        y = float(rng.standard_normal())
+        label = repr(y) if i < 30 else ""
+        lines.append(f"1.0,{label},{y + 0.3 * rng.standard_normal()!r},{y + 1e200 * rng.standard_normal()!r}")
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["estimate", str(path), "--methods", "ppi:2", "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert "SingularGram: variance of the weighted scores is not finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("model", ["mean", "ols"])
 def test_estimate_on_labels_in_the_hundreds_of_millions(tmp_path, capsys, model):
     # the solve must not depend on the units of y

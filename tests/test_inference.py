@@ -8,6 +8,7 @@ from sada import (
     Dataset,
     EstimateReport,
     SyntheticConfig,
+    SingularGram,
     SingularHessian,
     attach_inference,
     efficiency_curve,
@@ -357,6 +358,54 @@ def test_attach_inference_on_weight_fallback_gives_naive_width():
     assert np.allclose(fallback.covariance, naive.covariance)
     assert np.allclose(fallback.intervals.lower, naive.intervals.lower)
     assert np.allclose(fallback.intervals.upper, naive.intervals.upper)
+
+
+def huge_column_dataset(X, seed=0):
+    """y linear in X, a good first prediction column and a second of y plus
+    noise times 1e200, whose squared scores overflow."""
+    rng = np.random.default_rng(seed)
+    N, n = X.shape[0], 120
+    y = X @ np.linspace(1.0, 0.5, X.shape[1]) + rng.standard_normal(N)
+    preds = np.column_stack([y + 0.3 * rng.standard_normal(N), y + 1e200 * rng.standard_normal(N)])
+    return Dataset.from_arrays(X, y[:n], preds)
+
+
+@pytest.mark.parametrize("make_model", [mean_model, lambda: ols_model(2)], ids=["mean", "ols"])
+def test_a_variance_that_overflows_raises_instead_of_returning_nan(make_model):
+    rng = np.random.default_rng(60)
+    m = make_model()
+    X = np.column_stack([np.ones(400), rng.standard_normal(400)])[:, : m.p]
+    ds = huge_column_dataset(X)
+    # the moments of the 1e200 column overflow, as they are meant to here
+    with np.errstate(over="ignore", invalid="ignore"):
+        # ppi:2's estimate is finite, but its variance squares scores of 1e200
+        with pytest.raises(SingularGram, match="variance of the weighted scores is not finite"):
+            run_method(ds, m, "ppi:2", level=0.95)
+        naive = run_method(ds, m, "naive", level=0.95)
+        # the tuned methods give column 2 no weight, and stay finite
+        for token in ("ppi_pp:2", "sada"):
+            rep = run_method(ds, m, token, level=0.95)
+            assert not rep.weights.any(), token
+            assert np.array_equal(rep.theta_hat, naive.theta_hat), token
+            assert np.all(np.isfinite(rep.covariance)), token
+            assert np.all(np.isfinite(rep.intervals.lower)) and np.all(np.isfinite(rep.intervals.upper)), token
+
+
+def test_a_simulate_replicate_whose_variance_overflows_is_counted_as_failed(monkeypatch):
+    cfg = SyntheticConfig(reps=4, seed=3)
+    draw = SyntheticConfig.draw
+
+    def huge_at_rep_2(cfg, rep):
+        X, labels, predictions, y = draw(cfg, rep)
+        if rep == 2:
+            predictions[:, 1] = y + 1e200 * np.random.default_rng(rep).standard_normal(cfg.N)
+        return X, labels, predictions, y
+
+    monkeypatch.setattr(SyntheticConfig, "draw", huge_at_rep_2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = sada.simulate.run_replications(cfg, ["ppi:2", "sada"])
+    assert res.failures == {"naive": 0, "ppi:2": 1, "sada": 0}
+    assert np.flatnonzero(np.isnan(res.estimates["ppi:2"][:, 0])).tolist() == [2]
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (4, 1), (2,), (4,)])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sada import (
+    DimensionMismatch,
     NonConvergence,
     ScoreModel,
     SingularJacobian,
@@ -114,6 +115,14 @@ def test_solver_ols_matches_normal_equations():
     expected = np.linalg.lstsq(X, y, rcond=None)[0]
     theta, _ = solve_score_root(ols_model(2), X, y)
     assert np.allclose(theta, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_closed_form_solve_rejects_a_design_of_another_width(p):
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((50, 3))
+    with pytest.raises(DimensionMismatch, match=f"^the design has 3 columns but the model has p={p}$"):
+        solve_score_root(ols_model(p), X, rng.standard_normal(50))
 
 
 def test_solver_zero_jacobian_raises():

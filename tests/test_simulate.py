@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import os
 from concurrent.futures import Future
@@ -187,7 +188,9 @@ def test_ols_coverage_study_smoke():
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Replace the process pool by one that runs its jobs in this process and
-    records the ``max_workers`` of every pool built."""
+    records the ``max_workers`` of every pool built.  ``simulate`` imports the
+    pool class from ``concurrent.futures`` only where it starts one, so the
+    class is replaced there."""
     sizes = []
 
     class SerialPool:
@@ -209,17 +212,25 @@ def pool_sizes(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU never starts a pool")
-def test_efficiency_curve_builds_one_pool(pool_sizes):
-    cfg = SyntheticConfig(reps=4, seed=2)
+def test_efficiency_curve_builds_one_pool(pool_sizes, monkeypatch):
+    cfg = SyntheticConfig(reps=simulate.MIN_BATCHES_PER_WORKER, seed=2)
+    # one replicate per batch: 3 gammas give each of 2 workers enough batches
+    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", cfg.N)
     pooled = efficiency_curve(cfg, [0.0, 0.5, 1.0], ["sada"], workers=2)
     assert pool_sizes == [2]
     assert pooled == efficiency_curve(cfg, [0.0, 0.5, 1.0], ["sada"], workers=1)
     assert pool_sizes == [2]
+
+
+def test_a_small_sweep_starts_no_pool(pool_sizes):
+    cfg = SyntheticConfig(reps=4, seed=2)
+    efficiency_curve(cfg, [0.0, 0.5, 1.0], ["sada"], workers=2)
+    assert pool_sizes == []
 
 
 def test_pool_is_capped_at_cpus_and_chunks(pool_sizes):
@@ -329,3 +340,47 @@ def test_strict_raises_the_error_of_the_first_failing_replicate(monkeypatch, chu
         strict(("oracle", "ppi:1", "naive"), labeled={5}, everywhere={8})
     # with every design of full rank, strict runs through
     strict(("oracle", "sada"))
+
+
+# --- replicates of several gammas share a batch ---
+
+
+def test_packing_replicates_into_batches_is_invisible(monkeypatch):
+    cfg = SyntheticConfig(reps=5, seed=8)
+    gammas = [0.1, 0.5, 0.9]
+    studies = [cfg, ConditionalMeanConfig(reps=5, seed=9), OlsCoverageConfig(N=300, n=90, reps=5, seed=10)]
+    packed = efficiency_curve(cfg, gammas)  # all 15 replicates in one batch
+    shared = [run_replications(study) for study in studies]
+    for study, together in zip(studies, shared):
+        monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", study.N)  # one replicate per batch
+        alone = run_replications(study)
+        for token in together.methods:
+            assert together.estimates[token].tobytes() == alone.estimates[token].tobytes(), (study, token)
+    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", cfg.N)
+    assert efficiency_curve(cfg, gammas) == packed
+
+
+def test_strict_raises_the_first_failing_gamma_of_a_batch(monkeypatch):
+    cfgs = [OlsCoverageConfig(N=200, n=60, reps=3, gamma=gamma, seed=5) for gamma in (0.2, 0.5, 0.8)]
+
+    def strict(labeled, unlabeled):
+        """Make the labeled design of replicate ``labeled`` = (gamma, rep)
+        singular, and the unlabeled design of ``unlabeled``; all nine
+        replicates share one batch."""
+        def draw(cfg, rep):
+            X, labels, predictions, y = OLS_DRAW(cfg, rep)
+            if (cfg.gamma, rep) == labeled:
+                X[: cfg.n, 1] = 1.0
+            if (cfg.gamma, rep) == unlabeled:
+                X[cfg.n:, 1] = 0.5
+            return X, labels, predictions, y
+        monkeypatch.setattr(OlsCoverageConfig, "draw", draw)
+        simulate._run_studies(cfgs, ("ppi:1", "naive"), 0.95, 1, True)
+
+    # ppi:1, fitted before naive here, raises SingularHessian on gamma #2's replicate 2 and
+    # SingularJacobian on gamma #3's replicate 0: config order comes before
+    # replicate order
+    with pytest.raises(SingularHessian):
+        strict(labeled=(0.5, 2), unlabeled=(0.8, 0))
+    with pytest.raises(SingularJacobian):
+        strict(labeled=None, unlabeled=(0.8, 0))
