@@ -51,7 +51,7 @@ from .models import ScoreModel, check_theta
 from .problem import Problem
 
 HESSIAN_SINGULAR = "estimated Hessian is singular"
-VARIANCE_NONFINITE = "variance of the weighted scores is not finite"
+COVARIANCE_NONFINITE = "covariance is not finite"
 
 
 def _sigma(problem: Problem, theta: np.ndarray, W: np.ndarray, columns: Sequence[int]) -> np.ndarray:
@@ -118,9 +118,9 @@ def infer(problem: Problem, fits: Fits, level: float = 0.95) -> Fits:
     Every replicate gets the sandwich at its own estimate and its own weight
     matrix (zero for naive), over the prediction columns where some
     replicate's weights are non-zero.  A replicate whose Hessian fails its
-    check gets SingularHessian, and one whose Sigma is not finite (a score
-    column so large that its square overflows) SingularGram, unless it
-    failed earlier.
+    check gets SingularHessian, and one whose covariance is not finite (a
+    score column so large that its square, or its product with a large
+    inverse Hessian, overflows) SingularGram, unless it failed earlier.
     """
     check_level(level)
     B, K, p, theta = problem.B, problem.K, problem.p, fits.theta
@@ -135,8 +135,8 @@ def infer(problem: Problem, fits: Fits, level: float = 0.95) -> Fits:
     _, Hinv, hessian_ok = problem.hessian(theta)
     errors = fits.errors.copy()
     fail(errors, ~hessian_ok, SingularHessian, HESSIAN_SINGULAR)
-    fail(errors, ~np.isfinite(sigma).all(axis=(1, 2)), SingularGram, VARIANCE_NONFINITE)
     omega, lower, upper = _sandwich_intervals(Hinv, sigma, theta, problem.n, level)
+    fail(errors, ~np.isfinite(omega).all(axis=(1, 2)), SingularGram, COVARIANCE_NONFINITE)
     return replace(fits, errors=errors, covariance=omega, lower=lower, upper=upper, level=level)
 
 

@@ -252,14 +252,20 @@ def _aggregate(cfg, tokens: list[str], results: dict) -> SimStudyResult:
 #: Fewest full batches each worker must get before ``_run_studies`` starts a
 #: process pool; a smaller sweep is fitted in this process, since starting a
 #: pool costs more than the fits it takes over.  ``run_replications`` of
-#: batches of 81 replicates (N = 200, the six default methods) in a fresh
-#: interpreter, one BLAS thread, 2-vCPU VM, fastest of 5 to 7 runs:
+#: batches of 81 replicates (N = 200) in a fresh interpreter, one BLAS
+#: thread, 2-vCPU VM, fastest of 5 to 7 runs, with the six default methods
+#: and with ``["sada"]`` alone (naive and sada, a third of the work):
 #:
 #:     full batches     4      8      12     16     20     24     48     64
+#:     six methods
 #:     one process (s)  0.041  0.087  0.109  0.151  0.188  0.234  0.495  0.714
 #:     pool of 2 (s)    0.078  0.104  0.114  0.165  0.180  0.181  0.403  0.536
+#:     sada alone
+#:     one process (s)         0.046         0.089         0.135  0.251  0.314
+#:     pool of 2 (s)           0.068         0.113         0.120  0.204  0.235
 #:
-#: The pool, its import included, pays from about 20 batches, 10 per worker.
+#: With either method set the pool, its import included, pays from about 20
+#: batches, 10 per worker, so the rule counts batches, not batches × methods.
 MIN_BATCHES_PER_WORKER = 10
 
 

@@ -163,7 +163,7 @@ def test_a_variance_that_overflows_exits_four(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["estimate", str(path), "--methods", "ppi:2", "--out", str(tmp_path / "out")])
     assert code == 4
-    assert "SingularGram: variance of the weighted scores is not finite" in capsys.readouterr().err
+    assert "SingularGram: covariance is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("model", ["mean", "ols"])

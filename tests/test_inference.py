@@ -379,7 +379,7 @@ def test_a_variance_that_overflows_raises_instead_of_returning_nan(make_model):
     # the moments of the 1e200 column overflow, as they are meant to here
     with np.errstate(over="ignore", invalid="ignore"):
         # ppi:2's estimate is finite, but its variance squares scores of 1e200
-        with pytest.raises(SingularGram, match="variance of the weighted scores is not finite"):
+        with pytest.raises(SingularGram, match="covariance is not finite"):
             run_method(ds, m, "ppi:2", level=0.95)
         naive = run_method(ds, m, "naive", level=0.95)
         # the tuned methods give column 2 no weight, and stay finite
@@ -389,6 +389,22 @@ def test_a_variance_that_overflows_raises_instead_of_returning_nan(make_model):
             assert np.array_equal(rep.theta_hat, naive.theta_hat), token
             assert np.all(np.isfinite(rep.covariance)), token
             assert np.all(np.isfinite(rep.intervals.lower)) and np.all(np.isfinite(rep.intervals.upper)), token
+
+
+def test_a_covariance_that_overflows_through_a_near_singular_jacobian_raises():
+    # the feature is 1 + 1e-5 noise, so the Jacobian passes its rcond check
+    # with an inverse of about 1e10; the weighted scores' variance (about
+    # 1e294) is finite, but the sandwich around it is not
+    rng = np.random.default_rng(0)
+    N, n = 400, 120
+    x = rng.standard_normal(N)
+    X = np.column_stack([np.ones(N), 1.0 + 1e-5 * x])
+    y = X @ np.array([1.0, 0.5]) + rng.standard_normal(N)
+    preds = np.column_stack([y + 0.3 * rng.standard_normal(N), y + 1e147 * rng.standard_normal(N) * x])
+    ds = Dataset.from_arrays(X, y[:n], preds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SingularGram, match="covariance is not finite"):
+            run_method(ds, ols_model(2), "ppi:2", level=0.95)
 
 
 def test_a_simulate_replicate_whose_variance_overflows_is_counted_as_failed(monkeypatch):

@@ -244,6 +244,21 @@ def test_pool_is_capped_at_cpus_and_chunks(pool_sizes):
         assert capped.sd[token][0] == serial.sd[token][0]
 
 
+@pytest.mark.parametrize("cpus, expected", [(4, 3), (2, 2)], ids=["batch-cap", "cpu-cap"])
+def test_a_large_sweep_caps_its_pool_at_the_cpus_and_the_batches(pool_sizes, monkeypatch, cpus, expected):
+    # one replicate per batch: 3 * MIN_BATCHES_PER_WORKER full batches allow
+    # 3 workers, fewer than 4 CPUs but more than 2
+    cfg = SyntheticConfig(reps=3 * simulate.MIN_BATCHES_PER_WORKER, seed=4)
+    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", cfg.N)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+    capped = run_replications(cfg, ["sada"], workers=64)
+    assert pool_sizes == [expected]
+    serial = run_replications(cfg, ["sada"], workers=1)
+    assert pool_sizes == [expected]
+    for token in serial.methods:
+        assert np.array_equal(capped.estimates[token], serial.estimates[token])
+
+
 def test_bad_gamma_anywhere_in_grid_fails_before_any_replicate(monkeypatch):
     drawn = []
 
