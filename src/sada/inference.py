@@ -54,6 +54,9 @@ HESSIAN_SINGULAR = "estimated Hessian is singular"
 COVARIANCE_NONFINITE = "covariance is not finite"
 
 
+# an overflowing gram gives an inf or NaN Sigma, which ``infer`` marks as
+# SingularGram, so numpy's floating-point warnings say nothing more
+@np.errstate(over="ignore", invalid="ignore")
 def _sigma(problem: Problem, theta: np.ndarray, W: np.ndarray, columns: Sequence[int]) -> np.ndarray:
     """Sigma = Cov_L(s - W'S) + n/(N-n) Cov_U(W'S) at theta (B, p): (B, p, p).
 

@@ -1,25 +1,33 @@
 """Monte Carlo replication harness for comparing the estimators.
 
 A study is its config: ``SyntheticConfig``, ``ConditionalMeanConfig`` and
-``OlsCoverageConfig`` each draw their replicates (``draw``), name their score
-model (``model``) and their estimand (``target``).  Every replicate draws its
-own RNG substream from ``SeedSequence(seed, spawn_key=(rep_index,))``.  The
-replicates of every config of one call are cut, in config and replicate
-order, into batches of at most ``weighting.CHUNK_ROWS`` rows, so a batch may
-span the gammas of a sweep.  A batch's arrays are drawn straight into one
-``problem.Problem``, copied once and not validated as datasets, and every
-method is fitted on all of them in one batched pass.  Each replicate's fit
-does not depend on which others share its batch, so results are
-bit-identical no matter how the replicates are batched, or whether the
-batches run in this process or in a process pool.  Aggregation is a single
-deterministic reduction over rep-indexed arrays.  Methods are named by the
-tokens of ``estimators.parse_method``.
+``OlsCoverageConfig`` each map the standard normals of their replicates to
+the replicates' arrays (``batch``), name their score model (``model``) and
+their estimand (``target``).  Every replicate draws its own RNG substream
+from ``SeedSequence(seed, spawn_key=(rep_index,))``, and uses only its first
+m x N standard normals, m = ``normals_per_row``.  The replicates of every
+config of one call are cut, in config and replicate order, into batches of
+at most ``weighting.CHUNK_ROWS`` rows, so a batch may span the gammas of a
+sweep.  A batch draws the substream of each distinct replicate in it once,
+as one (m, N) block shared by every config (gamma) that holds the
+replicate; each config's ``batch`` turns the normals of its replicates into
+rows-last arrays with whole-batch arithmetic, and these become one
+``problem.Problem``, not validated as datasets.  ``draw(rep_index)`` is the
+batch of one, rows first.  Every method is fitted on all of a batch's
+replicates in one batched pass.  Each replicate's fit does not depend on
+which others share its batch, so results are bit-identical no matter how
+the replicates are batched, or whether the batches run in this process or
+in a process pool.  Aggregation is a single deterministic reduction over
+rep-indexed arrays.  Methods are named by the tokens of
+``estimators.parse_method``.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +38,7 @@ from .errors import ConfigError
 from .estimators import unique_methods
 from .inference import check_level, fit_method
 from .models import ScoreModel, mean_model, ols_model
-from .problem import Problem
+from .problem import Problem, transposed_design
 
 DEFAULT_METHODS = ("naive", "ppi:1", "ppi:2", "ppi_pp:1", "ppi_pp:2", "sada")
 
@@ -52,14 +60,37 @@ def _rng_for(seed: int, rep_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep_index,)))
 
 
-def _prediction_pair(rng: np.random.Generator, y: np.ndarray, gamma: float) -> np.ndarray:
-    """(Yhat1, Yhat2) = (gamma*Y + (1-gamma)*eps1, (1-gamma)*Y + gamma*eps2) as (N, 2)."""
-    eps1, eps2 = rng.standard_normal(y.shape[0]), rng.standard_normal(y.shape[0])
-    return np.column_stack([gamma * y + (1.0 - gamma) * eps1, (1.0 - gamma) * y + gamma * eps2])
+def _substreams(cfg, reps: Iterable[int]) -> dict[int, np.ndarray]:
+    """{rep: (cfg.normals_per_row, cfg.N) standard normals}, the start of the
+    substream of each distinct replicate in ``reps``, drawn once each.
+
+    One (m, N) draw gives the same numbers as m successive draws of N.
+    """
+    shape = (cfg.normals_per_row, cfg.N)
+    return {rep: _rng_for(cfg.seed, rep).standard_normal(shape) for rep in set(reps)}
+
+
+def _gather(reps: Sequence[int], normals: dict) -> np.ndarray:
+    """The normals of ``reps``, in order, as (m, len(reps), N): one (B, N) array per draw."""
+    return np.stack([normals[rep] for rep in reps], axis=1)
+
+
+def _prediction_pair(y: np.ndarray, eps1: np.ndarray, eps2: np.ndarray, gamma: float) -> np.ndarray:
+    """(Yhat1, Yhat2) = (gamma*Y + (1-gamma)*eps1, (1-gamma)*Y + gamma*eps2) as (B, 2, N)."""
+    return np.stack([gamma * y + (1.0 - gamma) * eps1, (1.0 - gamma) * y + gamma * eps2], axis=1)
+
+
+class _Study:
+    """What the three study configs share: a replicate is a batch of one."""
+
+    def draw(self, rep_index: int) -> tuple[np.ndarray, ...]:
+        """Replicate ``rep_index`` as (features, labels, predictions, truth), rows first."""
+        features, labels, predictions, truth = self.batch([rep_index], _substreams(self, [rep_index]))
+        return features[0].T, labels[0], predictions[0].T, truth[0]
 
 
 @dataclass(frozen=True)
-class SyntheticConfig:
+class SyntheticConfig(_Study):
     """Design of the synthetic two-prediction study.
 
     Y ~ Normal(theta_star, 1); predictions Yhat1 = gamma*Y + (1-gamma)*eps1
@@ -75,14 +106,17 @@ class SyntheticConfig:
     reps: int = 1000
     seed: int = 0
 
+    normals_per_row = 3  # the noise of Y, eps1, eps2
+
     def __post_init__(self):
         _check_design(self)
 
-    def draw(self, rep_index: int) -> tuple[np.ndarray, ...]:
-        """Replicate ``rep_index`` as (features, labels, predictions, truth)."""
-        rng = _rng_for(self.seed, rep_index)
-        y = self.theta_star + rng.standard_normal(self.N)
-        return np.ones((self.N, 1)), y[: self.n], _prediction_pair(rng, y, self.gamma), y
+    def batch(self, reps: Sequence[int], normals: dict) -> tuple[np.ndarray, ...]:
+        """Replicates ``reps`` as (features, labels, predictions, truth), rows
+        last, from their normals ({rep: (3, N)}, see ``_substreams``)."""
+        noise, eps1, eps2 = _gather(reps, normals)
+        y = self.theta_star + noise
+        return np.ones((len(reps), 1, self.N)), y[:, : self.n], _prediction_pair(y, eps1, eps2, self.gamma), y
 
     def model(self) -> ScoreModel:
         return mean_model()
@@ -92,7 +126,7 @@ class SyntheticConfig:
 
 
 @dataclass(frozen=True)
-class ConditionalMeanConfig:
+class ConditionalMeanConfig(_Study):
     """Design for the efficiency-bound check: X ~ N(0,1), Y = X + noise,
     Yhat1 = X (the conditional mean), Yhat2 = independent noise; estimand E[Y]."""
 
@@ -102,16 +136,17 @@ class ConditionalMeanConfig:
     seed: int = 0
     noise_sd: float = 1.0
 
+    normals_per_row = 3  # X, the noise of Y, Yhat2
+
     def __post_init__(self):
         _check_design(self)
 
-    def draw(self, rep_index: int) -> tuple[np.ndarray, ...]:
-        """Replicate ``rep_index`` as (features, labels, predictions, truth)."""
-        rng = _rng_for(self.seed, rep_index)
-        x = rng.standard_normal(self.N)
-        y = x + self.noise_sd * rng.standard_normal(self.N)
-        noise = rng.standard_normal(self.N)
-        return x[:, None], y[: self.n], np.column_stack([x, noise]), y
+    def batch(self, reps: Sequence[int], normals: dict) -> tuple[np.ndarray, ...]:
+        """Replicates ``reps`` as (features, labels, predictions, truth), rows
+        last, from their normals ({rep: (3, N)}, see ``_substreams``)."""
+        x, noise, yhat2 = _gather(reps, normals)
+        y = x + self.noise_sd * noise
+        return x[:, None], y[:, : self.n], np.stack([x, yhat2], axis=1), y
 
     def model(self) -> ScoreModel:
         return mean_model()
@@ -121,7 +156,7 @@ class ConditionalMeanConfig:
 
 
 @dataclass(frozen=True)
-class OlsCoverageConfig:
+class OlsCoverageConfig(_Study):
     """Two-feature linear model: x = (1, z), y = x'theta_star + noise, with the
     synthetic-style prediction pair at mixing parameter gamma.
 
@@ -137,15 +172,19 @@ class OlsCoverageConfig:
     reps: int = 2000
     seed: int = 0
 
+    normals_per_row = 4  # z, the noise of Y, eps1, eps2
+
     def __post_init__(self):
         _check_design(self)
 
-    def draw(self, rep_index: int) -> tuple[np.ndarray, ...]:
-        """Replicate ``rep_index`` as (features, labels, predictions, truth)."""
-        rng = _rng_for(self.seed, rep_index)
-        X = np.column_stack([np.ones(self.N), rng.standard_normal(self.N)])
-        y = X @ self.target() + rng.standard_normal(self.N)
-        return X, y[: self.n], _prediction_pair(rng, y, self.gamma), y
+    def batch(self, reps: Sequence[int], normals: dict) -> tuple[np.ndarray, ...]:
+        """Replicates ``reps`` as (features, labels, predictions, truth), rows
+        last, from their normals ({rep: (4, N)}, see ``_substreams``)."""
+        z, noise, eps1, eps2 = _gather(reps, normals)
+        intercept, slope = self.target()
+        y = intercept + slope * z + noise
+        X = np.stack([np.ones_like(z), z], axis=1)
+        return X, y[:, : self.n], _prediction_pair(y, eps1, eps2, self.gamma), y
 
     def model(self) -> ScoreModel:
         return ols_model(2)
@@ -181,6 +220,20 @@ class SimStudyResult:
     failures: dict = field(default_factory=dict)
 
 
+def _draw_batch(replicates) -> list[np.ndarray]:
+    """The (config, replicate index) pairs of one batch as (features, labels,
+    predictions, truth), rows last and C-contiguous, in pair order.
+
+    The configs share their class, N and seed, so a replicate index names the
+    same substream in every config (gamma) that holds it: each distinct one
+    is drawn once, and each run of pairs of one config is built from those
+    normals by one ``batch`` call.
+    """
+    normals = _substreams(replicates[0][0], [rep for _, rep in replicates])
+    parts = [cfg.batch([rep for _, rep in run], normals) for cfg, run in groupby(replicates, key=itemgetter(0))]
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+
 def _run_chunk(methods: Sequence[str], level: float, strict: bool, replicates) -> dict:
     """Fit every method on the (config, replicate index) pairs of one batch,
     with the model of its first config.
@@ -192,7 +245,11 @@ def _run_chunk(methods: Sequence[str], level: float, strict: bool, replicates) -
     instead.  A configuration error is the same for every replicate, so it
     is raised, never counted as a failed fit.
     """
-    problem = Problem.stack(replicates[0][0].model(), [cfg.draw(rep) for cfg, rep in replicates])
+    features, labels, predictions, truth = _draw_batch(replicates)
+    model = replicates[0][0].model()
+    # Z' by one ``design`` call per replicate on its rows-first features, as in Problem.stack
+    design = np.array([transposed_design(model, X.T) for X in features])
+    problem = Problem(model, design, labels, predictions, truth)
     fits = [fit_method(problem, token, level=level) for token in methods]
     failed = np.stack([~np.equal(f.errors, None) for f in fits], axis=1)  # (reps, tokens)
     if strict and failed.any():
@@ -253,19 +310,22 @@ def _aggregate(cfg, tokens: list[str], results: dict) -> SimStudyResult:
 #: process pool; a smaller sweep is fitted in this process, since starting a
 #: pool costs more than the fits it takes over.  ``run_replications`` of
 #: batches of 81 replicates (N = 200) in a fresh interpreter, one BLAS
-#: thread, 2-vCPU VM, fastest of 5 to 7 runs, with the six default methods
-#: and with ``["sada"]`` alone (naive and sada, a third of the work):
+#: thread, 2-vCPU VM, fastest of 5 runs (7 for 12 to 24 batches), with the
+#: six default methods and with ``["sada"]`` alone (naive and sada, a third
+#: of the work):
 #:
 #:     full batches     4      8      12     16     20     24     48     64
 #:     six methods
-#:     one process (s)  0.041  0.087  0.109  0.151  0.188  0.234  0.495  0.714
-#:     pool of 2 (s)    0.078  0.104  0.114  0.165  0.180  0.181  0.403  0.536
+#:     one process (s)  0.033  0.058  0.081  0.101  0.123  0.151  0.266  0.382
+#:     pool of 2 (s)    0.061  0.074  0.098  0.091  0.110  0.123  0.205  0.323
 #:     sada alone
-#:     one process (s)         0.046         0.089         0.135  0.251  0.314
-#:     pool of 2 (s)           0.068         0.113         0.120  0.204  0.235
+#:     one process (s)  0.028  0.045  0.059  0.079  0.095  0.107  0.218  0.333
+#:     pool of 2 (s)    0.056  0.077  0.074  0.090  0.096  0.112  0.190  0.265
 #:
-#: With either method set the pool, its import included, pays from about 20
-#: batches, 10 per worker, so the rule counts batches, not batches × methods.
+#: With either method set the pool, its import included, pays from about 16
+#: to 24 batches, 10 per worker, so the rule counts batches, not batches x
+#: methods.  The vectorised batch draw made each batch cheaper without moving
+#: that crossover: it saves as much per batch in a worker as in one process.
 MIN_BATCHES_PER_WORKER = 10
 
 
@@ -279,9 +339,10 @@ def _run_studies(
     """Run every replicate of every config as one list of batches, then
     reduce each config from its replicates' results.
 
-    The configs must share their class, N and n, as the gammas of
-    ``efficiency_curve`` do: a batch may span configs, and is fitted with
-    the ``model()`` of its first.  The (config, replicate) pairs, in config
+    The configs must share their class, N, n and seed, as the gammas of
+    ``efficiency_curve`` do: a batch may span configs, draws each distinct
+    replicate's substream once for all of them, and is fitted with the
+    ``model()`` of its first.  The (config, replicate) pairs, in config
     and then replicate order, are cut into batches of
     ``weighting.CHUNK_ROWS // N`` replicates (at least one), so a batch
     stays within that row budget.  The batches are fitted in this process

@@ -56,6 +56,10 @@ def row_gram(A: np.ndarray) -> np.ndarray:
     return A @ A.copy().transpose(0, 2, 1)
 
 
+# a score column so large that its square overflows gives an inf or NaN
+# moment, which ``solve_grams`` marks and the caller turns into a fallback or
+# a SadaError, so numpy's floating-point warnings say nothing more
+@np.errstate(over="ignore", invalid="ignore")
 def stacked_moments(problem, theta: np.ndarray, columns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Centred gram (B, c, c) and cross (B, c, p) moments of the stacked scores
     of ``columns`` at theta (B, p), c = len(columns) * p, for every replicate

@@ -166,6 +166,29 @@ def test_a_variance_that_overflows_exits_four(tmp_path, capsys):
     assert "SingularGram: covariance is not finite" in capsys.readouterr().err
 
 
+def test_a_column_whose_squares_overflow_warns_nothing(tmp_path, capsys):
+    # under the suite's error::RuntimeWarning filter, with no np.errstate
+    # here: a numpy warning from the moments or the sandwich would raise
+    rng = np.random.default_rng(6)
+    lines = ["x_1,y,yhat_1,yhat_2"]
+    for i in range(80):
+        y = float(rng.standard_normal())
+        label = repr(y) if i < 30 else ""
+        lines.append(f"1.0,{label},{y + 0.3 * rng.standard_normal()!r},{y + 1e200 * rng.standard_normal()!r}")
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["estimate", str(path), "--methods", "sada", "--out", str(tmp_path / "sada")]) == 0
+    report = json.loads((tmp_path / "sada" / "report.json").read_text())
+    assert "weight_fallback" in report["records"][0]["diagnostics"]
+    capsys.readouterr()
+    code = main(["estimate", str(path), "--methods", "naive,ppi:2,ppi_pp:2,sada", "--model", "ols",
+                 "--out", str(tmp_path / "ols")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "SingularGram: covariance is not finite" in err
+    assert "RuntimeWarning" not in err
+
+
 @pytest.mark.parametrize("model", ["mean", "ols"])
 def test_estimate_on_labels_in_the_hundreds_of_millions(tmp_path, capsys, model):
     # the solve must not depend on the units of y

@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import os
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,13 +263,13 @@ def test_a_large_sweep_caps_its_pool_at_the_cpus_and_the_batches(pool_sizes, mon
 def test_bad_gamma_anywhere_in_grid_fails_before_any_replicate(monkeypatch):
     drawn = []
 
-    draw = SyntheticConfig.draw
+    batch = SyntheticConfig.batch
 
-    def recording(cfg, rep):
-        drawn.append((cfg.gamma, rep))
-        return draw(cfg, rep)
+    def recording(cfg, reps, normals):
+        drawn.extend((cfg.gamma, rep) for rep in reps)
+        return batch(cfg, reps, normals)
 
-    monkeypatch.setattr(SyntheticConfig, "draw", recording)
+    monkeypatch.setattr(SyntheticConfig, "batch", recording)
     with pytest.raises(ConfigError, match="gamma"):
         efficiency_curve(SyntheticConfig(reps=2), [0.5, 1.5], ["sada"])
     assert drawn == []
@@ -285,25 +286,27 @@ def test_workers_below_one_raise(workers):
 
 # --- failure accounting when only some replicates of a batch fail ---
 
-#: The unpatched OLS draw; captured once, so that patching the draw again
+#: The unpatched OLS batch draw; captured once, so that patching it again
 #: replaces the wrapper instead of wrapping it.
-OLS_DRAW = OlsCoverageConfig.draw
+OLS_BATCH = OlsCoverageConfig.batch
 
 
 def rank_deficient_at(labeled, unlabeled, everywhere=()):
     """The OLS study with the feature made constant on the labeled rows of the
     replicates in ``labeled``, on the unlabeled rows of those in ``unlabeled``
-    and on all rows, so that even the oracle fails, of those in ``everywhere``."""
-    def draw(cfg, rep):
-        X, labels, predictions, y = OLS_DRAW(cfg, rep)
-        if rep in labeled:
-            X[: cfg.n, 1] = 1.0
-        if rep in unlabeled:
-            X[cfg.n:, 1] = 0.5
-        if rep in everywhere:
-            X[:, 1] = 2.0
+    and on all rows, so that even the oracle fails, of those in ``everywhere``.
+    The features of a batch are rows last, (B, 2, N)."""
+    def batch(cfg, reps, normals):
+        X, labels, predictions, y = OLS_BATCH(cfg, reps, normals)
+        for i, rep in enumerate(reps):
+            if rep in labeled:
+                X[i, 1, : cfg.n] = 1.0
+            if rep in unlabeled:
+                X[i, 1, cfg.n:] = 0.5
+            if rep in everywhere:
+                X[i, 1] = 2.0
         return X, labels, predictions, y
-    return draw
+    return batch
 
 
 FAILING_METHODS = ("naive", "ppi:1", "ppi:2", "ppi_pp:1", "sada", "oracle")
@@ -314,7 +317,7 @@ def test_failures_are_counted_per_replicate_and_token(monkeypatch, chunk_rows):
     cfg = OlsCoverageConfig(N=200, n=60, reps=12, seed=5)
     clean = simulate._run_studies([cfg], FAILING_METHODS, 0.95, 1, False)[0]
     monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk_rows)  # 600 rows: batches of 3 replicates
-    monkeypatch.setattr(OlsCoverageConfig, "draw", rank_deficient_at({3, 8}, {5}))
+    monkeypatch.setattr(OlsCoverageConfig, "batch", rank_deficient_at({3, 8}, {5}))
     res = simulate._run_studies([cfg], FAILING_METHODS, 0.95, 1, False)
     res = res[0]
     # the counts the per-replicate harness gave before fits were batched
@@ -337,7 +340,7 @@ def test_strict_raises_the_error_of_the_first_failing_replicate(monkeypatch, chu
     monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk_rows)  # 600 rows: batches of 3 replicates
 
     def strict(methods, labeled=(), unlabeled=(), everywhere=()):
-        monkeypatch.setattr(OlsCoverageConfig, "draw", rank_deficient_at(labeled, unlabeled, everywhere))
+        monkeypatch.setattr(OlsCoverageConfig, "batch", rank_deficient_at(labeled, unlabeled, everywhere))
         simulate._run_studies([cfg], methods, 0.95, 1, True)
 
     # ppi:1 raises SingularHessian where only the labeled design is singular
@@ -375,6 +378,49 @@ def test_packing_replicates_into_batches_is_invisible(monkeypatch):
     assert efficiency_curve(cfg, gammas) == packed
 
 
+@pytest.mark.parametrize("cfg, field, values", [
+    (SyntheticConfig(N=50, n=10, seed=11), "gamma", (0.3, 0.0, 1.0)),
+    (ConditionalMeanConfig(N=50, n=10, seed=11), "noise_sd", (0.7, 2.0)),
+    (OlsCoverageConfig(N=50, n=10, seed=11, theta_star=(1.37, -0.773)), "gamma", (0.3, 0.9)),
+], ids=["synthetic", "conditional_mean", "ols"])
+def test_a_batch_draw_equals_its_replicates_drawn_one_at_a_time(cfg, field, values):
+    # a batch spanning several configs, with replicates repeated across them
+    # and out of order: its rows-last arrays hold each pair's own draw
+    pairs = [(replace(cfg, **{field: value}), rep) for value in values for rep in (4, 0, 9)]
+    batch = simulate._draw_batch(pairs)
+    for array in batch:
+        assert array.dtype == np.float64 and array.flags.c_contiguous
+    features, labels, predictions, truth = batch
+    for i, (study, rep) in enumerate(pairs):
+        one = study.draw(rep)
+        for got, want in zip((features[i].T, labels[i], predictions[i].T, truth[i]), one):
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (study, rep)
+
+
+@pytest.mark.parametrize("chunk_rows", [16384, 1600])
+def test_a_sweep_draws_each_replicate_once_per_batch(monkeypatch, chunk_rows):
+    reps, gammas = 5, [0.1, 0.4, 0.6, 0.9]
+    cfg = SyntheticConfig(reps=reps, seed=2)
+    drawn = []
+    rng_for = simulate._rng_for
+
+    def counting(seed, rep):
+        drawn.append(rep)
+        return rng_for(seed, rep)
+
+    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk_rows)  # 1600 rows: batches of 8 replicates
+    monkeypatch.setattr(simulate, "_rng_for", counting)
+    efficiency_curve(cfg, gammas, ["sada"])
+    size = chunk_rows // cfg.N
+    pairs = [rep for _ in gammas for rep in range(reps)]
+    per_batch = [set(pairs[lo:lo + size]) for lo in range(0, len(pairs), size)]
+    assert len(drawn) == sum(map(len, per_batch))
+    if len(per_batch) == 1:  # every pair in one batch: R draws, not R * G
+        assert sorted(drawn) == list(range(reps))
+    else:
+        assert reps < len(drawn) < reps * len(gammas)
+
+
 def test_strict_raises_the_first_failing_gamma_of_a_batch(monkeypatch):
     cfgs = [OlsCoverageConfig(N=200, n=60, reps=3, gamma=gamma, seed=5) for gamma in (0.2, 0.5, 0.8)]
 
@@ -382,14 +428,15 @@ def test_strict_raises_the_first_failing_gamma_of_a_batch(monkeypatch):
         """Make the labeled design of replicate ``labeled`` = (gamma, rep)
         singular, and the unlabeled design of ``unlabeled``; all nine
         replicates share one batch."""
-        def draw(cfg, rep):
-            X, labels, predictions, y = OLS_DRAW(cfg, rep)
-            if (cfg.gamma, rep) == labeled:
-                X[: cfg.n, 1] = 1.0
-            if (cfg.gamma, rep) == unlabeled:
-                X[cfg.n:, 1] = 0.5
+        def batch(cfg, reps, normals):
+            X, labels, predictions, y = OLS_BATCH(cfg, reps, normals)
+            for i, rep in enumerate(reps):
+                if (cfg.gamma, rep) == labeled:
+                    X[i, 1, : cfg.n] = 1.0
+                if (cfg.gamma, rep) == unlabeled:
+                    X[i, 1, cfg.n:] = 0.5
             return X, labels, predictions, y
-        monkeypatch.setattr(OlsCoverageConfig, "draw", draw)
+        monkeypatch.setattr(OlsCoverageConfig, "batch", batch)
         simulate._run_studies(cfgs, ("ppi:1", "naive"), 0.95, 1, True)
 
     # ppi:1, fitted before naive here, raises SingularHessian on gamma #2's replicate 2 and
