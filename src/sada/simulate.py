@@ -5,29 +5,32 @@ A study is its config: ``SyntheticConfig``, ``ConditionalMeanConfig`` and
 the replicates' arrays (``batch``), name their score model (``model``) and
 their estimand (``target``).  Every replicate draws its own RNG substream
 from ``SeedSequence(seed, spawn_key=(rep_index,))``, and uses only its first
-m x N standard normals, m = ``normals_per_row``.  The replicates of every
-config of one call are cut, in config and replicate order, into batches of
-at most ``weighting.CHUNK_ROWS`` rows, so a batch may span the gammas of a
-sweep.  A batch draws the substream of each distinct replicate in it once,
-as one (m, N) block shared by every config (gamma) that holds the
-replicate; each config's ``batch`` turns the normals of its replicates into
-rows-last arrays with whole-batch arithmetic, and these become one
-``problem.Problem``, not validated as datasets.  ``draw(rep_index)`` is the
-batch of one, rows first.  Every method is fitted on all of a batch's
-replicates in one batched pass.  Each replicate's fit does not depend on
-which others share its batch, so results are bit-identical no matter how
-the replicates are batched, or whether the batches run in this process or
-in a process pool.  Aggregation is a single deterministic reduction over
-rep-indexed arrays.  Methods are named by the tokens of
-``estimators.parse_method``.
+m x N standard normals, m = ``normals_per_row``.  A call's (config,
+replicate) pairs, in replicate and then config order, are cut into batches
+of at most ``weighting.CHUNK_ROWS`` rows, so the gammas of a sweep that
+share a replicate sit side by side.  A batch draws the substream of each
+distinct replicate in it once, as one (m, N) block shared by every config
+(gamma) that holds it, so a call draws each replicate once, or twice where a
+batch boundary falls among its gammas.  One classmethod call,
+``batch(cfgs, reps, normals)``, builds the whole batch's rows-last arrays
+with whole-batch arithmetic, the fields that differ between configs (gamma,
+``noise_sd``) taken as per-pair columns; one ``design`` call on the batch's
+stacked rows gives Z', and these become one ``problem.Problem``, not
+validated as datasets.  ``draw(rep_index)`` is the batch of one, rows first.
+Every method is fitted on all of a batch's pairs in one batched pass.  Each
+replicate's fit does not depend on which others share its batch, so results
+are bit-identical no matter how the replicates are batched, or whether the
+batches run in this process or in a process pool.  The batches' results are
+scattered into (config, method, replicate, p) arrays and reduced once per
+call; failed fits are counted per method and per exception class.  Methods
+are named by the tokens of ``estimators.parse_method``.
 """
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,7 +41,7 @@ from .errors import ConfigError
 from .estimators import unique_methods
 from .inference import check_level, fit_method
 from .models import ScoreModel, mean_model, ols_model
-from .problem import Problem, transposed_design
+from .problem import Problem
 
 DEFAULT_METHODS = ("naive", "ppi:1", "ppi:2", "ppi_pp:1", "ppi_pp:2", "sada")
 
@@ -75,7 +78,13 @@ def _gather(reps: Sequence[int], normals: dict) -> np.ndarray:
     return np.stack([normals[rep] for rep in reps], axis=1)
 
 
-def _prediction_pair(y: np.ndarray, eps1: np.ndarray, eps2: np.ndarray, gamma: float) -> np.ndarray:
+def _column(cfgs: Sequence, name: str) -> np.ndarray:
+    """Field ``name`` of each config of ``cfgs`` as a (B, 1) column, which
+    broadcasts along a batch's rows."""
+    return np.array([[getattr(cfg, name)] for cfg in cfgs], dtype=float)
+
+
+def _prediction_pair(y: np.ndarray, eps1: np.ndarray, eps2: np.ndarray, gamma) -> np.ndarray:
     """(Yhat1, Yhat2) = (gamma*Y + (1-gamma)*eps1, (1-gamma)*Y + gamma*eps2) as (B, 2, N)."""
     return np.stack([gamma * y + (1.0 - gamma) * eps1, (1.0 - gamma) * y + gamma * eps2], axis=1)
 
@@ -85,7 +94,7 @@ class _Study:
 
     def draw(self, rep_index: int) -> tuple[np.ndarray, ...]:
         """Replicate ``rep_index`` as (features, labels, predictions, truth), rows first."""
-        features, labels, predictions, truth = self.batch([rep_index], _substreams(self, [rep_index]))
+        features, labels, predictions, truth = self.batch([self], [rep_index], _substreams(self, [rep_index]))
         return features[0].T, labels[0], predictions[0].T, truth[0]
 
 
@@ -111,12 +120,14 @@ class SyntheticConfig(_Study):
     def __post_init__(self):
         _check_design(self)
 
-    def batch(self, reps: Sequence[int], normals: dict) -> tuple[np.ndarray, ...]:
-        """Replicates ``reps`` as (features, labels, predictions, truth), rows
-        last, from their normals ({rep: (3, N)}, see ``_substreams``)."""
+    @classmethod
+    def batch(cls, cfgs: Sequence, reps: Sequence[int], normals: dict) -> tuple[np.ndarray, ...]:
+        """Pairs (cfgs[i], reps[i]) as (features, labels, predictions, truth),
+        rows last, from their normals ({rep: (3, N)}, see ``_substreams``)."""
         noise, eps1, eps2 = _gather(reps, normals)
-        y = self.theta_star + noise
-        return np.ones((len(reps), 1, self.N)), y[:, : self.n], _prediction_pair(y, eps1, eps2, self.gamma), y
+        y = _column(cfgs, "theta_star") + noise
+        gamma = _column(cfgs, "gamma")
+        return np.ones((len(reps), 1, cfgs[0].N)), y[:, : cfgs[0].n], _prediction_pair(y, eps1, eps2, gamma), y
 
     def model(self) -> ScoreModel:
         return mean_model()
@@ -141,12 +152,13 @@ class ConditionalMeanConfig(_Study):
     def __post_init__(self):
         _check_design(self)
 
-    def batch(self, reps: Sequence[int], normals: dict) -> tuple[np.ndarray, ...]:
-        """Replicates ``reps`` as (features, labels, predictions, truth), rows
-        last, from their normals ({rep: (3, N)}, see ``_substreams``)."""
+    @classmethod
+    def batch(cls, cfgs: Sequence, reps: Sequence[int], normals: dict) -> tuple[np.ndarray, ...]:
+        """Pairs (cfgs[i], reps[i]) as (features, labels, predictions, truth),
+        rows last, from their normals ({rep: (3, N)}, see ``_substreams``)."""
         x, noise, yhat2 = _gather(reps, normals)
-        y = x + self.noise_sd * noise
-        return x[:, None], y[:, : self.n], np.stack([x, yhat2], axis=1), y
+        y = x + _column(cfgs, "noise_sd") * noise
+        return x[:, None], y[:, : cfgs[0].n], np.stack([x, yhat2], axis=1), y
 
     def model(self) -> ScoreModel:
         return mean_model()
@@ -177,14 +189,15 @@ class OlsCoverageConfig(_Study):
     def __post_init__(self):
         _check_design(self)
 
-    def batch(self, reps: Sequence[int], normals: dict) -> tuple[np.ndarray, ...]:
-        """Replicates ``reps`` as (features, labels, predictions, truth), rows
-        last, from their normals ({rep: (4, N)}, see ``_substreams``)."""
+    @classmethod
+    def batch(cls, cfgs: Sequence, reps: Sequence[int], normals: dict) -> tuple[np.ndarray, ...]:
+        """Pairs (cfgs[i], reps[i]) as (features, labels, predictions, truth),
+        rows last, from their normals ({rep: (4, N)}, see ``_substreams``)."""
         z, noise, eps1, eps2 = _gather(reps, normals)
-        intercept, slope = self.target()
+        intercept, slope = np.array([cfg.target() for cfg in cfgs]).T[:, :, None]
         y = intercept + slope * z + noise
         X = np.stack([np.ones_like(z), z], axis=1)
-        return X, y[:, : self.n], _prediction_pair(y, eps1, eps2, self.gamma), y
+        return X, y[:, : cfgs[0].n], _prediction_pair(y, eps1, eps2, _column(cfgs, "gamma")), y
 
     def model(self) -> ScoreModel:
         return ols_model(2)
@@ -205,6 +218,8 @@ class SimStudyResult:
 
     Per-method arrays are indexed by parameter component; ``estimates``
     carries the raw per-replication estimates for replay and plotting.
+    ``failures`` counts each method's failed replicates, and
+    ``failure_classes`` the same by exception class name.
     """
 
     methods: tuple[str, ...]
@@ -218,115 +233,130 @@ class SimStudyResult:
     rel_efficiency: dict = field(default_factory=dict)
     coverage: dict = field(default_factory=dict)
     failures: dict = field(default_factory=dict)
+    failure_classes: dict = field(default_factory=dict)
 
 
-def _draw_batch(replicates) -> list[np.ndarray]:
+def _draw_batch(pairs) -> list[np.ndarray]:
     """The (config, replicate index) pairs of one batch as (features, labels,
     predictions, truth), rows last and C-contiguous, in pair order.
 
     The configs share their class, N and seed, so a replicate index names the
     same substream in every config (gamma) that holds it: each distinct one
-    is drawn once, and each run of pairs of one config is built from those
-    normals by one ``batch`` call.
+    is drawn once, and one ``batch`` call builds every pair from those
+    normals, whatever configs the pairs belong to.
     """
-    normals = _substreams(replicates[0][0], [rep for _, rep in replicates])
-    parts = [cfg.batch([rep for _, rep in run], normals) for cfg, run in groupby(replicates, key=itemgetter(0))]
-    return [np.concatenate(arrays) for arrays in zip(*parts)]
+    cfgs, reps = zip(*pairs)
+    return [np.ascontiguousarray(a) for a in cfgs[0].batch(cfgs, reps, _substreams(cfgs[0], reps))]
 
 
-def _run_chunk(methods: Sequence[str], level: float, strict: bool, replicates) -> dict:
+def _run_chunk(methods: Sequence[str], level: float, pairs) -> tuple:
     """Fit every method on the (config, replicate index) pairs of one batch,
     with the model of its first config.
 
-    Returns {token: (theta, lower, upper, failed)}: arrays with one row per
-    pair, lower and upper None for the oracle, and ``failed`` marking the
-    replicates whose fit raised a SadaError.  Under ``strict`` the error of
-    the first failing replicate, in pair and then token order, is raised
-    instead.  A configuration error is the same for every replicate, so it
-    is raised, never counted as a failed fit.
+    Returns (theta, lower, upper, failed, errors): theta, lower and upper
+    (methods, pairs, p), with NaN bounds for the oracle, which has no
+    interval; ``failed`` (methods, pairs) marks the fits that raised a
+    SadaError, and ``errors`` lists each as (pair, method, error), in method
+    and then pair order.  A configuration error is the same for every pair,
+    so it is raised, never counted as a failed fit.
     """
-    features, labels, predictions, truth = _draw_batch(replicates)
-    model = replicates[0][0].model()
-    # Z' by one ``design`` call per replicate on its rows-first features, as in Problem.stack
-    design = np.array([transposed_design(model, X.T) for X in features])
+    features, labels, predictions, truth = _draw_batch(pairs)
+    model = pairs[0][0].model()
+    # Z' by one ``design`` call on the batch's stacked rows: a built-in
+    # model's design maps each row on its own
+    B, d, N = features.shape
+    Z = np.asarray(model.design(features.transpose(0, 2, 1).reshape(B * N, d)), dtype=float)
+    design = np.ascontiguousarray(Z.reshape(B, N, -1).transpose(0, 2, 1))
     problem = Problem(model, design, labels, predictions, truth)
     fits = [fit_method(problem, token, level=level) for token in methods]
-    failed = np.stack([~np.equal(f.errors, None) for f in fits], axis=1)  # (reps, tokens)
-    if strict and failed.any():
-        rep, j = np.argwhere(failed)[0]
-        raise fits[j].errors[rep]
-    for f, bad in zip(fits, failed.T):
+    failed = np.array([~np.equal(f.errors, None) for f in fits])
+    for f, bad in zip(fits, failed):
         if not np.all(np.isfinite(f.theta[~bad])):
             raise ValueError("estimate is not finite")
-    return {token: (f.theta, f.lower, f.upper, bad) for token, f, bad in zip(methods, fits, failed.T)}
+    none = np.full_like(fits[0].theta, np.nan)
+    lower, upper = np.array([(none, none) if f.lower is None else (f.lower, f.upper) for f in fits]).swapaxes(0, 1)
+    errors = [(i, j, fits[j].errors[i]) for j, i in np.argwhere(failed)]
+    return np.array([f.theta for f in fits]), lower, upper, failed, errors
 
 
-def _aggregate(cfg, tokens: list[str], results: dict) -> SimStudyResult:
-    """Reduce one config's {token: (theta, lower, upper, failed)}, in rep order, to its summary."""
-    theta_star = cfg.target()
-    p = theta_star.shape[0]
-    reps = cfg.reps
-    estimates, covered, failures = {}, {}, {}
-    for token in tokens:
-        theta, lower, upper, failed = results[token]
-        failures[token] = int(failed.sum())
-        estimates[token] = np.where(failed[:, None], np.nan, theta)
-        covered[token] = np.full((reps, p), np.nan)
-        if lower is not None:
-            hit = (lower <= theta_star) & (theta_star <= upper)
-            covered[token][~failed] = hit[~failed]
+def _aggregate(cfgs: Sequence, tokens: list[str], theta, lower, upper, failed, errors) -> list[SimStudyResult]:
+    """Reduce every config's results in one step to their summaries.
 
-    sd, mean, bias, rel_eff, coverage = {}, {}, {}, {}, {}
+    theta, lower and upper are (config, token, replicate, p), ``failed``
+    (config, token, replicate), and ``errors`` holds (config, replicate,
+    token, error) for each failed fit.  A method's mean and SD are over its
+    replicates that did not fail, and its coverage over those that have an
+    interval (not the oracle's, whose bounds are NaN), so a config whose
+    replicates all failed, or the oracle, reads NaN there.
+    """
+    target = np.array([cfg.target() for cfg in cfgs])[:, None, None, :]  # (config, 1, 1, p)
+    ok = ~failed[..., None]
+    covered = ok & ~np.isnan(lower)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for token in tokens:
-            est = estimates[token]
-            ok = ~np.isnan(est[:, 0])
-            mean[token] = est[ok].mean(axis=0) if ok.any() else np.full(p, np.nan)
-            sd[token] = est[ok].std(axis=0, ddof=0) if ok.any() else np.full(p, np.nan)
-            bias[token] = mean[token] - theta_star
-            cov_ok = ~np.isnan(covered[token][:, 0])
-            coverage[token] = (
-                covered[token][cov_ok].mean(axis=0) if cov_ok.any() else np.full(p, np.nan)
-            )
-        for token in tokens:
-            rel_eff[token] = sd[token] / sd["naive"]
+        count = ok.sum(axis=2)
+        estimates = np.where(ok, theta, np.nan)
+        mean = np.where(ok, theta, 0.0).sum(axis=2) / count
+        deviation = np.where(ok, theta - mean[:, :, None], 0.0)
+        sd = np.sqrt((deviation * deviation).sum(axis=2) / count)
+        hit = (lower <= target) & (target <= upper)
+        coverage = (covered & hit).sum(axis=2) / covered.sum(axis=2)
+        rel_efficiency = sd / sd[:, tokens.index("naive"), None]
+    bias = mean - target[:, :, 0]
+    classes = [{token: Counter() for token in tokens} for _ in cfgs]
+    for c, _, j, error in errors:
+        classes[c][tokens[j]][type(error).__name__] += 1
 
-    return SimStudyResult(
-        methods=tuple(tokens),
-        theta_star=theta_star,
-        reps=reps,
-        seed=cfg.seed,
-        estimates=estimates,
-        sd=sd,
-        mean=mean,
-        bias=bias,
-        rel_efficiency=rel_eff,
-        coverage=coverage,
-        failures=failures,
-    )
+    def per_token(array, c):
+        return dict(zip(tokens, array[c]))
+
+    return [
+        SimStudyResult(
+            methods=tuple(tokens),
+            theta_star=target[c, 0, 0],
+            reps=cfg.reps,
+            seed=cfg.seed,
+            estimates=per_token(estimates, c),
+            sd=per_token(sd, c),
+            mean=per_token(mean, c),
+            bias=per_token(bias, c),
+            rel_efficiency=per_token(rel_efficiency, c),
+            coverage=per_token(coverage, c),
+            failures={token: int(n) for token, n in zip(tokens, failed[c].sum(axis=1))},
+            failure_classes={token: dict(sorted(counts.items())) for token, counts in classes[c].items()},
+        )
+        for c, cfg in enumerate(cfgs)
+    ]
 
 
 #: Fewest full batches each worker must get before ``_run_studies`` starts a
 #: process pool; a smaller sweep is fitted in this process, since starting a
 #: pool costs more than the fits it takes over.  ``run_replications`` of
 #: batches of 81 replicates (N = 200) in a fresh interpreter, one BLAS
-#: thread, 2-vCPU VM, fastest of 5 runs (7 for 12 to 24 batches), with the
+#: thread, 2-vCPU VM, fastest of 10 runs (14 for 12 to 24 batches), with the
 #: six default methods and with ``["sada"]`` alone (naive and sada, a third
 #: of the work):
 #:
 #:     full batches     4      8      12     16     20     24     48     64
 #:     six methods
-#:     one process (s)  0.033  0.058  0.081  0.101  0.123  0.151  0.266  0.382
-#:     pool of 2 (s)    0.061  0.074  0.098  0.091  0.110  0.123  0.205  0.323
+#:     one process (s)  0.035  0.065  0.090  0.112  0.143  0.173  0.307  0.417
+#:     pool of 2 (s)    0.068  0.085  0.101  0.113  0.136  0.151  0.219  0.283
 #:     sada alone
-#:     one process (s)  0.028  0.045  0.059  0.079  0.095  0.107  0.218  0.333
-#:     pool of 2 (s)    0.056  0.077  0.074  0.090  0.096  0.112  0.190  0.265
+#:     one process (s)  0.029  0.049  0.067  0.084  0.106  0.116  0.223  0.278
+#:     pool of 2 (s)    0.058  0.080  0.099  0.098  0.118  0.111  0.175  0.213
 #:
 #: With either method set the pool, its import included, pays from about 16
 #: to 24 batches, 10 per worker, so the rule counts batches, not batches x
-#: methods.  The vectorised batch draw made each batch cheaper without moving
-#: that crossover: it saves as much per batch in a worker as in one process.
+#: methods.  Drawing each replicate once per call and reducing every config
+#: in one step saved as much per batch in a worker as in one process, so the
+#: crossover has not moved since the batch draw was vectorised.
 MIN_BATCHES_PER_WORKER = 10
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_studies(
@@ -337,19 +367,22 @@ def _run_studies(
     strict: bool,
 ) -> list[SimStudyResult]:
     """Run every replicate of every config as one list of batches, then
-    reduce each config from its replicates' results.
+    reduce all the configs in one step.
 
-    The configs must share their class, N, n and seed, as the gammas of
-    ``efficiency_curve`` do: a batch may span configs, draws each distinct
-    replicate's substream once for all of them, and is fitted with the
-    ``model()`` of its first.  The (config, replicate) pairs, in config
-    and then replicate order, are cut into batches of
-    ``weighting.CHUNK_ROWS // N`` replicates (at least one), so a batch
-    stays within that row budget.  The batches are fitted in this process
-    unless each worker would get at least ``MIN_BATCHES_PER_WORKER`` full
-    batches; then one process pool fits them all, with at most ``workers``
-    processes, one per CPU and one per ``MIN_BATCHES_PER_WORKER`` full
-    batches.
+    The configs must share their class, N, n, seed and reps, as the gammas
+    of ``efficiency_curve`` do.  The (config, replicate) pairs, in replicate
+    and then config order, are cut into batches of ``weighting.CHUNK_ROWS //
+    N`` pairs (at least one), so a batch stays within that row budget.  A
+    batch draws each distinct replicate's substream once for every config
+    that holds it, so a call draws a replicate once, or twice where a batch
+    boundary splits its configs.  Each batch is built by one ``batch`` call,
+    its Z' by one ``design`` call, and fitted with the ``model()`` of its
+    first config.  The batches are fitted in this process unless each worker
+    would get at least ``MIN_BATCHES_PER_WORKER`` full batches; then one
+    process pool fits them all, with at most ``workers`` processes, one per
+    usable CPU and one per ``MIN_BATCHES_PER_WORKER`` full batches.  Under
+    ``strict`` every batch still runs, and then the error of the first
+    failed fit, in config, replicate and then method order, is raised.
     """
     if not methods:
         raise ConfigError("methods must be nonempty")
@@ -359,32 +392,33 @@ def _run_studies(
     tokens = unique_methods(methods)
     if "naive" not in tokens:
         tokens = ["naive"] + tokens  # baseline for relative efficiencies
-    run = partial(_run_chunk, tokens, level, strict)
-    replicates = [(cfg, rep) for cfg in cfgs for rep in range(cfg.reps)]
+    run = partial(_run_chunk, tokens, level)
+    C, R = len(cfgs), cfgs[0].reps
+    pairs = [(cfg, rep) for rep in range(R) for cfg in cfgs]
     size = max(1, weighting.CHUNK_ROWS // cfgs[0].N)
-    batches = [replicates[lo:lo + size] for lo in range(0, len(replicates), size)]
-    workers = min(workers, os.cpu_count() or 1, len(replicates) // size // MIN_BATCHES_PER_WORKER)
+    starts = range(0, len(pairs), size)
+    workers = min(workers, _cpus(), len(pairs) // size // MIN_BATCHES_PER_WORKER)
     if workers < 2:
-        results = list(map(run, batches))
+        results = [run(pairs[lo:lo + size]) for lo in starts]
     else:
         # imported here, where it is used: the import alone costs every CLI
         # command about 15 ms and 1.9 MB
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, batches))
-    # every batch's (theta, lower, upper, failed) joined in pair order; the
-    # oracle's lower and upper are None
-    joined = {
-        token: [None if parts[0] is None else np.concatenate(parts) for parts in zip(*(r[token] for r in results))]
-        for token in tokens
-    }
-    studies, lo = [], 0
-    for cfg in cfgs:
-        own = {token: [None if a is None else a[lo:lo + cfg.reps] for a in arrays] for token, arrays in joined.items()}
-        studies.append(_aggregate(cfg, tokens, own))
-        lo += cfg.reps
-    return studies
+            results = list(pool.map(run, (pairs[lo:lo + size] for lo in starts)))
+
+    def by_config(parts):
+        """The batches' (token, pair, ...) arrays joined in pair order, as (C, token, R, ...)."""
+        joined = np.concatenate(parts, axis=1)
+        return np.ascontiguousarray(np.moveaxis(joined.reshape(len(tokens), R, C, *joined.shape[2:]), 2, 0))
+
+    theta, lower, upper, failed = (by_config(parts) for parts in zip(*(r[:4] for r in results)))
+    # pair g of the call is replicate g // C of config g % C
+    errors = sorted(((lo + i) % C, (lo + i) // C, j, error) for lo, r in zip(starts, results) for i, j, error in r[4])
+    if strict and errors:
+        raise errors[0][3]
+    return _aggregate(cfgs, tokens, theta, lower, upper, failed, errors)
 
 
 def run_replications(

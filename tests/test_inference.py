@@ -411,14 +411,14 @@ def test_a_simulate_replicate_whose_variance_overflows_is_counted_as_failed(monk
     cfg = SyntheticConfig(reps=4, seed=3)
     batch = SyntheticConfig.batch
 
-    def huge_at_rep_2(cfg, reps, normals):
-        X, labels, predictions, y = batch(cfg, reps, normals)  # rows last
+    def huge_at_rep_2(cls, cfgs, reps, normals):
+        X, labels, predictions, y = batch(cfgs, reps, normals)  # rows last
         for i, rep in enumerate(reps):
             if rep == 2:
                 predictions[i, 1] = y[i] + 1e200 * np.random.default_rng(rep).standard_normal(cfg.N)
         return X, labels, predictions, y
 
-    monkeypatch.setattr(SyntheticConfig, "batch", huge_at_rep_2)
+    monkeypatch.setattr(SyntheticConfig, "batch", classmethod(huge_at_rep_2))
     with np.errstate(over="ignore", invalid="ignore"):
         res = sada.simulate.run_replications(cfg, ["ppi:2", "sada"])
     assert res.failures == {"naive": 0, "ppi:2": 1, "sada": 0}

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import os
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -12,6 +13,8 @@ from sada import simulate
 from sada import (
     ConditionalMeanConfig,
     ConfigError,
+    Dataset,
+    SadaError,
     SingularHessian,
     SingularJacobian,
     OlsCoverageConfig,
@@ -21,6 +24,7 @@ from sada import (
     run_replications,
 )
 from sada.estimators import parse_method
+from sada.inference import run_method
 
 
 def test_gamma_one_makes_first_prediction_exact():
@@ -217,7 +221,7 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU never starts a pool")
+@pytest.mark.skipif(simulate._cpus() < 2, reason="one CPU never starts a pool")
 def test_efficiency_curve_builds_one_pool(pool_sizes, monkeypatch):
     cfg = SyntheticConfig(reps=simulate.MIN_BATCHES_PER_WORKER, seed=2)
     # one replicate per batch: 3 gammas give each of 2 workers enough batches
@@ -251,7 +255,7 @@ def test_a_large_sweep_caps_its_pool_at_the_cpus_and_the_batches(pool_sizes, mon
     # 3 workers, fewer than 4 CPUs but more than 2
     cfg = SyntheticConfig(reps=3 * simulate.MIN_BATCHES_PER_WORKER, seed=4)
     monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", cfg.N)
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     capped = run_replications(cfg, ["sada"], workers=64)
     assert pool_sizes == [expected]
     serial = run_replications(cfg, ["sada"], workers=1)
@@ -265,11 +269,11 @@ def test_bad_gamma_anywhere_in_grid_fails_before_any_replicate(monkeypatch):
 
     batch = SyntheticConfig.batch
 
-    def recording(cfg, reps, normals):
-        drawn.extend((cfg.gamma, rep) for rep in reps)
-        return batch(cfg, reps, normals)
+    def recording(cls, cfgs, reps, normals):
+        drawn.extend((cfg.gamma, rep) for cfg, rep in zip(cfgs, reps))
+        return batch(cfgs, reps, normals)
 
-    monkeypatch.setattr(SyntheticConfig, "batch", recording)
+    monkeypatch.setattr(SyntheticConfig, "batch", classmethod(recording))
     with pytest.raises(ConfigError, match="gamma"):
         efficiency_curve(SyntheticConfig(reps=2), [0.5, 1.5], ["sada"])
     assert drawn == []
@@ -296,9 +300,9 @@ def rank_deficient_at(labeled, unlabeled, everywhere=()):
     replicates in ``labeled``, on the unlabeled rows of those in ``unlabeled``
     and on all rows, so that even the oracle fails, of those in ``everywhere``.
     The features of a batch are rows last, (B, 2, N)."""
-    def batch(cfg, reps, normals):
-        X, labels, predictions, y = OLS_BATCH(cfg, reps, normals)
-        for i, rep in enumerate(reps):
+    def batch(cls, cfgs, reps, normals):
+        X, labels, predictions, y = OLS_BATCH(cfgs, reps, normals)
+        for i, (cfg, rep) in enumerate(zip(cfgs, reps)):
             if rep in labeled:
                 X[i, 1, : cfg.n] = 1.0
             if rep in unlabeled:
@@ -306,7 +310,7 @@ def rank_deficient_at(labeled, unlabeled, everywhere=()):
             if rep in everywhere:
                 X[i, 1] = 2.0
         return X, labels, predictions, y
-    return batch
+    return classmethod(batch)
 
 
 FAILING_METHODS = ("naive", "ppi:1", "ppi:2", "ppi_pp:1", "sada", "oracle")
@@ -332,6 +336,57 @@ def test_failures_are_counted_per_replicate_and_token(monkeypatch, chunk_rows):
         # a failing replicate leaves the others in its batch untouched
         kept = [rep for rep in range(cfg.reps) if rep not in {3, 5, 8}]
         assert np.array_equal(res.estimates[token][kept], clean.estimates[token][kept]), token
+
+
+def test_failures_are_counted_by_exception_class(monkeypatch):
+    cfg = OlsCoverageConfig(N=200, n=60, reps=12, seed=5)
+    monkeypatch.setattr(OlsCoverageConfig, "batch", rank_deficient_at({3, 8}, {5}))
+    res = run_replications(cfg, FAILING_METHODS)
+    assert res.failure_classes["naive"] == {"SingularJacobian": 2}
+    assert res.failure_classes["ppi:1"] == {"SingularHessian": 2, "SingularJacobian": 1}
+    assert res.failure_classes["oracle"] == {}
+    for token in FAILING_METHODS:
+        assert sum(res.failure_classes[token].values()) == res.failures[token], token
+
+
+def test_the_one_step_reduction_matches_a_per_cell_reference(monkeypatch):
+    # two gammas in batches of 3 pairs, which span them; replicates fail per
+    # method (3, 5, 8) and for every method, the oracle too (10)
+    cfgs = [OlsCoverageConfig(N=200, n=60, reps=12, seed=5, gamma=gamma) for gamma in (0.2, 0.8)]
+    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", 600)
+    monkeypatch.setattr(OlsCoverageConfig, "batch", rank_deficient_at({3, 8}, {5}, everywhere={10}))
+    results = simulate._run_studies(cfgs, FAILING_METHODS, 0.9, 1, False)
+    for cfg, res in zip(cfgs, results):
+        target = cfg.target()
+        assert np.array_equal(res.theta_star, target)
+        for token in FAILING_METHODS:
+            theta, covered, classes = [], [], Counter()
+            for rep in range(cfg.reps):
+                features, labels, predictions, truth = cfg.draw(rep)
+                ds = Dataset.from_arrays(features, labels, predictions)
+                try:
+                    report = run_method(ds, cfg.model(), token, level=0.9, truth=truth)
+                except SadaError as exc:
+                    classes[type(exc).__name__] += 1
+                    theta.append(np.full(2, np.nan))
+                    continue
+                theta.append(report.theta_hat)
+                if report.intervals is not None:
+                    lower, upper = report.intervals.lower, report.intervals.upper
+                    covered.append((lower <= target) & (target <= upper))
+            theta = np.array(theta)
+            kept = theta[~np.isnan(theta[:, 0])]
+            assert np.array_equal(res.estimates[token], theta, equal_nan=True), token
+            assert res.failures[token] == cfg.reps - len(kept), token
+            assert res.failure_classes[token] == dict(classes), token
+            for got, want in [(res.mean, kept.mean(axis=0)), (res.sd, kept.std(axis=0)),
+                              (res.bias, kept.mean(axis=0) - target)]:
+                np.testing.assert_allclose(got[token], want, rtol=1e-14, atol=0, err_msg=token)
+            if token == "oracle":
+                assert covered == [] and np.all(np.isnan(res.coverage[token]))
+            else:
+                np.testing.assert_allclose(res.coverage[token], np.mean(covered, axis=0), rtol=1e-14, err_msg=token)
+            assert np.array_equal(res.rel_efficiency[token], res.sd[token] / res.sd["naive"]), token
 
 
 @pytest.mark.parametrize("chunk_rows", [16384, 600])
@@ -397,8 +452,8 @@ def test_a_batch_draw_equals_its_replicates_drawn_one_at_a_time(cfg, field, valu
             assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (study, rep)
 
 
-@pytest.mark.parametrize("chunk_rows", [16384, 1600])
-def test_a_sweep_draws_each_replicate_once_per_batch(monkeypatch, chunk_rows):
+@pytest.mark.parametrize("chunk_rows, draws", [(16384, 5), (1600, 5), (1400, 7)])
+def test_a_sweep_draws_each_replicate_once_per_call(monkeypatch, chunk_rows, draws):
     reps, gammas = 5, [0.1, 0.4, 0.6, 0.9]
     cfg = SyntheticConfig(reps=reps, seed=2)
     drawn = []
@@ -408,17 +463,17 @@ def test_a_sweep_draws_each_replicate_once_per_batch(monkeypatch, chunk_rows):
         drawn.append(rep)
         return rng_for(seed, rep)
 
-    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk_rows)  # 1600 rows: batches of 8 replicates
+    # the 20 pairs, replicate by replicate: 16384 rows hold them in one batch;
+    # 1600 rows make batches of 8 pairs, which split no replicate's gammas;
+    # 1400 rows make batches of 7, whose two inner boundaries split one each
+    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk_rows)
     monkeypatch.setattr(simulate, "_rng_for", counting)
     efficiency_curve(cfg, gammas, ["sada"])
-    size = chunk_rows // cfg.N
-    pairs = [rep for _ in gammas for rep in range(reps)]
-    per_batch = [set(pairs[lo:lo + size]) for lo in range(0, len(pairs), size)]
-    assert len(drawn) == sum(map(len, per_batch))
-    if len(per_batch) == 1:  # every pair in one batch: R draws, not R * G
-        assert sorted(drawn) == list(range(reps))
-    else:
-        assert reps < len(drawn) < reps * len(gammas)
+    batches = -(-reps * len(gammas) // (chunk_rows // cfg.N))
+    assert sorted(set(drawn)) == list(range(reps))
+    assert len(drawn) == draws <= reps + batches - 1
+    if batches == 1:
+        assert len(drawn) == reps  # R draws, not R * G
 
 
 def test_strict_raises_the_first_failing_gamma_of_a_batch(monkeypatch):
@@ -428,15 +483,15 @@ def test_strict_raises_the_first_failing_gamma_of_a_batch(monkeypatch):
         """Make the labeled design of replicate ``labeled`` = (gamma, rep)
         singular, and the unlabeled design of ``unlabeled``; all nine
         replicates share one batch."""
-        def batch(cfg, reps, normals):
-            X, labels, predictions, y = OLS_BATCH(cfg, reps, normals)
-            for i, rep in enumerate(reps):
+        def batch(cls, cfgs, reps, normals):
+            X, labels, predictions, y = OLS_BATCH(cfgs, reps, normals)
+            for i, (cfg, rep) in enumerate(zip(cfgs, reps)):
                 if (cfg.gamma, rep) == labeled:
                     X[i, 1, : cfg.n] = 1.0
                 if (cfg.gamma, rep) == unlabeled:
                     X[i, 1, cfg.n:] = 0.5
             return X, labels, predictions, y
-        monkeypatch.setattr(OlsCoverageConfig, "batch", batch)
+        monkeypatch.setattr(OlsCoverageConfig, "batch", classmethod(batch))
         simulate._run_studies(cfgs, ("ppi:1", "naive"), 0.95, 1, True)
 
     # ppi:1, fitted before naive here, raises SingularHessian on gamma #2's replicate 2 and
