@@ -31,8 +31,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, SadaError, SingularJacobian
-from .models import JACOBIAN_SINGULAR, ScoreModel, check_theta
+from .errors import ConfigError, SadaError, SingularGram, SingularJacobian
+from .models import ESTIMATE_NONFINITE, JACOBIAN_SINGULAR, ScoreModel, check_theta
 from .problem import Problem
 from .weighting import NONFINITE_WEIGHTS, ZERO_GRAM, ridged, solve_grams, stacked_moments
 
@@ -149,10 +149,13 @@ def no_errors(B: int) -> np.ndarray:
     return np.full(B, None, dtype=object)
 
 
-def _jacobian_errors(ok: np.ndarray) -> np.ndarray:
-    """Errors of a first solve: SingularJacobian where ``ok`` is False."""
-    errors = no_errors(ok.shape[0])
+def _solve_errors(theta: np.ndarray, ok: np.ndarray, errors: np.ndarray | None = None) -> np.ndarray:
+    """``errors`` (none by default) with those of a solve added: SingularJacobian
+    where ``ok`` is False, and SingularGram where theta (B, p) is not finite,
+    as when a design product overflows."""
+    errors = no_errors(ok.shape[0]) if errors is None else errors
     fail(errors, ~ok, SingularJacobian, JACOBIAN_SINGULAR)
+    fail(errors, ~np.isfinite(theta).all(axis=1), SingularGram, ESTIMATE_NONFINITE)
     return errors
 
 
@@ -194,29 +197,29 @@ def _weighted_fit(problem: Problem, method: str, W: np.ndarray, notes: Callable[
     A method that chose W at ``pilot``, the problem's (theta, ok, iterations),
     starts Newton there and keeps the pilot's errors.  Where ``fallback`` is
     set, W fell back to zero: the replicate keeps the pilot, with 0
-    iterations and no SingularJacobian from this solve.
+    iterations and no error from this solve but the pilot's.
     """
     theta0 = None if pilot is None else pilot[0]
-    errors = no_errors(problem.B) if pilot is None else _jacobian_errors(pilot[1])
+    errors = no_errors(problem.B) if pilot is None else _solve_errors(*pilot[:2])
     theta, solved, iters = problem.solve_weighted(W, theta0)
     if fallback is not None:
         solved = solved | fallback
         theta = np.where(fallback[:, None], theta0, theta)
         iters = np.where(fallback, 0, iters)
-    fail(errors, ~solved, SingularJacobian, JACOBIAN_SINGULAR)
+    _solve_errors(theta, solved, errors)
     return Fits(method, theta, errors, lambda i: {**notes(i), "solver_iterations": int(iters[i])}, weights=W)
 
 
 def fit_naive(problem: Problem) -> Fits:
     """Labeled-data-only estimator: root of the plain sample score equation."""
     theta, ok, iters = problem.pilot
-    return Fits("naive", theta, _jacobian_errors(ok), lambda i: {"solver_iterations": int(iters[i])})
+    return Fits("naive", theta, _solve_errors(theta, ok), lambda i: {"solver_iterations": int(iters[i])})
 
 
 def fit_oracle(problem: Problem) -> Fits:
     """Infeasible benchmark using the true labels of all N rows (simulation use)."""
     theta, ok, iters = problem.score_root(problem.truth)
-    return Fits("oracle", theta, _jacobian_errors(ok), lambda i: {"solver_iterations": int(iters[i])})
+    return Fits("oracle", theta, _solve_errors(theta, ok), lambda i: {"solver_iterations": int(iters[i])})
 
 
 def fit_ppi(problem: Problem, k: int) -> Fits:
@@ -233,9 +236,10 @@ def fit_ppi_pp(problem: Problem, k: int) -> Fits:
     pilot, ok, _ = problem.pilot
     _, Hinv, hessian_ok = problem.hessian(pilot)
     gram, cross = stacked_moments(problem, pilot, (k - 1,))
-    gram_reg, zero = ridged(gram)
-    denom = np.trace(Hinv @ gram_reg @ Hinv, axis1=1, axis2=2)
-    numer = np.trace(Hinv @ cross @ Hinv, axis1=1, axis2=2)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite trace is not ``usable``
+        gram_reg, zero = ridged(gram)
+        denom = np.trace(Hinv @ gram_reg @ Hinv, axis1=1, axis2=2)
+        numer = np.trace(Hinv @ cross @ Hinv, axis1=1, axis2=2)
     usable = (denom > 0.0) & np.isfinite(denom) & np.isfinite(numer)
     live = ok & hessian_ok
     degenerate = np.where(hessian_ok, None, "singular_hessian")
@@ -293,12 +297,15 @@ def solve_weighted(
     Raises:
         ValueError: W is not (K*p, p), or theta0 not a finite (p,) array.
         SingularJacobian: the weighted equation's Jacobian is singular.
+        SingularGram: the closed-form root is not finite, because a design
+            product overflowed.
     """
     W = weight_blocks(W, ds.K, model.p)
     theta0 = None if theta0 is None else check_theta(theta0, model.p, "theta0")[None]
     theta, ok, iters = Problem.of(ds, model).solve_weighted(W[None], theta0)
-    if not ok[0]:
-        raise SingularJacobian(JACOBIAN_SINGULAR)
+    error = _solve_errors(theta, ok)[0]
+    if error is not None:
+        raise error
     return theta[0], int(iters[0])
 
 

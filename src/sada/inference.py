@@ -105,6 +105,7 @@ def check_level(level: float) -> None:
         raise ConfigError(f"level must be in (0, 1), got {level!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in ``_sigma``
 def _sandwich_intervals(Hinv, sigma, theta, n: int, level: float):
     """Omega = Hinv sigma Hinv' per replicate, and its intervals: (Omega, lower, upper)."""
     omega = Hinv @ sigma @ Hinv.transpose(0, 2, 1)

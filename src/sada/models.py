@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence, SingularJacobian
+from .errors import NonConvergence, SingularGram, SingularJacobian
 
 #: Reciprocal condition number below which a Jacobian, Hessian or covariance
 #: is treated as singular; also the relative cutoff of the gram pseudo-inverse.
@@ -53,7 +53,8 @@ class ScoreModel:
         name: short identifier used in reports.
         design: x -> z, per row like ``score``, declaring the least-squares
             score s = z (y - z'theta) that ``score`` and ``jacobian`` compute
-            (z = 1 for the mean, z = x for OLS); None for Newton.
+            (z = 1 for the mean, z = x for OLS); None for Newton.  A
+            ``problem.Problem`` calls it once, on all its rows stacked.
     """
 
     p: int
@@ -178,6 +179,7 @@ def solve_estimating_equation(
 
 
 JACOBIAN_SINGULAR = f"Jacobian is singular (rcond < {RCOND_THRESHOLD:g})"
+ESTIMATE_NONFINITE = "estimate is not finite (a design product overflowed)"
 
 
 def _check_jacobian(J: np.ndarray, iteration: int) -> None:
@@ -230,20 +232,20 @@ def solve_score_root(
     """Solve the plain sample score equation mean_i s(x_i, y_i; theta) = 0.
 
     A model with a design is solved in closed form from G = Z'Z/m and
-    b = Z'y/m (``problem.design_root``, batch of one), Z = design(X) taken
-    by one call, and ignores theta0; any other by Newton from theta0 (zeros
-    by default).  A design of other than p columns raises DimensionMismatch.
+    b = Z'y/m (``problem.design_root``, batch of one), Z' taken by
+    ``problem.rows_last_design``, and ignores theta0; any other by Newton
+    from theta0 (zeros by default).  A design of other than p columns raises
+    DimensionMismatch.
     """
     if model.design is not None:
-        from .problem import design_root, transposed_design  # problem imports this module
+        from .problem import design_root, rows_last_design  # problem imports this module
 
         X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-        Zt = np.ascontiguousarray(transposed_design(model, X.reshape(X.shape[0], -1)))
-        if Zt.shape[0] != model.p:
-            raise DimensionMismatch(f"the design has {Zt.shape[0]} columns but the model has p={model.p}")
-        theta, ok = design_root(Zt[None], y[None])
+        theta, ok = design_root(rows_last_design(model, X.reshape(X.shape[0], -1).T[None]), y[None])
         if not ok[0]:
             raise SingularJacobian(JACOBIAN_SINGULAR)
+        if not np.all(np.isfinite(theta)):
+            raise SingularGram(ESTIMATE_NONFINITE)
         return theta[0], 1
     if theta0 is None:
         theta0 = np.zeros(model.p)

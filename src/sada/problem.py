@@ -4,19 +4,19 @@ in which models with and without a design differ.
 A ``Problem`` stacks B datasets with the same N, n, K and p on a leading
 replicate axis, each with its rows last: the transposed design Z' (B, p, N),
 labels (B, n), predictions (B, K, N) and, for the oracle, true labels (B, N),
-all C-contiguous.  Z' is data: ``Problem.of`` and ``Problem.stack`` call the
-model's ``design`` once per dataset, on its rows-first (N, d) features, and
-no primitive calls it again.  A model without a design holds the features
-X' (B, d, N) in its place.  Every pass over the rows then reads only the
-columns it uses, at unit stride, and numpy's innermost loops and BLAS's long
-dimension run over the many rows rather than over the few columns.
-``Problem.of`` takes the predictions, and OLS's Z', as views of a validated
-dataset, whose columns are contiguous; any other design costs one (p, N)
-array.  ``Problem.stack`` transposes each batch once as it copies it.  Both
-give each replicate the same layout, so its BLAS calls, and its results, do
-not depend on its batch.  The estimators, the weight plug-ins and the
-sandwich inference are written once, over that axis, against four
-primitives:
+all C-contiguous.  Z' is data: ``rows_last_design`` calls the model's
+``design`` once per problem, on the batch's stacked (B*N, d) rows, which its
+contract lets it map one row at a time, and no primitive calls it again.  A
+model without a design holds the features X' (B, d, N) in its place.  Every
+pass over the rows then reads only the columns it uses, at unit stride, and
+numpy's innermost loops and BLAS's long dimension run over the many rows
+rather than over the few columns.  ``Problem.of`` hands the constructor the
+transposes of a validated dataset's column-major arrays, which are views,
+so the predictions, and OLS's Z', are not copied; any other design costs
+one (p, N) array.  Every replicate gets the same layout, so its BLAS calls,
+and its results, do not depend on its batch.  The estimators, the weight
+plug-ins and the sandwich inference are written once, over that axis,
+against four primitives:
 
 * ``score_root`` (and the cached ``pilot``): root of the plain score equation;
 * ``solve_weighted``: root of the weighted equation for weights W (B, K*p, p);
@@ -58,13 +58,23 @@ from .models import (
 )
 
 
-def transposed_design(model: ScoreModel, X: np.ndarray) -> np.ndarray:
-    """Z' (p, m) of rows-first features X (m, d), by one call of ``model.design``
-    on X, its documented contract; X' for a model without a design.  Not
-    copied: where the design returns X, as OLS does, Z' is X'."""
-    return np.asarray(X if model.design is None else model.design(X), dtype=float).T
+def rows_last_design(model: ScoreModel, features: np.ndarray) -> np.ndarray:
+    """Z' (B, p, N), C-contiguous, of rows-last features (B, d, N), by one call
+    of ``model.design`` on the batch's stacked (B*N, d) rows; the features for
+    a model without a design.  OLS's batch of one is not copied.  The one
+    place that raises DimensionMismatch for a design that is not p wide."""
+    if model.design is None:
+        return np.ascontiguousarray(features)
+    B, d, N = features.shape
+    Z = np.asarray(model.design(features.transpose(0, 2, 1).reshape(B * N, d)), dtype=float)
+    if Z.shape[1] != model.p:
+        raise DimensionMismatch(f"the design has {Z.shape[1]} columns but the model has p={model.p}")
+    return np.ascontiguousarray(Z.reshape(B, N, -1).transpose(0, 2, 1))
 
 
+# an overflowing product gives an inf or NaN theta, which the estimators turn
+# into a SadaError, so numpy's floating-point warnings say nothing more
+@np.errstate(over="ignore", invalid="ignore")
 def design_sums(Zt: np.ndarray, *targets: np.ndarray):
     """Z'Z and each Z't over the rows of the transposed design Zt (B, p, rows),
     divided by the row count.
@@ -98,20 +108,21 @@ def design_root(Zt: np.ndarray, y: np.ndarray):
 class Problem:
     """A score model on B datasets stacked on a leading replicate axis."""
 
-    def __init__(self, model: ScoreModel, design, labels, predictions, truth=None):
-        """The arrays are rows last: design (B, p, N), the transposed design Z'
-        (for a model without a design, the features X', (B, d, N)), labels
-        (B, n), predictions (B, K, N) and truth (B, N) or None.  A model with a
-        design whose Z' has other than p rows raises DimensionMismatch."""
+    def __init__(self, model: ScoreModel, features, labels, predictions, truth=None):
+        """The arrays are rows last: features (B, d, N), labels (B, n),
+        predictions (B, K, N) and truth (B, N) or None; the design is taken
+        from the features by ``rows_last_design``, and the arrays are not
+        validated."""
         self.model = model
-        self.design, self.labels, self.predictions, self.truth = design, labels, predictions, truth
+        self.design = rows_last_design(model, features)
+        self.labels = np.ascontiguousarray(labels)
+        self.predictions = np.ascontiguousarray(predictions)
+        self.truth = None if truth is None else np.ascontiguousarray(truth)
         self.B, self.K, self.N = predictions.shape
         self.n = labels.shape[1]
         self.p = model.p
         if model.design is None and self.B != 1:
             raise ValueError("a model without a design is fitted one dataset at a time")
-        if model.design is not None and design.shape[1] != self.p:
-            raise DimensionMismatch(f"the design has {design.shape[1]} columns but the model has p={self.p}")
 
     @classmethod
     def of(cls, ds: Dataset, model: ScoreModel, truth: np.ndarray | None = None) -> "Problem":
@@ -119,21 +130,10 @@ class Problem:
 
         The features and predictions of a validated dataset are column-major,
         so their transposes are views; OLS's Z' is one, and any other design,
-        or a row-major dataset, is copied here.
+        or a row-major dataset, is copied in the constructor.
         """
-        return cls(model, np.ascontiguousarray(transposed_design(model, ds.features))[None], ds.labels[None],
-                   np.ascontiguousarray(ds.predictions.T)[None],
+        return cls(model, ds.features.T[None], ds.labels[None], ds.predictions.T[None],
                    None if truth is None else np.asarray(truth, dtype=float)[None])
-
-    @classmethod
-    def stack(cls, model: ScoreModel, draws: Sequence[tuple]) -> "Problem":
-        """Replicates of one shape, in order, as one batch: each draw is the (features,
-        labels, predictions[, truth]) arrays of one, rows first as in a ``Dataset``,
-        its Z' and predictions copied once here, rows last, and not validated."""
-        features, labels, predictions, *truth = zip(*draws)
-        # np.array, not np.stack: stacking transposed views would keep their order
-        return cls(model, np.array([transposed_design(model, X) for X in features]), np.stack(labels),
-                   np.array([Yhat.T for Yhat in predictions]), *map(np.stack, truth))
 
     @cached_property
     def _labeled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,6 +143,7 @@ class Problem:
         return G, b[..., 0], P
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # as in ``design_sums``
     def _weighted(self) -> tuple[np.ndarray, np.ndarray]:
         """What a weight matrix multiplies: G_U - G_L and P_U - P_L, P_R = Z_R'Yhat_R/m_R."""
         G_L, _, P_L = self._labeled
@@ -195,7 +196,8 @@ class Problem:
         blocks = W.reshape(B, K, p, p)
         G = G_L + blocks.sum(axis=1).transpose(0, 2, 1) @ dG
         dP = np.where(blocks.any(axis=(2, 3))[:, None, :], dP, 0.0)
-        b = b_L + (W.transpose(0, 2, 1) @ dP.transpose(0, 2, 1).reshape(B, -1, 1))[..., 0]
+        with np.errstate(over="ignore", invalid="ignore"):  # as in ``design_sums``
+            b = b_L + (W.transpose(0, 2, 1) @ dP.transpose(0, 2, 1).reshape(B, -1, 1))[..., 0]
         theta, ok = solve_affine(G, b)
         return theta, ok, np.ones(B, dtype=int)
 

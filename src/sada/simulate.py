@@ -14,9 +14,9 @@ distinct replicate in it once, as one (m, N) block shared by every config
 batch boundary falls among its gammas.  One classmethod call,
 ``batch(cfgs, reps, normals)``, builds the whole batch's rows-last arrays
 with whole-batch arithmetic, the fields that differ between configs (gamma,
-``noise_sd``) taken as per-pair columns; one ``design`` call on the batch's
-stacked rows gives Z', and these become one ``problem.Problem``, not
-validated as datasets.  ``draw(rep_index)`` is the batch of one, rows first.
+``noise_sd``) taken as per-pair columns, and these become one
+``problem.Problem``, not validated as datasets.  ``draw(rep_index)`` is the
+batch of one, rows first.
 Every method is fitted on all of a batch's pairs in one batched pass.  Each
 replicate's fit does not depend on which others share its batch, so results
 are bit-identical no matter how the replicates are batched, or whether the
@@ -260,14 +260,7 @@ def _run_chunk(methods: Sequence[str], level: float, pairs) -> tuple:
     and then pair order.  A configuration error is the same for every pair,
     so it is raised, never counted as a failed fit.
     """
-    features, labels, predictions, truth = _draw_batch(pairs)
-    model = pairs[0][0].model()
-    # Z' by one ``design`` call on the batch's stacked rows: a built-in
-    # model's design maps each row on its own
-    B, d, N = features.shape
-    Z = np.asarray(model.design(features.transpose(0, 2, 1).reshape(B * N, d)), dtype=float)
-    design = np.ascontiguousarray(Z.reshape(B, N, -1).transpose(0, 2, 1))
-    problem = Problem(model, design, labels, predictions, truth)
+    problem = Problem(pairs[0][0].model(), *_draw_batch(pairs))
     fits = [fit_method(problem, token, level=level) for token in methods]
     failed = np.array([~np.equal(f.errors, None) for f in fits])
     for f, bad in zip(fits, failed):

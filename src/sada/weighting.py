@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import SingularGram, SingularJacobian, ZeroGram
-from .models import JACOBIAN_SINGULAR, RCOND_THRESHOLD, ScoreModel, check_theta
+from .errors import SingularGram, ZeroGram
+from .models import RCOND_THRESHOLD, ScoreModel, check_theta
 
 #: Ridge multiplier of every weight solve: lambda = RIDGE_SCALE * trace(gram) / dim.
 RIDGE_SCALE = 1e-8
@@ -126,6 +126,7 @@ def ridged(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gram + lam[..., None, None] * np.eye(dim), zero
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite solve is marked ``bad``
 def solve_grams(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve (gram + ridge) @ x = rhs per replicate via a symmetric pseudo-inverse.
 
@@ -144,17 +145,6 @@ def solve_grams(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     bad = ~zero & ~(finite & np.all(np.isfinite(solution), axis=(-2, -1)))
     solution[zero | bad] = 0.0
     return solution, zero, bad
-
-
-def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``solve_grams`` for one gram, raising ZeroGram or SingularGram where it would mark it."""
-    rhs = np.asarray(rhs, dtype=float)
-    solution, zero, bad = solve_grams(np.asarray(gram, dtype=float)[None], rhs.reshape(1, rhs.shape[0], -1))
-    if zero[0]:
-        raise ZeroGram(ZERO_GRAM)
-    if bad[0]:
-        raise SingularGram(NONFINITE_WEIGHTS)
-    return solution[0].reshape(rhs.shape)
 
 
 def estimate_general_weights(
@@ -176,15 +166,19 @@ def estimate_general_weights(
 
     Raises:
         ValueError: theta_pilot is not a finite array of shape (p,).
-        SingularJacobian: the default pilot's labeled design is singular.
+        SingularJacobian, SingularGram: the default pilot fails, as
+            ``estimators.naive_estimate`` does.
+        ZeroGram: the stacked scores are identically zero.
         SingularGram: stacked scores carry no usable variation.
     """
     if theta_pilot is None:
-        from .problem import Problem  # problem reads CHUNK_ROWS from this module
+        from .estimators import naive_estimate  # estimators imports this module
 
-        pilot, ok, _ = Problem.of(ds, model).pilot
-        if not ok[0]:
-            raise SingularJacobian(JACOBIAN_SINGULAR)
-        theta_pilot = pilot[0]
-    theta_pilot = check_theta(theta_pilot, model.p, "theta_pilot")
-    return solve_gram(*moment_estimates(ds, model, theta_pilot))
+        theta_pilot = naive_estimate(ds, model).theta_hat
+    gram, cross = moment_estimates(ds, model, check_theta(theta_pilot, model.p, "theta_pilot"))
+    solution, zero, bad = solve_grams(gram[None], cross[None])
+    if zero[0]:
+        raise ZeroGram(ZERO_GRAM)
+    if bad[0]:
+        raise SingularGram(NONFINITE_WEIGHTS)
+    return solution[0]

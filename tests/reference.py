@@ -3,12 +3,14 @@
 ``stacked_score`` is one row of ``sada.data.stacked_score_matrix``, built
 block by block; ``estimate_mean_weights`` is the mean-model weight closed form
 on the prediction columns, which ``estimate_general_weights`` must reproduce;
-``sigma_g`` is the efficiency gain that SADA's weights are built to capture.
+``sigma_g`` is the efficiency gain that SADA's weights are built to capture;
+``stacked_problem`` batches datasets of one shape as one ``Problem``.
 """
 import numpy as np
 
-from sada import Dataset, DimensionMismatch
-from sada.weighting import solve_gram, solve_grams, stacked_moments
+from sada import Dataset, DimensionMismatch, SingularGram, ZeroGram
+from sada.problem import Problem
+from sada.weighting import NONFINITE_WEIGHTS, ZERO_GRAM, solve_grams, stacked_moments
 
 
 def stacked_score(model, x: np.ndarray, preds: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -45,7 +47,12 @@ def estimate_mean_weights(ds: Dataset) -> np.ndarray:
     gram = preds_centered.T @ preds_centered / ds.N
     cross = preds_centered[: ds.n].T @ labels_centered / ds.n
     factor = (ds.N - ds.n) / ds.N
-    return factor * solve_gram(gram, cross)
+    solution, zero, bad = solve_grams(gram[None], cross[None, :, None])
+    if zero[0]:
+        raise ZeroGram(ZERO_GRAM)
+    if bad[0]:
+        raise SingularGram(NONFINITE_WEIGHTS)
+    return factor * solution[0, :, 0]
 
 
 def sigma_g(problem, theta: np.ndarray):
@@ -62,3 +69,9 @@ def sigma_g(problem, theta: np.ndarray):
     solved, _, bad = solve_grams(gram, cross)
     out = cross.transpose(0, 2, 1) @ solved
     return 0.5 * (out + out.transpose(0, 2, 1)), bad
+
+
+def stacked_problem(model, datasets, truths=None):
+    """The ``Problem`` of same-shaped datasets, in order, stacked rows last."""
+    return Problem(model, np.array([ds.features.T for ds in datasets]), np.array([ds.labels for ds in datasets]),
+                   np.array([ds.predictions.T for ds in datasets]), None if truths is None else np.array(truths))

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sada import Dataset, SadaError, mean_model, ols_model
+from sada import (Dataset, SadaError, SingularGram, mean_model, naive_estimate, ols_model, ppi_estimate,
+                  solve_score_root, solve_weighted)
 from sada.cli import _EXIT_CODES
 from sada.inference import fit_method, run_method
-from sada.problem import Problem
+from reference import stacked_problem
 
 TOKENS = ["naive", "ppi:1", "ppi:2", "ppi_pp:1", "ppi_pp:2", "sada", "oracle"]
 
@@ -61,7 +62,6 @@ def test_a_fit_does_not_depend_on_its_batch(make_model):
     rng = np.random.default_rng(40)
     draws = [replicate(rng, case) for case in CASES]
     datasets, truths = [ds for ds, _ in draws], [y for _, y in draws]
-    arrays = [(ds.features, ds.labels, ds.predictions, y) for ds, y in draws]
     model = make_model()
     splits = {
         "one batch": [(0, len(draws))],
@@ -71,7 +71,7 @@ def test_a_fit_does_not_depend_on_its_batch(make_model):
     results = {}
     for name, ranges in splits.items():
         results[name] = {
-            (token, lo + i): outcome(Problem.stack(model, arrays[lo:hi]), token, i)
+            (token, lo + i): outcome(stacked_problem(model, datasets[lo:hi], truths[lo:hi]), token, i)
             for lo, hi in ranges for token in TOKENS for i in range(hi - lo)
         }
     assert results["one batch"] == results["batches of one"] == results["uneven"]
@@ -144,7 +144,7 @@ def test_any_finite_input_gives_a_finite_fit_or_a_sada_error(seeds, shape, scale
                 for j, seed in enumerate(seeds)]
     tokens = ["naive", "sada"] + [f"{m}:{k}" for m in ("ppi", "ppi_pp") for k in range(1, K + 1)]
     for model in (mean_model(), ols_model(d)):
-        problem = Problem.stack(model, [(ds.features, ds.labels, ds.predictions) for ds in datasets])
+        problem = stacked_problem(model, datasets)
         for token in tokens:
             fits = fit_method(problem, token, level=0.95)
             for i, ds in enumerate(datasets):
@@ -160,3 +160,51 @@ def test_any_finite_input_gives_a_finite_fit_or_a_sada_error(seeds, shape, scale
                 values = np.concatenate([report.theta_hat, report.intervals.lower, report.intervals.upper])
                 assert np.all(np.isfinite(values)), (token, i)
                 assert np.array_equal(fits.theta[i], report.theta_hat)
+
+
+def overflowing(where, seed=7, N=200, n=60):
+    """An OLS dataset with an intercept whose prediction column 2 (``where`` =
+    "prediction") or labels ("labels") sit near 1.5e307, so that their design
+    products overflow; with its true labels."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(N), rng.standard_normal(N)])
+    y = X @ np.array([0.5, -1.0]) + rng.standard_normal(N)
+    huge = 1.5e307 * (1.0 + 0.1 * rng.standard_normal(N))
+    preds = np.column_stack([0.7 * y + 0.5 * rng.standard_normal(N), huge if where == "prediction" else y])
+    return Dataset.from_arrays(X, (huge if where == "labels" else y)[:n], preds), y
+
+
+def test_a_closed_form_solve_that_overflows_raises_singular_gram():
+    # under the suite's error::RuntimeWarning filter, with no np.errstate
+    # here: an overflowing design product is a SadaError, never NaN or a warning
+    ds, _ = overflowing("prediction")
+    ols = ols_model(2)
+    on_column_2 = np.vstack([np.zeros((2, 2)), np.eye(2)])
+    for call in (lambda: ppi_estimate(ds, ols, 2), lambda: solve_weighted(ds, ols, on_column_2)):
+        with pytest.raises(SingularGram, match=r"^estimate is not finite \(a design product overflowed\)$"):
+            call()
+    ds, _ = overflowing("labels")
+    for model in (ols, mean_model()):
+        for call in (lambda: solve_score_root(model, ds.features[: ds.n], ds.labels),
+                     lambda: naive_estimate(ds, model)):
+            with pytest.raises(SingularGram, match=r"^estimate is not finite"):
+                call()
+
+
+@pytest.mark.parametrize("where", ["prediction", "labels"])
+@pytest.mark.parametrize("make_model", [mean_model, lambda: ols_model(2)], ids=["mean", "ols"])
+def test_an_overflowing_replicate_fails_alone_in_its_batch(make_model, where):
+    model = make_model()
+    rng = np.random.default_rng(41)
+    draws = [replicate(rng, "plain"), overflowing(where, N=60, n=20), replicate(rng, "plain")]
+    datasets, truths = [ds for ds, _ in draws], [y for _, y in draws]
+    batch = stacked_problem(model, datasets, truths)
+    for token in TOKENS:
+        for i, ds in enumerate(datasets):
+            assert outcome(batch, token, i) == reported(ds, model, token, truths[i]), (token, i)
+        for i in (0, 2):  # the ordinary replicates do not fail
+            assert not isinstance(outcome(batch, token, i), str), (token, i)
+    # the fits that use the overflowing values fail as a SadaError that exits 4
+    failing = ["naive", "ppi:1", "ppi:2", "ppi_pp:1", "ppi_pp:2", "sada"] if where == "labels" else ["ppi:2"]
+    for token in failing:
+        assert outcome(batch, token, 1) == "SingularGram", token

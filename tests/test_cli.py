@@ -189,6 +189,35 @@ def test_a_column_whose_squares_overflow_warns_nothing(tmp_path, capsys):
     assert "RuntimeWarning" not in err
 
 
+def test_a_closed_form_solve_that_overflows_exits_four_and_warns_nothing(tmp_path, capsys):
+    # under the suite's error::RuntimeWarning filter, with no np.errstate
+    # here: a prediction column or labels near 1.5e307 overflow the design
+    # products, which is a fallback or a SingularGram, never NaN or a warning
+    rng = np.random.default_rng(8)
+
+    def write(name, huge_labels):
+        lines = ["x_1,x_2,y,yhat_1,yhat_2"]
+        for i in range(200):
+            x = float(rng.standard_normal())
+            y = 0.5 - x + float(rng.standard_normal())
+            huge = 1.5e307 * (1.0 + 0.1 * float(rng.standard_normal()))
+            label = repr(huge if huge_labels else y) if i < 60 else ""
+            lines.append(f"1.0,{x!r},{label},{y + 0.5 * rng.standard_normal()!r},{y if huge_labels else huge!r}")
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    column = write("column.csv", huge_labels=False)
+    assert main(["estimate", str(column), "--model", "ols", "--methods", "sada", "--out", str(tmp_path / "sada")]) == 0
+    report = json.loads((tmp_path / "sada" / "report.json").read_text())
+    assert "weight_fallback" in report["records"][0]["diagnostics"]
+    assert capsys.readouterr().err == ""
+    for path, methods in ((column, "ppi:2"), (write("labels.csv", huge_labels=True), "naive,sada")):
+        code = main(["estimate", str(path), "--model", "ols", "--methods", methods, "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err == "SingularGram: estimate is not finite (a design product overflowed)\n"
+
+
 @pytest.mark.parametrize("model", ["mean", "ols"])
 def test_estimate_on_labels_in_the_hundreds_of_millions(tmp_path, capsys, model):
     # the solve must not depend on the units of y

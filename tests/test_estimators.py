@@ -28,6 +28,7 @@ import sada.models
 import sada.problem
 from sada.inference import fit_method, run_method
 from sada.weighting import NONFINITE_WEIGHTS
+from reference import stacked_problem
 
 
 def mean_dataset(rng, N=200, n=60, theta=0.5, perfect_first=False):
@@ -523,8 +524,7 @@ def test_a_custom_design_on_rows_matches_ols(name):
     assert close(solve_score_root(custom, own.features[:80], own.labels)[0],
                  solve_score_root(ols, ds.features[:80], ds.labels)[0])
     assert close(estimate_general_weights(own, custom), estimate_general_weights(ds, ols))
-    batch = sada.problem.Problem.stack(custom, [(ds.features, ds.labels, ds.predictions, truth)
-                                                for ds, truth in zip(mine, truths)])
+    batch = stacked_problem(custom, mine, truths)
     for token in compare_tokens(ds.K) + ["oracle"]:
         fits = fit_method(batch, token, level=0.95)
         for i, (ds, own, truth) in enumerate(zip(datasets, mine, truths)):

@@ -11,6 +11,7 @@ from sada import (
     solve_estimating_equation,
     solve_score_root,
 )
+from test_estimators import least_squares
 
 
 def test_mean_score_values():
@@ -117,12 +118,16 @@ def test_solver_ols_matches_normal_equations():
     assert np.allclose(theta, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("p", [2, 4])
-def test_closed_form_solve_rejects_a_design_of_another_width(p):
+@pytest.mark.parametrize("model, width", [
+    (ols_model(2), 3),
+    (ols_model(4), 3),
+    (least_squares(lambda x: np.column_stack([np.ones(len(x)), x]), 3), 4),
+], ids=["2", "4", "custom_design"])
+def test_closed_form_solve_rejects_a_design_of_another_width(model, width):
     rng = np.random.default_rng(3)
     X = rng.standard_normal((50, 3))
-    with pytest.raises(DimensionMismatch, match=f"^the design has 3 columns but the model has p={p}$"):
-        solve_score_root(ols_model(p), X, rng.standard_normal(50))
+    with pytest.raises(DimensionMismatch, match=f"^the design has {width} columns but the model has p={model.p}$"):
+        solve_score_root(model, X, rng.standard_normal(50))
 
 
 def test_solver_zero_jacobian_raises():

@@ -4,7 +4,8 @@
 that numpy's innermost loop runs over rows.  Whatever the model, they must
 hold the same numbers as ``stacked_score_matrix`` and ``model.score``, which
 lay rows first, and a replicate's block must not depend on its batch.  The
-transposed design is taken once per dataset, when the problem is built.
+transposed design is taken once per problem, when it is built, on the stacked
+rows of its whole batch.
 """
 import dataclasses
 
@@ -16,6 +17,7 @@ from sada.data import stacked_score_matrix
 from sada.estimators import fit_ppi
 from sada.inference import fit_method
 from sada.problem import Problem
+from reference import stacked_problem
 from test_estimators import least_squares, logistic_dataset, logistic_model
 
 N, n, K = 40, 13, 4
@@ -69,7 +71,7 @@ def test_a_replicates_scores_do_not_depend_on_its_batch(name):
     model, features = MODELS[name]
     datasets = [dataset(seed, features) for seed in (61, 62, 63)]
     thetas = np.array([[0.3, -0.7, 1.9], [-2.0, 0.1, 0.4], [5.0, 3.0, -1.0]])[:, : model.p]
-    batch = Problem.stack(model, [(ds.features, ds.labels, ds.predictions) for ds in datasets])
+    batch = stacked_problem(model, datasets)
     labeled = batch.labeled_scores(thetas)
     for i, ds in enumerate(datasets):
         one = Problem.of(ds, model)
@@ -88,7 +90,7 @@ def test_a_problem_holds_its_data_rows_last_and_a_dataset_is_not_copied():
         model, features = MODELS[name]
         own = Dataset.from_arrays(features(ds.features), ds.labels, ds.predictions)
         one = Problem.of(own, model)
-        batch = Problem.stack(model, [(own.features, own.labels, own.predictions)] * 2)
+        batch = stacked_problem(model, [own] * 2)
         # a problem holds the transposed design Z', which only OLS takes as a
         # view of the features, and takes the predictions as a view
         assert np.shares_memory(one.design, own.features) == (name == "ols")
@@ -103,7 +105,7 @@ def test_a_problem_holds_its_data_rows_last_and_a_dataset_is_not_copied():
                 assert np.array_equal(replicate, got[0]) and replicate.flags.c_contiguous
 
 
-def test_a_design_is_evaluated_once_per_dataset():
+def test_a_design_is_evaluated_once_per_problem():
     base, features = MODELS["custom_design"]
     calls = []
 
@@ -121,10 +123,12 @@ def test_a_design_is_evaluated_once_per_dataset():
     assert calls == [N]
     calls.clear()
     datasets = [dataset(seed, features) for seed in (66, 67, 68)]
-    batch = Problem.stack(model, [(ds.features, ds.labels, ds.predictions) for ds in datasets])
+    batch = stacked_problem(model, datasets)
+    # one call on the batch's stacked rows: the contract maps each row on its own
+    assert calls == [3 * N]
     for token in tokens:
         fit_method(batch, token, level=0.9)
-    assert calls == [N] * 3
+    assert calls == [3 * N]
 
 
 # models whose design is not p wide on the d = 3 features of ``dataset``
@@ -137,7 +141,7 @@ FITS = {
     "naive": naive_estimate,
     "ppi": ppi_estimate,
     "sada": sada_estimate,
-    "stack": lambda ds, model: Problem.stack(model, [(ds.features, ds.labels, ds.predictions)]),
+    "constructor": lambda ds, model: Problem(model, ds.features.T[None], ds.labels[None], ds.predictions.T[None]),
 }
 
 
