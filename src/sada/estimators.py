@@ -31,10 +31,10 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, SadaError, SingularGram, SingularJacobian
-from .models import ESTIMATE_NONFINITE, JACOBIAN_SINGULAR, ScoreModel, check_theta
+from .errors import ConfigError
+from .models import ScoreModel, check_theta, no_errors, solve_errors
 from .problem import Problem
-from .weighting import NONFINITE_WEIGHTS, ZERO_GRAM, ridged, solve_grams, stacked_moments
+from .weighting import ridged, solve_grams, stacked_moments
 
 METHOD_TAGS = ("naive", "ppi", "ppi_pp", "sada", "oracle")
 
@@ -145,27 +145,6 @@ class Fits:
         )
 
 
-def no_errors(B: int) -> np.ndarray:
-    return np.full(B, None, dtype=object)
-
-
-def _solve_errors(theta: np.ndarray, ok: np.ndarray, errors: np.ndarray | None = None) -> np.ndarray:
-    """``errors`` (none by default) with those of a solve added: SingularJacobian
-    where ``ok`` is False, and SingularGram where theta (B, p) is not finite,
-    as when a design product overflows."""
-    errors = no_errors(ok.shape[0]) if errors is None else errors
-    fail(errors, ~ok, SingularJacobian, JACOBIAN_SINGULAR)
-    fail(errors, ~np.isfinite(theta).all(axis=1), SingularGram, ESTIMATE_NONFINITE)
-    return errors
-
-
-def fail(errors: np.ndarray, bad: np.ndarray, error: type[SadaError], message: str) -> None:
-    """Give each replicate in ``bad`` that has not failed yet the error it raises."""
-    for i in np.flatnonzero(bad):
-        if errors[i] is None:
-            errors[i] = error(message)
-
-
 def weight_blocks(W: np.ndarray, K: int, p: int) -> np.ndarray:
     """W as (K*p, p); W is (K*p, p) or, when p = 1, a length-K vector."""
     W = np.asarray(W, dtype=float)
@@ -200,26 +179,26 @@ def _weighted_fit(problem: Problem, method: str, W: np.ndarray, notes: Callable[
     iterations and no error from this solve but the pilot's.
     """
     theta0 = None if pilot is None else pilot[0]
-    errors = no_errors(problem.B) if pilot is None else _solve_errors(*pilot[:2])
+    errors = no_errors(problem.B) if pilot is None else solve_errors(*pilot[:2])
     theta, solved, iters = problem.solve_weighted(W, theta0)
     if fallback is not None:
         solved = solved | fallback
         theta = np.where(fallback[:, None], theta0, theta)
         iters = np.where(fallback, 0, iters)
-    _solve_errors(theta, solved, errors)
+    solve_errors(theta, solved, errors)
     return Fits(method, theta, errors, lambda i: {**notes(i), "solver_iterations": int(iters[i])}, weights=W)
 
 
 def fit_naive(problem: Problem) -> Fits:
     """Labeled-data-only estimator: root of the plain sample score equation."""
     theta, ok, iters = problem.pilot
-    return Fits("naive", theta, _solve_errors(theta, ok), lambda i: {"solver_iterations": int(iters[i])})
+    return Fits("naive", theta, solve_errors(theta, ok), lambda i: {"solver_iterations": int(iters[i])})
 
 
 def fit_oracle(problem: Problem) -> Fits:
     """Infeasible benchmark using the true labels of all N rows (simulation use)."""
     theta, ok, iters = problem.score_root(problem.truth)
-    return Fits("oracle", theta, _solve_errors(theta, ok), lambda i: {"solver_iterations": int(iters[i])})
+    return Fits("oracle", theta, solve_errors(theta, ok), lambda i: {"solver_iterations": int(iters[i])})
 
 
 def fit_ppi(problem: Problem, k: int) -> Fits:
@@ -263,17 +242,15 @@ def fit_sada(problem: Problem) -> Fits:
     pilot, _, pilot_iters = problem.pilot
     scale = (problem.N - problem.n) / problem.N
     gram, cross = stacked_moments(problem, pilot, range(problem.K))
-    solution, zero, bad = solve_grams(gram, cross)
+    solution, errors = solve_grams(gram, cross)
 
     def notes(i):
         out = {"pilot_iterations": int(pilot_iters[i]), "weight_scale": scale}
-        if zero[i]:
-            out["weight_fallback"] = f"ZeroGram: {ZERO_GRAM}"
-        elif bad[i]:
-            out["weight_fallback"] = f"SingularGram: {NONFINITE_WEIGHTS}"
+        if errors[i] is not None:
+            out["weight_fallback"] = f"{type(errors[i]).__name__}: {errors[i]}"
         return out
 
-    return _weighted_fit(problem, "sada", scale * solution, notes, problem.pilot, zero | bad)
+    return _weighted_fit(problem, "sada", scale * solution, notes, problem.pilot, np.not_equal(errors, None))
 
 
 def solve_weighted(
@@ -303,7 +280,7 @@ def solve_weighted(
     W = weight_blocks(W, ds.K, model.p)
     theta0 = None if theta0 is None else check_theta(theta0, model.p, "theta0")[None]
     theta, ok, iters = Problem.of(ds, model).solve_weighted(W[None], theta0)
-    error = _solve_errors(theta, ok)[0]
+    error = solve_errors(theta, ok)[0]
     if error is not None:
         raise error
     return theta[0], int(iters[0])

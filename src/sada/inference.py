@@ -37,17 +37,15 @@ from .estimators import (
     EstimateReport,
     Fits,
     check_truth,
-    fail,
     fit_naive,
     fit_oracle,
     fit_ppi,
     fit_ppi_pp,
     fit_sada,
-    no_errors,
     parse_method,
     weight_blocks,
 )
-from .models import ScoreModel, check_theta
+from .models import ScoreModel, check_theta, fail, no_errors
 from .problem import Problem
 
 HESSIAN_SINGULAR = "estimated Hessian is singular"

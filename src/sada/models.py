@@ -15,6 +15,11 @@ inverse of its expectation directly, with no sign flip.
 A model with a ``design`` (both built-ins) has a score affine in theta, so its
 equations are solved exactly by one p x p linear solve; any other model is
 solved by damped Newton (``solve_estimating_equation``).
+
+A failure is the SadaError that the check finding it creates.  A batched
+solve records one per replicate in a (B,) object array, None where the
+replicate is fine (``no_errors``, ``fail``, ``solve_errors``), and the
+per-dataset calls, the fallbacks and ``simulate`` read that record.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergence, SingularGram, SingularJacobian
+from .errors import NonConvergence, SadaError, SingularGram, SingularJacobian
 
 #: Reciprocal condition number below which a Jacobian, Hessian or covariance
 #: is treated as singular; also the relative cutoff of the gram pseudo-inverse.
@@ -182,6 +187,28 @@ JACOBIAN_SINGULAR = f"Jacobian is singular (rcond < {RCOND_THRESHOLD:g})"
 ESTIMATE_NONFINITE = "estimate is not finite (a design product overflowed)"
 
 
+def no_errors(B: int) -> np.ndarray:
+    """The failure record of B replicates none of which has failed: (B,) objects, all None."""
+    return np.full(B, None, dtype=object)
+
+
+def fail(errors: np.ndarray, bad: np.ndarray, error: type[SadaError], message: str) -> None:
+    """Give each replicate in ``bad`` that has not failed yet the error it raises."""
+    for i in np.flatnonzero(bad):
+        if errors[i] is None:
+            errors[i] = error(message)
+
+
+def solve_errors(theta: np.ndarray, ok: np.ndarray, errors: np.ndarray | None = None) -> np.ndarray:
+    """``errors`` (none by default) with those of a solve added: SingularJacobian
+    where ``ok`` is False, and SingularGram where theta (B, p) is not finite,
+    as when a design product overflows."""
+    errors = no_errors(ok.shape[0]) if errors is None else errors
+    fail(errors, ~ok, SingularJacobian, JACOBIAN_SINGULAR)
+    fail(errors, ~np.isfinite(theta).all(axis=1), SingularGram, ESTIMATE_NONFINITE)
+    return errors
+
+
 def _check_jacobian(J: np.ndarray, iteration: int) -> None:
     if not nonsingular(J):
         raise SingularJacobian(
@@ -242,10 +269,9 @@ def solve_score_root(
 
         X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
         theta, ok = design_root(rows_last_design(model, X.reshape(X.shape[0], -1).T[None]), y[None])
-        if not ok[0]:
-            raise SingularJacobian(JACOBIAN_SINGULAR)
-        if not np.all(np.isfinite(theta)):
-            raise SingularGram(ESTIMATE_NONFINITE)
+        error = solve_errors(theta, ok)[0]
+        if error is not None:
+            raise error
         return theta[0], 1
     if theta0 is None:
         theta0 = np.zeros(model.p)

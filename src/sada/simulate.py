@@ -21,8 +21,10 @@ Every method is fitted on all of a batch's pairs in one batched pass.  Each
 replicate's fit does not depend on which others share its batch, so results
 are bit-identical no matter how the replicates are batched, or whether the
 batches run in this process or in a process pool.  The batches' results are
-scattered into (config, method, replicate, p) arrays and reduced once per
-call; failed fits are counted per method and per exception class.  Methods
+scattered into (config, method, replicate, p) arrays, their ``Fits.errors``
+into one (config, method, replicate) array, and reduced once per call;
+failed fits are counted from those errors per method and per exception
+class.  Methods
 are named by the tokens of ``estimators.parse_method``.
 """
 from __future__ import annotations
@@ -253,36 +255,31 @@ def _run_chunk(methods: Sequence[str], level: float, pairs) -> tuple:
     """Fit every method on the (config, replicate index) pairs of one batch,
     with the model of its first config.
 
-    Returns (theta, lower, upper, failed, errors): theta, lower and upper
-    (methods, pairs, p), with NaN bounds for the oracle, which has no
-    interval; ``failed`` (methods, pairs) marks the fits that raised a
-    SadaError, and ``errors`` lists each as (pair, method, error), in method
-    and then pair order.  A configuration error is the same for every pair,
-    so it is raised, never counted as a failed fit.
+    Returns (theta, lower, upper, errors): theta, lower and upper (methods,
+    pairs, p), with NaN bounds for the oracle, which has no interval, and
+    ``errors`` (methods, pairs) the ``Fits.errors`` of each method: None, or
+    the SadaError that the fit raises.  A configuration error is the same
+    for every pair, so it is raised, never counted as a failed fit.
     """
     problem = Problem(pairs[0][0].model(), *_draw_batch(pairs))
     fits = [fit_method(problem, token, level=level) for token in methods]
-    failed = np.array([~np.equal(f.errors, None) for f in fits])
-    for f, bad in zip(fits, failed):
-        if not np.all(np.isfinite(f.theta[~bad])):
-            raise ValueError("estimate is not finite")
     none = np.full_like(fits[0].theta, np.nan)
     lower, upper = np.array([(none, none) if f.lower is None else (f.lower, f.upper) for f in fits]).swapaxes(0, 1)
-    errors = [(i, j, fits[j].errors[i]) for j, i in np.argwhere(failed)]
-    return np.array([f.theta for f in fits]), lower, upper, failed, errors
+    return np.array([f.theta for f in fits]), lower, upper, np.stack([f.errors for f in fits])
 
 
-def _aggregate(cfgs: Sequence, tokens: list[str], theta, lower, upper, failed, errors) -> list[SimStudyResult]:
+def _aggregate(cfgs: Sequence, tokens: list[str], theta, lower, upper, errors) -> list[SimStudyResult]:
     """Reduce every config's results in one step to their summaries.
 
-    theta, lower and upper are (config, token, replicate, p), ``failed``
-    (config, token, replicate), and ``errors`` holds (config, replicate,
-    token, error) for each failed fit.  A method's mean and SD are over its
+    theta, lower and upper are (config, token, replicate, p), and ``errors``
+    (config, token, replicate) holds None, or the SadaError of each failed
+    fit, whose class is counted.  A method's mean and SD are over its
     replicates that did not fail, and its coverage over those that have an
     interval (not the oracle's, whose bounds are NaN), so a config whose
     replicates all failed, or the oracle, reads NaN there.
     """
     target = np.array([cfg.target() for cfg in cfgs])[:, None, None, :]  # (config, 1, 1, p)
+    failed = np.not_equal(errors, None)
     ok = ~failed[..., None]
     covered = ok & ~np.isnan(lower)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -296,8 +293,8 @@ def _aggregate(cfgs: Sequence, tokens: list[str], theta, lower, upper, failed, e
         rel_efficiency = sd / sd[:, tokens.index("naive"), None]
     bias = mean - target[:, :, 0]
     classes = [{token: Counter() for token in tokens} for _ in cfgs]
-    for c, _, j, error in errors:
-        classes[c][tokens[j]][type(error).__name__] += 1
+    for c, j, r in np.argwhere(failed):
+        classes[c][tokens[j]][type(errors[c, j, r]).__name__] += 1
 
     def per_token(array, c):
         return dict(zip(tokens, array[c]))
@@ -406,12 +403,12 @@ def _run_studies(
         joined = np.concatenate(parts, axis=1)
         return np.ascontiguousarray(np.moveaxis(joined.reshape(len(tokens), R, C, *joined.shape[2:]), 2, 0))
 
-    theta, lower, upper, failed = (by_config(parts) for parts in zip(*(r[:4] for r in results)))
-    # pair g of the call is replicate g // C of config g % C
-    errors = sorted(((lo + i) % C, (lo + i) // C, j, error) for lo, r in zip(starts, results) for i, j, error in r[4])
-    if strict and errors:
-        raise errors[0][3]
-    return _aggregate(cfgs, tokens, theta, lower, upper, failed, errors)
+    theta, lower, upper, errors = (by_config(parts) for parts in zip(*results))
+    if strict:
+        for error in errors.transpose(0, 2, 1).flat:  # config, replicate, then method order
+            if error is not None:
+                raise error
+    return _aggregate(cfgs, tokens, theta, lower, upper, errors)
 
 
 def run_replications(

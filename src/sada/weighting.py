@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import SingularGram, ZeroGram
-from .models import RCOND_THRESHOLD, ScoreModel, check_theta
+from .models import RCOND_THRESHOLD, ScoreModel, check_theta, fail, no_errors
 
 #: Ridge multiplier of every weight solve: lambda = RIDGE_SCALE * trace(gram) / dim.
 RIDGE_SCALE = 1e-8
@@ -126,25 +126,26 @@ def ridged(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gram + lam[..., None, None] * np.eye(dim), zero
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite solve is marked ``bad``
-def solve_grams(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite solve gets its SingularGram
+def solve_grams(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve (gram + ridge) @ x = rhs per replicate via a symmetric pseudo-inverse.
 
     The ridge lifts the gram of exactly collinear prediction columns off
     singular, and the pseudo-inverse drops any direction still below its
-    condition threshold.  Returns (x, zero, bad): ``zero`` marks
-    identically-zero grams (ZeroGram) and ``bad`` the other grams whose
-    solve is not finite (SingularGram); x is zero for both.  Those grams are
-    replaced by the identity before the batched solve.
+    condition threshold.  Returns (x, errors): ``errors`` (B,) holds
+    ZeroGram where the gram is identically zero, SingularGram where its
+    solve is not finite, and None elsewhere; x is zero where an error is
+    set.  Those grams are replaced by the identity before the batched solve.
     """
     reg, zero = ridged(gram)
     finite = np.all(np.isfinite(reg), axis=(-2, -1))
-    usable = finite & ~zero
-    reg = np.where(usable[:, None, None], reg, np.eye(reg.shape[-1]))
+    reg = np.where((finite & ~zero)[:, None, None], reg, np.eye(reg.shape[-1]))
     solution = np.linalg.pinv(reg, rcond=RCOND_THRESHOLD, hermitian=True) @ rhs
-    bad = ~zero & ~(finite & np.all(np.isfinite(solution), axis=(-2, -1)))
-    solution[zero | bad] = 0.0
-    return solution, zero, bad
+    errors = no_errors(gram.shape[0])
+    fail(errors, zero, ZeroGram, ZERO_GRAM)
+    fail(errors, ~(finite & np.all(np.isfinite(solution), axis=(-2, -1))), SingularGram, NONFINITE_WEIGHTS)
+    solution[np.not_equal(errors, None)] = 0.0
+    return solution, errors
 
 
 def estimate_general_weights(
@@ -176,9 +177,7 @@ def estimate_general_weights(
 
         theta_pilot = naive_estimate(ds, model).theta_hat
     gram, cross = moment_estimates(ds, model, check_theta(theta_pilot, model.p, "theta_pilot"))
-    solution, zero, bad = solve_grams(gram[None], cross[None])
-    if zero[0]:
-        raise ZeroGram(ZERO_GRAM)
-    if bad[0]:
-        raise SingularGram(NONFINITE_WEIGHTS)
+    solution, errors = solve_grams(gram[None], cross[None])
+    if errors[0] is not None:
+        raise errors[0]
     return solution[0]

@@ -8,9 +8,9 @@ on the prediction columns, which ``estimate_general_weights`` must reproduce;
 """
 import numpy as np
 
-from sada import Dataset, DimensionMismatch, SingularGram, ZeroGram
+from sada import Dataset, DimensionMismatch, SingularGram
 from sada.problem import Problem
-from sada.weighting import NONFINITE_WEIGHTS, ZERO_GRAM, solve_grams, stacked_moments
+from sada.weighting import solve_grams, stacked_moments
 
 
 def stacked_score(model, x: np.ndarray, preds: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -47,18 +47,17 @@ def estimate_mean_weights(ds: Dataset) -> np.ndarray:
     gram = preds_centered.T @ preds_centered / ds.N
     cross = preds_centered[: ds.n].T @ labels_centered / ds.n
     factor = (ds.N - ds.n) / ds.N
-    solution, zero, bad = solve_grams(gram[None], cross[None, :, None])
-    if zero[0]:
-        raise ZeroGram(ZERO_GRAM)
-    if bad[0]:
-        raise SingularGram(NONFINITE_WEIGHTS)
+    solution, errors = solve_grams(gram[None], cross[None, :, None])
+    if errors[0] is not None:
+        raise errors[0]
     return factor * solution[0, :, 0]
 
 
 def sigma_g(problem, theta: np.ndarray):
     """Efficiency-gain matrices ``cross' gram^{-1} cross`` of every replicate of a
     ``sada.problem.Problem`` at theta (B, p), symmetrised, and where their
-    weight solve is not finite.
+    weight solve is not finite (a SingularGram other than a ZeroGram, whose
+    gain is zero).
 
     The triple product of the centred moments of all K prediction columns
     (``stacked_moments``), solved as SADA's weights are (``solve_grams``), so
@@ -66,9 +65,9 @@ def sigma_g(problem, theta: np.ndarray):
     weights remove from the naive estimator's.
     """
     gram, cross = stacked_moments(problem, theta, range(problem.K))
-    solved, _, bad = solve_grams(gram, cross)
+    solved, errors = solve_grams(gram, cross)
     out = cross.transpose(0, 2, 1) @ solved
-    return 0.5 * (out + out.transpose(0, 2, 1)), bad
+    return 0.5 * (out + out.transpose(0, 2, 1)), np.array([type(e) is SingularGram for e in errors])
 
 
 def stacked_problem(model, datasets, truths=None):
