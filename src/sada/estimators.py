@@ -214,11 +214,12 @@ def fit_ppi_pp(problem: Problem, k: int) -> Fits:
     N, n = problem.N, problem.n
     pilot, ok, _ = problem.pilot
     _, Hinv, hessian_ok = problem.hessian(pilot)
+    HinvT = Hinv.transpose(0, 2, 1)
     gram, cross = stacked_moments(problem, pilot, (k - 1,))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite trace is not ``usable``
         gram_reg, zero = ridged(gram)
-        denom = np.trace(Hinv @ gram_reg @ Hinv, axis1=1, axis2=2)
-        numer = np.trace(Hinv @ cross @ Hinv, axis1=1, axis2=2)
+        denom = np.trace(Hinv @ gram_reg @ HinvT, axis1=1, axis2=2)
+        numer = np.trace(Hinv @ cross @ HinvT, axis1=1, axis2=2)
     usable = (denom > 0.0) & np.isfinite(denom) & np.isfinite(numer)
     live = ok & hessian_ok
     degenerate = np.where(hessian_ok, None, "singular_hessian")
@@ -320,10 +321,12 @@ def ppi_pp_estimate(ds: Dataset, model: ScoreModel, k: int = 1) -> EstimateRepor
 
     The scalar minimizes the trace of the estimated asymptotic covariance,
 
-        omega = (N-n)/N * tr(Hinv C Hinv) / tr(Hinv V Hinv),
+        omega = (N-n)/N * tr(Hinv C Hinv') / tr(Hinv V Hinv'),
 
     with C and V the cross- and auto-moment plug-ins of column k's score and
-    Hinv the inverse estimated Hessian, all at the naive pilot.  A degenerate
+    Hinv the inverse estimated Hessian, all at the naive pilot: the trace of
+    the sandwich Hinv Sigma Hinv' of ``inference``, whose Sigma is quadratic
+    in omega.  A degenerate
     variance or Hessian yields omega = 0, i.e. the naive estimator.  For
     p = 1 this coincides with SADA restricted to column k.
     """

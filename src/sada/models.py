@@ -40,7 +40,10 @@ RCOND_THRESHOLD = 1e-12
 STEP_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 #: Newton controls: iteration budget, residual-norm tolerance, and the number
-#: of times a step that does not decrease the residual norm is halved.
+#: of times a step that does not decrease the residual norm is halved.  The
+#: package's own Newton solves (``newton_in_score_units``) pass the residual
+#: in units of the scores' RMS at the start, so ABS_TOL is relative to the
+#: size of the scores, not to the units of the data.
 MAX_ITERS = 50
 ABS_TOL = 1e-10
 MAX_HALVINGS = 20
@@ -116,6 +119,10 @@ def ols_model(d: int) -> ScoreModel:
     return _least_squares_model(d, _features, "ols")
 
 
+# a residual that overflows has an inf or NaN norm and raises NonConvergence,
+# and a Jacobian that does is not ``nonsingular``, so numpy's floating-point
+# warnings say nothing more
+@np.errstate(over="ignore", invalid="ignore")
 def solve_estimating_equation(
     residual: Callable[[np.ndarray], np.ndarray],
     jac: Callable[[np.ndarray], np.ndarray],
@@ -181,6 +188,20 @@ def solve_estimating_equation(
     raise NonConvergence(
         f"no convergence after {MAX_ITERS} iterations (residual norm {norm:.3e})"
     )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as in ``solve_estimating_equation``
+def newton_in_score_units(model: ScoreModel, X: np.ndarray, y: np.ndarray, theta0: np.ndarray,
+                          residual: Callable, jac: Callable) -> tuple[np.ndarray, int]:
+    """``solve_estimating_equation`` with ``residual`` and ``jac`` divided by u,
+    the RMS of the per-row scores of (X, y) at theta0, or 1 where that is 0 or
+    not finite.  The root and the steps are those of the undivided equation,
+    but ABS_TOL now compares the residual with the size of the scores, so a
+    root in data of any units is found, not taken to be the start."""
+    scores = np.asarray(model.score(X, y, theta0), dtype=float)
+    u = float(np.sqrt(np.mean(scores * scores)))
+    u = u if 0.0 < u < np.inf else 1.0
+    return solve_estimating_equation(lambda theta: residual(theta) / u, lambda theta: jac(theta) / u, theta0)
 
 
 JACOBIAN_SINGULAR = f"Jacobian is singular (rcond < {RCOND_THRESHOLD:g})"
@@ -261,7 +282,7 @@ def solve_score_root(
     A model with a design is solved in closed form from G = Z'Z/m and
     b = Z'y/m (``problem.design_root``, batch of one), Z' taken by
     ``problem.rows_last_design``, and ignores theta0; any other by Newton
-    from theta0 (zeros by default).  A design of other than p columns raises
+    from theta0 (zeros by default), in score units (``newton_in_score_units``).  A design of other than p columns raises
     DimensionMismatch.
     """
     if model.design is not None:
@@ -273,13 +294,12 @@ def solve_score_root(
         if error is not None:
             raise error
         return theta[0], 1
-    if theta0 is None:
-        theta0 = np.zeros(model.p)
+    theta0 = np.zeros(model.p) if theta0 is None else np.asarray(theta0, dtype=float)
 
     def residual(theta):
         return np.mean(model.score(X, y, theta), axis=0)
 
-    return solve_estimating_equation(residual, lambda theta: model.jacobian(X, y, theta), theta0)
+    return newton_in_score_units(model, X, y, theta0, residual, lambda theta: model.jacobian(X, y, theta))
 
 
 def rcond(M: np.ndarray) -> np.ndarray:

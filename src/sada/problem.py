@@ -52,8 +52,8 @@ from .errors import DimensionMismatch
 from .models import (
     ScoreModel,
     checked_inverse,
+    newton_in_score_units,
     solve_affine,
-    solve_estimating_equation,
     solve_score_root,
 )
 
@@ -183,8 +183,9 @@ class Problem:
 
         solved in closed form, and theta0 is not used; a zero block adds
         exact zeros, even where its column's products are not finite.  Any
-        other model goes through Newton from theta0 (zeros by default),
-        scoring only the columns whose block of W is non-zero, one at a time.
+        other model goes through Newton from theta0 (zeros by default), in
+        score units (``models.newton_in_score_units``), scoring only the
+        columns whose block of W is non-zero, one at a time.
         """
         B, K, p = self.B, self.K, self.p
         if self.model.design is None:
@@ -194,9 +195,9 @@ class Problem:
         G_L, b_L, _ = self._labeled
         dG, dP = self._weighted
         blocks = W.reshape(B, K, p, p)
-        G = G_L + blocks.sum(axis=1).transpose(0, 2, 1) @ dG
         dP = np.where(blocks.any(axis=(2, 3))[:, None, :], dP, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):  # as in ``design_sums``
+            G = G_L + blocks.sum(axis=1).transpose(0, 2, 1) @ dG
             b = b_L + (W.transpose(0, 2, 1) @ dP.transpose(0, 2, 1).reshape(B, -1, 1))[..., 0]
         theta, ok = solve_affine(G, b)
         return theta, ok, np.ones(B, dtype=int)
@@ -218,10 +219,10 @@ class Problem:
         def mean_score(x, y, theta):
             return np.mean(model.score(x, y, theta), axis=0)
 
-        return solve_estimating_equation(
+        return newton_in_score_units(
+            model, X_lab, y_lab, theta0,
             lambda theta: weighted(mean_score, theta),
             lambda theta: weighted(model.jacobian, theta),
-            theta0,
         )
 
     # --- primitive 3: the scores behind the moments at theta ---
@@ -273,7 +274,8 @@ class Problem:
         identity.
         """
         if self.model.design is None:
-            H = np.asarray(self.model.jacobian(self.design[0, :, : self.n].T, self.labels[0], theta[0]), dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite H fails its check
+                H = np.asarray(self.model.jacobian(self.design[0, :, : self.n].T, self.labels[0], theta[0]), dtype=float)
             return (H[None], *checked_inverse(H[None]))
         return self._design_hessian
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from sada import (
     Dataset,
     EstimateReport,
+    NonConvergence,
+    SadaError,
     ScoreModel,
     SingularGram,
     SingularJacobian,
@@ -26,8 +28,10 @@ from sada import (
 )
 import sada.models
 import sada.problem
+import sada.weighting
 from sada.inference import fit_method, run_method
 from sada.weighting import NONFINITE_WEIGHTS
+from sada.problem import Problem
 from reference import stacked_problem
 
 
@@ -150,6 +154,54 @@ def test_ppi_pp_matches_grid_search_on_trace_objective():
     best = grid[np.argmin(objective)]
     assert abs(omega_hat - best) <= 1e-4
     assert a * omega_hat**2 - b * omega_hat <= objective.min() + 1e-8
+
+
+def instrumental_model():
+    """s = z (y - x'theta) with regressors x = (1, v) and instruments z = (1, w),
+    from features (v, w); its Jacobian -mean z x' is not symmetric."""
+    def parts(x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        ones = np.ones(len(x))
+        return np.column_stack([ones, x[:, 0]]), np.column_stack([ones, x[:, 1]])
+
+    def score(x, y, theta):
+        reg, inst = parts(x)
+        return ((np.asarray(y, dtype=float) - reg @ theta)[:, None] * inst).reshape(np.shape(x)[:-1] + (2,))
+
+    def jacobian(x, y, theta):
+        reg, inst = parts(x)
+        return -(inst.T @ reg) / len(reg)
+
+    return ScoreModel(p=2, score=score, jacobian=jacobian, name="iv")
+
+
+def test_ppi_pp_omega_is_the_trace_of_the_sandwich_with_a_non_symmetric_jacobian():
+    # omega minimises tr(Hinv Sigma Hinv'); with a non-symmetric H, Hinv on
+    # both sides gives another number
+    rng = np.random.default_rng(41)
+    N, n = 600, 150
+    w = rng.standard_normal(N)
+    e = rng.standard_normal(N)
+    v = 0.8 * w + 0.6 * rng.standard_normal(N) + 0.5 * e
+    y = 1.0 + 0.5 * v + e
+    yhat = y + 0.8 * rng.standard_normal(N)
+    ds = Dataset.from_arrays(np.column_stack([v, w]), y[:n], yhat[:, None])
+    omega = ppi_pp_estimate(ds, instrumental_model(), 1).diagnostics["omega"]
+
+    X, Z = np.column_stack([np.ones(N), v]), np.column_stack([np.ones(N), w])
+    pilot = np.linalg.solve(Z[:n].T @ X[:n], Z[:n].T @ y[:n])
+    S = (yhat - X @ pilot)[:, None] * Z
+    s = (y[:n] - X[:n] @ pilot)[:, None] * Z[:n]
+    S_c, s_c = S - S.mean(axis=0), s - s.mean(axis=0)
+    V = S_c.T @ S_c / N
+    V_reg = V + sada.weighting.RIDGE_SCALE * np.trace(V) / 2 * np.eye(2)
+    C = S_c[:n].T @ s_c / n
+    Hinv = np.linalg.inv(-(Z[:n].T @ X[:n]) / n)
+    assert not np.allclose(Hinv, Hinv.T)
+    want = (N - n) / N * np.trace(Hinv @ C @ Hinv.T) / np.trace(Hinv @ V_reg @ Hinv.T)
+    both_sides = (N - n) / N * np.trace(Hinv @ C @ Hinv) / np.trace(Hinv @ V_reg @ Hinv)
+    assert abs(omega - want) <= 1e-10 * abs(want)
+    assert abs(both_sides - want) > 1e-4 * abs(want)
 
 
 # --- SADA ---
@@ -553,6 +605,58 @@ def test_newton_does_not_depend_on_the_units_of_y(make_model):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), token
 
 
+def twin_dataset(scale, rng, N=400, n=100):
+    """x = (1, N(0, 1)), y linear in x, a noisy and an exact prediction column;
+    labels and predictions times ``scale``."""
+    X = np.column_stack([np.ones(N), rng.standard_normal(N)])
+    y = X @ np.array([1.0, 0.5]) + rng.standard_normal(N)
+    return Dataset.from_arrays(X, scale * y[:n], scale * np.column_stack([y + 0.5 * rng.standard_normal(N), y]))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-50, 1e-12, 1e-9, 1e50, 1e100, 1e150])
+@pytest.mark.parametrize("make_model", [mean_model, lambda: ols_model(2)], ids=["mean", "ols"])
+def test_newton_finds_the_closed_form_root_in_data_of_any_units(make_model, scale):
+    # against a residual tolerance in the data's units, Newton took its start
+    # for the root: at 1e-9 sada returned the naive pilot after 0 iterations,
+    # and at 1e-12 every method returned 0
+    ds = twin_dataset(scale, np.random.default_rng(43))
+    model = make_model()
+    newton = dataclasses.replace(model, design=None)
+    for token in ("naive", "ppi:1", "ppi_pp:2", "sada"):
+        a = run_method(ds, model, token, level=0.95)
+        b = run_method(ds, newton, token, level=0.95)
+        assert np.max(np.abs(b.theta_hat - a.theta_hat)) <= 1e-10 * np.max(np.abs(a.theta_hat)), token
+        assert b.diagnostics["solver_iterations"] == 1, token  # affine scores: one full step
+
+
+def test_newton_converges_on_a_root_at_rounding_zero():
+    # labels centred on their labeled mean put the mean's root at rounding
+    # zero, which Newton from theta0 = 0 must still reach
+    newton = dataclasses.replace(mean_model(), design=None)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        N, n = 400, 100
+        y = rng.standard_normal(N)
+        y -= y[:n].mean()
+        preds = np.column_stack([y + 0.3 * rng.standard_normal(N), rng.standard_normal(N)])
+        ds = Dataset.from_arrays(np.ones((N, 1)), y[:n], preds)
+        for estimate in (naive_estimate, sada_estimate):
+            a, b = estimate(ds, mean_model()).theta_hat, estimate(ds, newton).theta_hat
+            assert abs(b[0] - a[0]) <= 1e-12, (seed, estimate.__name__)
+
+
+def test_newton_on_overflowing_labels_raises_without_a_warning():
+    # the suite turns a RuntimeWarning into an error, so none may escape
+    rng = np.random.default_rng(44)
+    N, n = 200, 60
+    X = np.column_stack([np.ones(N), rng.standard_normal(N)])
+    y = 1.5e307 * (1.0 + 0.01 * rng.standard_normal(N))
+    ds = Dataset.from_arrays(X, y[:n], np.column_stack([y, y]))
+    for token in ("naive", "ppi:1", "ppi_pp:1", "sada"):
+        with pytest.raises(NonConvergence):
+            run_method(ds, dataclasses.replace(ols_model(2), design=None), token, level=0.95)
+
+
 def test_newton_never_builds_the_stacked_matrix():
     rng = np.random.default_rng(23)
     N, n, K, d = 200_000, 20_000, 5, 3
@@ -576,7 +680,7 @@ def test_built_in_models_never_reach_newton(monkeypatch):
         raise AssertionError("a built-in model reached solve_estimating_equation")
 
     monkeypatch.setattr(sada.models, "solve_estimating_equation", newton)
-    monkeypatch.setattr(sada.problem, "solve_estimating_equation", newton)
+    monkeypatch.setattr(sada.problem, "newton_in_score_units", newton)
     rng = np.random.default_rng(18)
     ds = ols_dataset(rng)
     truth = np.concatenate([ds.labels, rng.standard_normal(ds.N - ds.n)])
@@ -683,3 +787,72 @@ def test_degenerate_inputs_give_finite_estimates_and_intervals(make_model, case,
     report = run_method(ds, model, token, level=0.95)
     assert np.all(np.isfinite(report.theta_hat))
     assert np.all(np.isfinite(report.intervals.lower)) and np.all(np.isfinite(report.intervals.upper))
+
+
+# --- hostile magnitudes: a finite fit or a SadaError, and no warning ---
+
+HOSTILE_PLACES = ("labels", "column", "feature")
+HOSTILE_MAGNITUDES = (1e-150, 1e150, 1.5e307)
+HOSTILE_TOKENS = ("naive", "ppi:1", "ppi:2", "ppi_pp:1", "sada")
+
+
+def hostile_dataset(where, magnitude, N=120, n=40):
+    """x = (1, N(0, 1)), y linear in x and two prediction columns, the same
+    draw for every cell of the grid, with the labels, prediction column 1 or
+    feature column 2 times ``magnitude``; returns the dataset and its true
+    labels."""
+    rng = np.random.default_rng(47)
+    X = np.column_stack([np.ones(N), rng.standard_normal(N)])
+    y = X @ np.array([1.0, 0.5]) + rng.standard_normal(N)
+    preds = np.column_stack([y + 0.5 * rng.standard_normal(N), rng.standard_normal(N)])
+    if where == "labels":
+        y = magnitude * y
+    elif where == "column":
+        preds[:, 0] *= magnitude
+    else:
+        X[:, 1] *= magnitude
+    return Dataset.from_arrays(X, y[:n], preds), y
+
+
+@pytest.mark.parametrize("where", HOSTILE_PLACES)
+def test_hostile_magnitudes_give_a_finite_fit_or_a_sada_error(where):
+    # the suite turns a RuntimeWarning into an error, so none may escape
+    for magnitude in HOSTILE_MAGNITUDES:
+        ds, _ = hostile_dataset(where, magnitude)
+        for model in (mean_model(), ols_model(2)):
+            for solver in (model, dataclasses.replace(model, design=None)):
+                for token in HOSTILE_TOKENS:
+                    try:
+                        report = run_method(ds, solver, token, level=0.95)
+                    except SadaError:
+                        continue
+                    for value in (report.theta_hat, report.covariance, report.intervals.lower,
+                                  report.intervals.upper):
+                        assert np.all(np.isfinite(value)), (magnitude, model.name, solver.design, token)
+
+
+def test_every_fit_that_is_not_finite_carries_an_error():
+    # what lets ``simulate`` count failures from ``Fits.errors`` alone; the
+    # closed-form fits run as one batch of every hostile dataset
+    drawn = [hostile_dataset(where, m) for where in HOSTILE_PLACES for m in HOSTILE_MAGNITUDES]
+    datasets, truths = zip(*drawn)
+    non_finite = 0
+    for model in (mean_model(), ols_model(2)):
+        newton = dataclasses.replace(model, design=None)
+        problems = [stacked_problem(model, datasets, truths)]
+        problems += [Problem.of(ds, newton, truth) for ds, truth in drawn]
+        for problem in problems:
+            for token in HOSTILE_TOKENS + ("oracle",):
+                try:
+                    fits = fit_method(problem, token, level=0.95)
+                except SadaError:  # a Newton fit raises its error
+                    assert problem.model.design is None
+                    continue
+                failed = np.not_equal(fits.errors, None)
+                assert all(isinstance(error, SadaError) for error in fits.errors[failed])
+                finite = np.isfinite(fits.theta).all(axis=1)
+                if fits.covariance is not None:
+                    finite &= np.isfinite(fits.covariance).all(axis=(1, 2))
+                assert np.all(finite | failed), (model.name, problem.B, token)
+                non_finite += int((~finite).sum())
+    assert non_finite > 0  # the invariant is not vacuous here

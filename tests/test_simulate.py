@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import multiprocessing
 import os
 from collections import Counter
 from concurrent.futures import Future
@@ -347,6 +348,34 @@ def test_failures_are_counted_by_exception_class(monkeypatch):
     assert res.failure_classes["oracle"] == {}
     for token in FAILING_METHODS:
         assert sum(res.failure_classes[token].values()) == res.failures[token], token
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched batch draw reaches pool workers only by fork")
+def test_failure_classes_add_up_to_the_failures_in_one_process_and_in_a_pool(monkeypatch):
+    # two gammas, one replicate per batch: 20 batches give a pool of 2 workers
+    cfgs = [OlsCoverageConfig(N=200, n=60, reps=simulate.MIN_BATCHES_PER_WORKER, seed=5, gamma=g) for g in (0.2, 0.8)]
+    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", cfgs[0].N)
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(OlsCoverageConfig, "batch", rank_deficient_at({3, 8}, {5}))
+    pools = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    serial = simulate._run_studies(cfgs, FAILING_METHODS, 0.95, 1, False)
+    pooled = simulate._run_studies(cfgs, FAILING_METHODS, 0.95, 2, False)
+    assert pools == [2]
+    for one, other in zip(serial, pooled):
+        # ppi:1 fails in two classes: SingularHessian and SingularJacobian
+        assert one.failure_classes["ppi:1"] == {"SingularHessian": 2, "SingularJacobian": 1}
+        for res in (one, other):
+            assert res.failure_classes == one.failure_classes and res.failures == one.failures
+            for token in FAILING_METHODS:
+                assert sum(res.failure_classes[token].values()) == res.failures[token], token
 
 
 def test_the_one_step_reduction_matches_a_per_cell_reference(monkeypatch):

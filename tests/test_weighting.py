@@ -20,7 +20,7 @@ from sada import (
 )
 from sada.data import stacked_score_matrix
 from sada.inference import run_method
-from sada.weighting import ridged
+from sada.weighting import NONFINITE_WEIGHTS, ZERO_GRAM, ridged, solve_grams
 
 from reference import estimate_mean_weights
 
@@ -181,6 +181,18 @@ def test_regularize_zero_gram_raises():
         estimate_general_weights(ds, mean_model())
     with pytest.raises(SingularGram):
         estimate_general_weights(ds, mean_model())
+
+
+def test_solve_grams_hands_on_the_error_of_each_gram():
+    # a good gram, a zero one, a non-finite one, and one whose solve overflows
+    gram = np.stack([np.eye(2), np.zeros((2, 2)), np.full((2, 2), np.inf), 1e-300 * np.eye(2)])
+    rhs = np.stack([np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)), np.full((2, 1), 1e300)])
+    x, errors = solve_grams(gram, rhs)
+    assert errors[0] is None and np.allclose(x[0], 1.0 / (1.0 + sada.weighting.RIDGE_SCALE))
+    assert type(errors[1]) is ZeroGram and str(errors[1]) == ZERO_GRAM
+    for error in errors[2:]:
+        assert type(error) is SingularGram and str(error) == NONFINITE_WEIGHTS  # not a ZeroGram
+    assert not x[1:].any()
 
 
 def test_all_constant_predictions_raise_singular_gram():
