@@ -326,9 +326,9 @@ def ppi_pp_estimate(ds: Dataset, model: ScoreModel, k: int = 1) -> EstimateRepor
     with C and V the cross- and auto-moment plug-ins of column k's score and
     Hinv the inverse estimated Hessian, all at the naive pilot: the trace of
     the sandwich Hinv Sigma Hinv' of ``inference``, whose Sigma is quadratic
-    in omega.  A degenerate
-    variance or Hessian yields omega = 0, i.e. the naive estimator.  For
-    p = 1 this coincides with SADA restricted to column k.
+    in omega.  A degenerate variance or Hessian yields omega = 0, i.e. the
+    naive estimator.  For p = 1 this coincides with SADA restricted to
+    column k.
     """
     return fit_ppi_pp(Problem.of(ds, model), k).report()
 

@@ -196,12 +196,13 @@ def newton_in_score_units(model: ScoreModel, X: np.ndarray, y: np.ndarray, theta
     """``solve_estimating_equation`` with ``residual`` and ``jac`` divided by u,
     the RMS of the per-row scores of (X, y) at theta0, or 1 where that is 0 or
     not finite.  The root and the steps are those of the undivided equation,
-    but ABS_TOL now compares the residual with the size of the scores, so a
-    root in data of any units is found, not taken to be the start."""
+    and ABS_TOL compares the residual with the size of the scores, so a root
+    in data of any units is found rather than taken to be the start."""
     scores = np.asarray(model.score(X, y, theta0), dtype=float)
     u = float(np.sqrt(np.mean(scores * scores)))
     u = u if 0.0 < u < np.inf else 1.0
-    return solve_estimating_equation(lambda theta: residual(theta) / u, lambda theta: jac(theta) / u, theta0)
+    return solve_estimating_equation(lambda theta: np.asarray(residual(theta), dtype=float) / u,
+                                     lambda theta: np.asarray(jac(theta), dtype=float) / u, theta0)
 
 
 JACOBIAN_SINGULAR = f"Jacobian is singular (rcond < {RCOND_THRESHOLD:g})"
@@ -282,7 +283,8 @@ def solve_score_root(
     A model with a design is solved in closed form from G = Z'Z/m and
     b = Z'y/m (``problem.design_root``, batch of one), Z' taken by
     ``problem.rows_last_design``, and ignores theta0; any other by Newton
-    from theta0 (zeros by default), in score units (``newton_in_score_units``).  A design of other than p columns raises
+    from theta0 (zeros by default), in score units
+    (``newton_in_score_units``).  A design of other than p columns raises
     DimensionMismatch.
     """
     if model.design is not None:

@@ -24,8 +24,7 @@ batches run in this process or in a process pool.  The batches' results are
 scattered into (config, method, replicate, p) arrays, their ``Fits.errors``
 into one (config, method, replicate) array, and reduced once per call;
 failed fits are counted from those errors per method and per exception
-class.  Methods
-are named by the tokens of ``estimators.parse_method``.
+class.  Methods are named by the tokens of ``estimators.parse_method``.
 """
 from __future__ import annotations
 
