@@ -239,7 +239,9 @@ def _check_jacobian(J: np.ndarray, iteration: int) -> None:
 
 
 def nonsingular(J: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack (..., p, p): finite, with rcond at least RCOND_THRESHOLD.
+    """Per matrix of a stack (..., p, p): finite, with rcond at least
+    RCOND_THRESHOLD once Jacobi-scaled (``jacobi_scaled``), so that the
+    verdict does not depend on the units of the parameters.
 
     A non-finite matrix is replaced by the identity before the SVD, since one
     such matrix would make numpy's batched SVD raise for the whole stack.
@@ -247,7 +249,24 @@ def nonsingular(J: np.ndarray) -> np.ndarray:
     J = np.asarray(J, dtype=float)
     finite = np.all(np.isfinite(J), axis=(-2, -1))
     safe = np.where(finite[..., None, None], J, np.eye(J.shape[-1]))
-    return finite & (rcond(safe) >= RCOND_THRESHOLD)
+    return finite & (rcond(jacobi_scaled(safe)) >= RCOND_THRESHOLD)
+
+
+def jacobi_scaled(M: np.ndarray) -> np.ndarray:
+    """D^-1/2 M D^-1/2 for each finite matrix of a stack (..., p, p), with
+    D = |diag M| and its zero entries taken as 1.
+
+    Rescaling a parameter scales a row and a column of a Jacobian; this
+    undoes it.  M itself where p = 1, whose rcond is 1 or 0 either way, and
+    for a matrix whose scaled entries overflow.
+    """
+    if M.shape[-1] == 1:
+        return M
+    d = np.abs(np.diagonal(M, axis1=-2, axis2=-1))
+    s = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
+    with np.errstate(over="ignore"):
+        scaled = M * s[..., :, None] * s[..., None, :]
+    return np.where(np.all(np.isfinite(scaled), axis=(-2, -1))[..., None, None], scaled, M)
 
 
 def checked_inverse(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

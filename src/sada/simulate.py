@@ -6,16 +6,16 @@ the replicates' arrays (``batch``), name their score model (``model``) and
 their estimand (``target``).  Every replicate draws its own RNG substream
 from ``SeedSequence(seed, spawn_key=(rep_index,))``, and uses only its first
 m x N standard normals, m = ``normals_per_row``.  A call's (config,
-replicate) pairs, in replicate and then config order, are cut into batches
-of at most ``weighting.CHUNK_ROWS`` rows, so the gammas of a sweep that
-share a replicate sit side by side.  A batch draws the substream of each
-distinct replicate in it once, as one (m, N) block shared by every config
-(gamma) that holds it, so a call draws each replicate once, or twice where a
-batch boundary falls among its gammas.  One classmethod call,
-``batch(cfgs, reps, normals)``, builds the whole batch's rows-last arrays
-with whole-batch arithmetic, the fields that differ between configs (gamma,
-``noise_sd``) taken as per-pair columns, and these become one
-``problem.Problem``, not validated as datasets.  ``draw(rep_index)`` is the
+replicate) pairs, in replicate and then config order, are cut into the
+fewest batches of even size within ``BATCH_ROWS`` rows (``_plan``), so the
+gammas of a sweep that share a replicate sit side by side.  A batch draws
+the substream of each distinct replicate in it once, as one (m, N) block
+shared by every config (gamma) that holds it, so a call draws each
+replicate once, or twice where a batch boundary falls among its gammas.
+One classmethod call, ``batch(cfgs, reps, normals)``, builds the whole
+batch's rows-last arrays with whole-batch arithmetic, the fields that differ
+between configs (gamma, ``noise_sd``) taken as per-pair columns, and these
+become one ``problem.Problem``, not validated as datasets.  ``draw(rep_index)`` is the
 batch of one, rows first.
 Every method is fitted on all of a batch's pairs in one batched pass.  Each
 replicate's fit does not depend on which others share its batch, so results
@@ -36,7 +36,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import weighting
 from .data import Dataset
 from .errors import ConfigError
 from .estimators import unique_methods
@@ -86,8 +85,17 @@ def _column(cfgs: Sequence, name: str) -> np.ndarray:
 
 
 def _prediction_pair(y: np.ndarray, eps1: np.ndarray, eps2: np.ndarray, gamma) -> np.ndarray:
-    """(Yhat1, Yhat2) = (gamma*Y + (1-gamma)*eps1, (1-gamma)*Y + gamma*eps2) as (B, 2, N)."""
-    return np.stack([gamma * y + (1.0 - gamma) * eps1, (1.0 - gamma) * y + gamma * eps2], axis=1)
+    """(Yhat1, Yhat2) = (gamma*Y + (1-gamma)*eps1, (1-gamma)*Y + gamma*eps2) as (B, 2, N).
+
+    Each column is summed in place in the result: a batch's draw is the
+    peak of its memory, which a stack of the two columns would raise.
+    """
+    pair = np.empty((y.shape[0], 2, y.shape[1]))
+    np.multiply(gamma, y, out=pair[:, 0])
+    pair[:, 0] += (1.0 - gamma) * eps1
+    np.multiply(1.0 - gamma, y, out=pair[:, 1])
+    pair[:, 1] += gamma * eps2
+    return pair
 
 
 class _Study:
@@ -317,28 +325,27 @@ def _aggregate(cfgs: Sequence, tokens: list[str], theta, lower, upper, errors) -
     ]
 
 
-#: Fewest full batches each worker must get before ``_run_studies`` starts a
+#: Fewest batches each worker must get before ``_run_studies`` starts a
 #: process pool; a smaller sweep is fitted in this process, since starting a
-#: pool costs more than the fits it takes over.  ``run_replications`` of
-#: batches of 81 replicates (N = 200) in a fresh interpreter, one BLAS
-#: thread, 2-vCPU VM, fastest of 10 runs (14 for 12 to 24 batches), with the
-#: six default methods and with ``["sada"]`` alone (naive and sada, a third
-#: of the work):
+#: pool costs more than the fits it takes over.  ``run_replications`` of k
+#: batches of 327 replicates (N = 200, the most ``BATCH_ROWS`` holds) in a
+#: fresh interpreter, one BLAS thread, 2-vCPU VM, fastest of 10 runs, with
+#: the six default methods and with ``["sada"]`` alone (naive and sada, a
+#: third of the work):
 #:
-#:     full batches     4      8      12     16     20     24     48     64
+#:     batches          2      4      6      8      10     12     16     24
 #:     six methods
-#:     one process (s)  0.035  0.065  0.090  0.112  0.143  0.173  0.307  0.417
-#:     pool of 2 (s)    0.068  0.085  0.101  0.113  0.136  0.151  0.219  0.283
+#:     one process (s)  0.056  0.117  0.160  0.208  0.241  0.358  0.379  0.672
+#:     pool of 2 (s)    0.081  0.119  0.143  0.185  0.222  0.254  0.287  0.373
 #:     sada alone
-#:     one process (s)  0.029  0.049  0.067  0.084  0.106  0.116  0.223  0.278
-#:     pool of 2 (s)    0.058  0.080  0.099  0.098  0.118  0.111  0.175  0.213
+#:     one process (s)  0.057  0.080  0.136  0.152  0.209  0.255  0.280  0.407
+#:     pool of 2 (s)    0.083  0.098  0.133  0.151  0.168  0.205  0.252  0.277
 #:
-#: With either method set the pool, its import included, pays from about 16
-#: to 24 batches, 10 per worker, so the rule counts batches, not batches x
-#: methods.  Drawing each replicate once per call and reducing every config
-#: in one step saved as much per batch in a worker as in one process, so the
-#: crossover has not moved since the batch draw was vectorised.
-MIN_BATCHES_PER_WORKER = 10
+#: With either method set the pool, its import included, pays from about 6
+#: to 8 batches, 3 to 4 per worker, so the rule counts batches, not batches
+#: x methods.  The acceptance sweep, 11 gammas x 1000 replicates, makes 34
+#: batches, enough for 8 workers.
+MIN_BATCHES_PER_WORKER = 4
 
 
 def _cpus() -> int:
@@ -346,6 +353,29 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+#: Row budget of one batch of ``_run_studies``, whose pairs are cut into the
+#: fewest batches of whole replicates within it, of even size (``_plan``).
+#: A batch pays a fixed cost per method and step whatever its size: with the
+#: six default methods at N = 200 (one BLAS thread, fastest of 30), batches
+#: of 81, 165 and 327 replicates took 4.5, 7.2 and 13.4 ms, so the 330 pairs
+#: of 11 gammas x 30 replicates fit faster in 2 batches than in 5 of at most
+#: 81.  The budget bounds a batch's memory: in a ``sada simulate`` of those
+#: 330 pairs, peak RSS rose 0.9 MB over the process's with batches of at most
+#: 81 pairs, 2.7 MB with 2 of 165 and 4.7 MB with one of 330.  ``CHUNK_ROWS``
+#: is another budget, the chunk of a pass over one replicate's rows.
+BATCH_ROWS = 2**16
+
+
+def _plan(pairs: int, N: int) -> list[slice]:
+    """The batches of a call's ``pairs`` (config, replicate) pairs of N rows
+    each, as slices of the pair list, in order: the fewest batches of whole
+    pairs that stay within ``BATCH_ROWS`` rows (one pair where N alone
+    exceeds it), with sizes that differ by at most one."""
+    count = -(-pairs // max(1, BATCH_ROWS // N))
+    bounds = [pairs * b // count for b in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _run_studies(
@@ -360,18 +390,20 @@ def _run_studies(
 
     The configs must share their class, N, n, seed and reps, as the gammas
     of ``efficiency_curve`` do.  The (config, replicate) pairs, in replicate
-    and then config order, are cut into batches of ``weighting.CHUNK_ROWS //
-    N`` pairs (at least one), so a batch stays within that row budget.  A
-    batch draws each distinct replicate's substream once for every config
-    that holds it, so a call draws a replicate once, or twice where a batch
-    boundary splits its configs.  Each batch is built by one ``batch`` call,
-    its Z' by one ``design`` call, and fitted with the ``model()`` of its
-    first config.  The batches are fitted in this process unless each worker
-    would get at least ``MIN_BATCHES_PER_WORKER`` full batches; then one
-    process pool fits them all, with at most ``workers`` processes, one per
-    usable CPU and one per ``MIN_BATCHES_PER_WORKER`` full batches.  Under
-    ``strict`` every batch still runs, and then the error of the first
-    failed fit, in config, replicate and then method order, is raised.
+    and then config order, are cut by ``_plan`` into the fewest even batches
+    within ``BATCH_ROWS`` rows.  A batch draws each distinct replicate's
+    substream once for every config that holds it, so a call draws a
+    replicate once, or twice where a batch boundary splits its configs.
+    Each batch is built by one ``batch`` call, its Z' by one ``design``
+    call, and fitted with the ``model()`` of its first config.  The batches
+    are fitted in this process unless each worker would get at least
+    ``MIN_BATCHES_PER_WORKER`` batches; then one process pool fits them all,
+    with at most ``workers`` processes, one per usable CPU and one per
+    ``MIN_BATCHES_PER_WORKER`` batches.  Under ``strict`` the error of the
+    first failed fit, in config, replicate and then method order, is raised:
+    as soon as its batch is fitted where it belongs to the first config,
+    since no later batch can precede it, and otherwise once every batch has
+    run; a pool then drops the batches it has not started.
     """
     if not methods:
         raise ConfigError("methods must be nonempty")
@@ -384,18 +416,33 @@ def _run_studies(
     run = partial(_run_chunk, tokens, level)
     C, R = len(cfgs), cfgs[0].reps
     pairs = [(cfg, rep) for rep in range(R) for cfg in cfgs]
-    size = max(1, weighting.CHUNK_ROWS // cfgs[0].N)
-    starts = range(0, len(pairs), size)
-    workers = min(workers, _cpus(), len(pairs) // size // MIN_BATCHES_PER_WORKER)
+    plan = _plan(len(pairs), cfgs[0].N)
+    workers = min(workers, _cpus(), len(plan) // MIN_BATCHES_PER_WORKER)
+
+    def checked(results):
+        """``results``, one per batch of the plan, in order; under ``strict``,
+        a batch's first failure of the first config is raised when it comes."""
+        for batch, result in zip(plan, results):
+            if strict:
+                first = result[3][:, -batch.start % C::C]  # the first config's pairs
+                for error in first.T.flat:  # replicate, then method order
+                    if error is not None:
+                        raise error
+            yield result
+
+    batches = (pairs[batch] for batch in plan)
     if workers < 2:
-        results = [run(pairs[lo:lo + size]) for lo in starts]
+        results = list(checked(map(run, batches)))
     else:
         # imported here, where it is used: the import alone costs every CLI
         # command about 15 ms and 1.9 MB
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, (pairs[lo:lo + size] for lo in starts)))
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            results = list(checked(pool.map(run, batches)))
+        finally:
+            pool.shutdown(cancel_futures=True)  # after a raise, start no further batch
 
     def by_config(parts):
         """The batches' (token, pair, ...) arrays joined in pair order, as (C, token, R, ...)."""

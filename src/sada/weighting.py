@@ -24,11 +24,11 @@ from .models import RCOND_THRESHOLD, ScoreModel, check_theta, fail, no_errors
 #: Ridge multiplier of every weight solve: lambda = RIDGE_SCALE * trace(gram) / dim.
 RIDGE_SCALE = 1e-8
 
-#: Row budget of one batch: the moments and the design products take the rows
-#: of each replicate this many at a time, and ``simulate`` fits
-#: CHUNK_ROWS // N whole replicates (at least one) per batch, so that apart
-#: from the datasets their memory is O(CHUNK_ROWS * K * p) for any N and any
-#: number of replicates.
+#: Rows per chunk of every pass over the rows: the moments, the design
+#: products and the sandwich take the rows of each replicate this many at a
+#: time, so that apart from the datasets their memory is O(CHUNK_ROWS * K * p)
+#: per replicate for any N.  A ``simulate`` batch is sized by its own budget,
+#: ``simulate.BATCH_ROWS``.
 CHUNK_ROWS = 16384
 
 #: Widest rows-last matrix whose gram ``row_gram`` takes by BLAS gemm.  numpy

@@ -856,3 +856,44 @@ def test_every_fit_that_is_not_finite_carries_an_error():
                 assert np.all(finite | failed), (model.name, problem.B, token)
                 non_finite += int((~finite).sum())
     assert non_finite > 0  # the invariant is not vacuous here
+
+
+# --- a feature in small or large units ---
+
+FEATURE_SCALES = (1e-9, 1e-7, 1e6, 1e7, 1e9)
+
+
+def feature_scaled_dataset(scale, collinear=False, N=400, n=100):
+    """x = (1, scale * z), or (1, scale * z, 2 * scale * z) if ``collinear``,
+    with y = 1 + z/2 + noise, a noisy and a pure-noise prediction column;
+    returns the dataset and its features."""
+    rng = np.random.default_rng(48)
+    z = rng.standard_normal(N)
+    X = np.column_stack([np.ones(N), scale * z] + ([2.0 * scale * z] if collinear else []))
+    y = 1.0 + 0.5 * z + rng.standard_normal(N)
+    preds = np.column_stack([y + 0.5 * rng.standard_normal(N), rng.standard_normal(N)])
+    return Dataset.from_arrays(X, y[:n], preds), X
+
+
+@pytest.mark.parametrize("scale", FEATURE_SCALES)
+def test_ols_on_a_feature_in_small_or_large_units_fits_every_method(scale):
+    # the unscaled gram's rcond is about scale**2 or its inverse: the
+    # singularity test judged the units of the feature, not the design
+    ds, X = feature_scaled_dataset(scale)
+    expected = np.linalg.lstsq(X[:100], ds.labels, rcond=None)[0]
+    for solver in (ols_model(2), dataclasses.replace(ols_model(2), design=None)):
+        for token in ("naive", "ppi:1", "ppi_pp:1", "sada"):
+            report = run_method(ds, solver, token, level=0.95)
+            for value in (report.theta_hat, report.covariance, report.intervals.lower, report.intervals.upper):
+                assert np.all(np.isfinite(value)), (solver.design, token)
+            if token == "naive":
+                assert np.max(np.abs(report.theta_hat - expected) / np.abs(expected)) <= 1e-13, solver.design
+
+
+@pytest.mark.parametrize("scale", (1.0,) + FEATURE_SCALES)
+def test_a_collinear_design_in_any_units_still_raises(scale):
+    ds, _ = feature_scaled_dataset(scale, collinear=True)
+    for solver in (ols_model(3), dataclasses.replace(ols_model(3), design=None)):
+        for token in ("naive", "ppi:1", "ppi_pp:1", "sada"):
+            with pytest.raises(SingularJacobian):
+                run_method(ds, solver, token, level=0.95)

@@ -5,11 +5,11 @@ import os
 from collections import Counter
 from concurrent.futures import Future
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import sada.weighting
 from sada import simulate
 from sada import (
     ConditionalMeanConfig,
@@ -203,11 +203,8 @@ def pool_sizes(monkeypatch):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
 
         def map(self, fn, *iterables, chunksize=1):
             assert chunksize >= 1
@@ -226,7 +223,7 @@ def pool_sizes(monkeypatch):
 def test_efficiency_curve_builds_one_pool(pool_sizes, monkeypatch):
     cfg = SyntheticConfig(reps=simulate.MIN_BATCHES_PER_WORKER, seed=2)
     # one replicate per batch: 3 gammas give each of 2 workers enough batches
-    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", cfg.N)
+    monkeypatch.setattr(simulate, "BATCH_ROWS", cfg.N)
     pooled = efficiency_curve(cfg, [0.0, 0.5, 1.0], ["sada"], workers=2)
     assert pool_sizes == [2]
     assert pooled == efficiency_curve(cfg, [0.0, 0.5, 1.0], ["sada"], workers=1)
@@ -255,7 +252,7 @@ def test_a_large_sweep_caps_its_pool_at_the_cpus_and_the_batches(pool_sizes, mon
     # one replicate per batch: 3 * MIN_BATCHES_PER_WORKER full batches allow
     # 3 workers, fewer than 4 CPUs but more than 2
     cfg = SyntheticConfig(reps=3 * simulate.MIN_BATCHES_PER_WORKER, seed=4)
-    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", cfg.N)
+    monkeypatch.setattr(simulate, "BATCH_ROWS", cfg.N)
     monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     capped = run_replications(cfg, ["sada"], workers=64)
     assert pool_sizes == [expected]
@@ -317,11 +314,11 @@ def rank_deficient_at(labeled, unlabeled, everywhere=()):
 FAILING_METHODS = ("naive", "ppi:1", "ppi:2", "ppi_pp:1", "sada", "oracle")
 
 
-@pytest.mark.parametrize("chunk_rows", [16384, 600])
-def test_failures_are_counted_per_replicate_and_token(monkeypatch, chunk_rows):
+@pytest.mark.parametrize("batch_rows", [16384, 600])
+def test_failures_are_counted_per_replicate_and_token(monkeypatch, batch_rows):
     cfg = OlsCoverageConfig(N=200, n=60, reps=12, seed=5)
     clean = simulate._run_studies([cfg], FAILING_METHODS, 0.95, 1, False)[0]
-    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk_rows)  # 600 rows: batches of 3 replicates
+    monkeypatch.setattr(simulate, "BATCH_ROWS", batch_rows)  # 600 rows: batches of 3 replicates
     monkeypatch.setattr(OlsCoverageConfig, "batch", rank_deficient_at({3, 8}, {5}))
     res = simulate._run_studies([cfg], FAILING_METHODS, 0.95, 1, False)
     res = res[0]
@@ -353,9 +350,9 @@ def test_failures_are_counted_by_exception_class(monkeypatch):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patched batch draw reaches pool workers only by fork")
 def test_failure_classes_add_up_to_the_failures_in_one_process_and_in_a_pool(monkeypatch):
-    # two gammas, one replicate per batch: 20 batches give a pool of 2 workers
-    cfgs = [OlsCoverageConfig(N=200, n=60, reps=simulate.MIN_BATCHES_PER_WORKER, seed=5, gamma=g) for g in (0.2, 0.8)]
-    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", cfgs[0].N)
+    # two gammas, one replicate per batch: 24 batches give a pool of 2 workers
+    cfgs = [OlsCoverageConfig(N=200, n=60, reps=12, seed=5, gamma=g) for g in (0.2, 0.8)]
+    monkeypatch.setattr(simulate, "BATCH_ROWS", cfgs[0].N)
     monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(OlsCoverageConfig, "batch", rank_deficient_at({3, 8}, {5}))
     pools = []
@@ -382,7 +379,7 @@ def test_the_one_step_reduction_matches_a_per_cell_reference(monkeypatch):
     # two gammas in batches of 3 pairs, which span them; replicates fail per
     # method (3, 5, 8) and for every method, the oracle too (10)
     cfgs = [OlsCoverageConfig(N=200, n=60, reps=12, seed=5, gamma=gamma) for gamma in (0.2, 0.8)]
-    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", 600)
+    monkeypatch.setattr(simulate, "BATCH_ROWS", 600)
     monkeypatch.setattr(OlsCoverageConfig, "batch", rank_deficient_at({3, 8}, {5}, everywhere={10}))
     results = simulate._run_studies(cfgs, FAILING_METHODS, 0.9, 1, False)
     for cfg, res in zip(cfgs, results):
@@ -418,10 +415,10 @@ def test_the_one_step_reduction_matches_a_per_cell_reference(monkeypatch):
             assert np.array_equal(res.rel_efficiency[token], res.sd[token] / res.sd["naive"]), token
 
 
-@pytest.mark.parametrize("chunk_rows", [16384, 600])
-def test_strict_raises_the_error_of_the_first_failing_replicate(monkeypatch, chunk_rows):
+@pytest.mark.parametrize("batch_rows", [16384, 600])
+def test_strict_raises_the_error_of_the_first_failing_replicate(monkeypatch, batch_rows):
     cfg = OlsCoverageConfig(N=200, n=60, reps=12, seed=5)
-    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk_rows)  # 600 rows: batches of 3 replicates
+    monkeypatch.setattr(simulate, "BATCH_ROWS", batch_rows)  # 600 rows: batches of 3 replicates
 
     def strict(methods, labeled=(), unlabeled=(), everywhere=()):
         monkeypatch.setattr(OlsCoverageConfig, "batch", rank_deficient_at(labeled, unlabeled, everywhere))
@@ -454,12 +451,50 @@ def test_packing_replicates_into_batches_is_invisible(monkeypatch):
     packed = efficiency_curve(cfg, gammas)  # all 15 replicates in one batch
     shared = [run_replications(study) for study in studies]
     for study, together in zip(studies, shared):
-        monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", study.N)  # one replicate per batch
+        monkeypatch.setattr(simulate, "BATCH_ROWS", study.N)  # one replicate per batch
         alone = run_replications(study)
         for token in together.methods:
             assert together.estimates[token].tobytes() == alone.estimates[token].tobytes(), (study, token)
-    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", cfg.N)
+    monkeypatch.setattr(simulate, "BATCH_ROWS", cfg.N)
     assert efficiency_curve(cfg, gammas) == packed
+
+
+@pytest.mark.parametrize("pairs, N", [(330, 200), (11000, 200), (20, 200), (10, 300), (3, 10**6)])
+@pytest.mark.parametrize("budget", ["N", "3N", "2**16", "unbounded"])
+def test_a_plan_is_the_fewest_even_batches_within_the_budget(monkeypatch, pairs, N, budget):
+    rows = {"N": N, "3N": 3 * N, "2**16": 2**16, "unbounded": 2**62}[budget]
+    monkeypatch.setattr(simulate, "BATCH_ROWS", rows)
+    plan = simulate._plan(pairs, N)
+    sizes = [batch.stop - batch.start for batch in plan]
+    assert plan[0].start == 0 and plan[-1].stop == pairs
+    assert all(a.stop == b.start for a, b in zip(plan, plan[1:]))
+    per_batch = max(1, rows // N)  # whole pairs: one where N alone exceeds the budget
+    assert max(sizes) <= per_batch and max(sizes) - min(sizes) <= 1
+    assert len(plan) == -(-pairs // per_batch)
+
+
+def test_a_call_is_fitted_replicate_by_replicate_and_alike_under_any_budget(monkeypatch):
+    cfg, gammas = SyntheticConfig(reps=7, seed=3), [0.1, 0.5, 0.9]
+    batches = []
+    batch = SyntheticConfig.batch
+
+    def recording(cls, cfgs, reps, normals):
+        batches.append([(cfg.gamma, rep) for cfg, rep in zip(cfgs, reps)])
+        return batch(cfgs, reps, normals)
+
+    monkeypatch.setattr(SyntheticConfig, "batch", classmethod(recording))
+    curves = {}
+    for budget in (cfg.N, 3 * cfg.N, 2**16, 2**62):
+        monkeypatch.setattr(simulate, "BATCH_ROWS", budget)
+        batches.clear()
+        curves[budget] = efficiency_curve(cfg, gammas)
+        # replicate-major order: the gammas of a replicate side by side
+        assert sum(batches, []) == [(gamma, rep) for rep in range(cfg.reps) for gamma in gammas]
+        sizes = [len(b) for b in batches]
+        assert max(sizes) * cfg.N <= max(budget, cfg.N) and max(sizes) - min(sizes) <= 1
+    assert [len(curves[b]) for b in curves] == [len(gammas) * len(simulate.DEFAULT_METHODS)] * 4
+    # repr round-trips every float exactly: the curves are bit-identical
+    assert len({repr(curve) for curve in curves.values()}) == 1
 
 
 @pytest.mark.parametrize("cfg, field, values", [
@@ -481,8 +516,8 @@ def test_a_batch_draw_equals_its_replicates_drawn_one_at_a_time(cfg, field, valu
             assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (study, rep)
 
 
-@pytest.mark.parametrize("chunk_rows, draws", [(16384, 5), (1600, 5), (1400, 7)])
-def test_a_sweep_draws_each_replicate_once_per_call(monkeypatch, chunk_rows, draws):
+@pytest.mark.parametrize("batch_rows, draws", [(16384, 5), (1600, 7), (800, 5), (1400, 7)])
+def test_a_sweep_draws_each_replicate_once_per_call(monkeypatch, batch_rows, draws):
     reps, gammas = 5, [0.1, 0.4, 0.6, 0.9]
     cfg = SyntheticConfig(reps=reps, seed=2)
     drawn = []
@@ -493,12 +528,13 @@ def test_a_sweep_draws_each_replicate_once_per_call(monkeypatch, chunk_rows, dra
         return rng_for(seed, rep)
 
     # the 20 pairs, replicate by replicate: 16384 rows hold them in one batch;
-    # 1600 rows make batches of 8 pairs, which split no replicate's gammas;
-    # 1400 rows make batches of 7, whose two inner boundaries split one each
-    monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk_rows)
+    # 800 rows make 5 batches of 4 pairs, which split no replicate's gammas;
+    # 1600 and 1400 rows (8 and 7 pairs at most) make 3 even batches of 6, 7
+    # and 7, whose two inner boundaries split one replicate each
+    monkeypatch.setattr(simulate, "BATCH_ROWS", batch_rows)
     monkeypatch.setattr(simulate, "_rng_for", counting)
     efficiency_curve(cfg, gammas, ["sada"])
-    batches = -(-reps * len(gammas) // (chunk_rows // cfg.N))
+    batches = -(-reps * len(gammas) // (batch_rows // cfg.N))
     assert sorted(set(drawn)) == list(range(reps))
     assert len(drawn) == draws <= reps + batches - 1
     if batches == 1:
@@ -530,3 +566,99 @@ def test_strict_raises_the_first_failing_gamma_of_a_batch(monkeypatch):
         strict(labeled=(0.5, 2), unlabeled=(0.8, 0))
     with pytest.raises(SingularJacobian):
         strict(labeled=None, unlabeled=(0.8, 0))
+
+
+def drawing_logged_to(log, batch):
+    """``batch``, a patched batch draw, appending one line to the file ``log``
+    for each batch it draws, also in a forked pool worker."""
+    def draw(cls, cfgs, reps, normals):
+        with open(log, "a") as out:
+            out.write(f"{len(reps)}\n")
+        return batch.__func__(cls, cfgs, reps, normals)
+    return classmethod(draw)
+
+
+def batches_drawn(log):
+    return len(log.read_text().splitlines()) if log.exists() else 0
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["one-process", "pool"])
+def test_strict_stops_at_the_first_batch_that_fails_the_first_config(pool_sizes, monkeypatch, tmp_path, workers):
+    # one replicate per batch, 2 * MIN_BATCHES_PER_WORKER batches per config:
+    # enough for a pool of 2, which runs in this process here
+    reps = 2 * simulate.MIN_BATCHES_PER_WORKER
+    cfgs = [OlsCoverageConfig(N=200, n=60, reps=reps, seed=5, gamma=gamma) for gamma in (0.2, 0.8)]
+    monkeypatch.setattr(simulate, "BATCH_ROWS", cfgs[0].N)
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def strict(cfgs, labeled=(), unlabeled=()):
+        """Batches drawn by a strict run of ``cfgs`` with ppi:1 and naive,
+        and the class of the error it raises: the labeled design of each
+        (config, replicate) in ``labeled`` is made singular (ppi:1 raises
+        SingularHessian) and the unlabeled one of those in ``unlabeled``
+        (SingularJacobian)."""
+        log = tmp_path / f"drawn{len(list(tmp_path.iterdir()))}"
+
+        def batch(cls, batch_cfgs, batch_reps, normals):
+            X, labels, predictions, y = OLS_BATCH(batch_cfgs, batch_reps, normals)
+            for i, (cfg, rep) in enumerate(zip(batch_cfgs, batch_reps)):
+                if (cfgs.index(cfg), rep) in labeled:
+                    X[i, 1, : cfg.n] = 1.0
+                if (cfgs.index(cfg), rep) in unlabeled:
+                    X[i, 1, cfg.n:] = 0.5
+            return X, labels, predictions, y
+
+        monkeypatch.setattr(OlsCoverageConfig, "batch", drawing_logged_to(log, classmethod(batch)))
+        with pytest.raises(SadaError) as raised:
+            simulate._run_studies(cfgs, ("ppi:1", "naive"), 0.95, workers, True)
+        return batches_drawn(log), type(raised.value)
+
+    # one config: its replicate 1 fails, so the second batch is the last fitted
+    assert strict(cfgs[:1], labeled={(0, 1)}) == (2, SingularHessian)
+    # two configs: the first config's replicate 3 is pair 7 of the
+    # replicate-major order, so batch 7 is the last fitted
+    assert strict(cfgs, unlabeled={(0, 3)}) == (7, SingularJacobian)
+    # a failure of the second config may be preceded by one of the first in
+    # any later batch: the run goes on, to its end or to the first config's
+    # failure (its last replicate, in the last batch but one), which is raised
+    assert strict(cfgs, labeled={(1, 0)}) == (2 * reps, SingularHessian)
+    assert strict(cfgs, labeled={(1, 0)}, unlabeled={(0, reps - 1)}) == (2 * reps - 1, SingularJacobian)
+    assert pool_sizes == ([2] * 4 if workers == 2 else [])
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched batch draw reaches pool workers only by fork")
+def test_a_strict_pool_drops_its_pending_batches_at_the_first_failure(monkeypatch, tmp_path):
+    # 200 batches of one replicate for a real pool of 2; replicate 0 fails
+    cfg = OlsCoverageConfig(N=200, n=60, reps=200, seed=5)
+    log = tmp_path / "drawn"
+    monkeypatch.setattr(simulate, "BATCH_ROWS", cfg.N)
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(OlsCoverageConfig, "batch", drawing_logged_to(log, rank_deficient_at({0}, ())))
+    with pytest.raises(SingularJacobian):
+        simulate._run_studies([cfg], ("naive",), 0.95, 2, True)
+    # the workers fit what they had started or queued, not the other batches
+    assert 1 <= batches_drawn(log) < cfg.reps // 2
+
+
+def test_the_readme_states_the_batch_plan_of_the_benchmark_sweep(monkeypatch):
+    # 11 gammas x 30 replicates at N = 200, the sweep of the simulate_sweep
+    # benchmark: the README's numbers come from the plan and the draws
+    gammas, cfg = list(np.linspace(0.0, 1.0, 11)), SyntheticConfig(N=200, reps=30, seed=0)
+    plan = simulate._plan(len(gammas) * cfg.reps, cfg.N)
+    (size,) = {batch.stop - batch.start for batch in plan}
+    drawn = []
+    rng_for = simulate._rng_for
+
+    def counting(seed, rep):
+        drawn.append(rep)
+        return rng_for(seed, rep)
+
+    monkeypatch.setattr(simulate, "_rng_for", counting)
+    efficiency_curve(cfg, gammas, ["naive"])
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").split())
+    assert f"`simulate.BATCH_ROWS` ({simulate.BATCH_ROWS:,}) rows" in readme
+    assert f"at most `BATCH_ROWS // N` pairs ({simulate.BATCH_ROWS // cfg.N} at the default N = {cfg.N})" in readme
+    assert (f"{len(gammas)} gammas × {cfg.reps} replicates at N = {cfg.N} make {len(plan)} batches "
+            f"of {size} pairs, with {len(drawn)} draws") in readme
+    assert f"`MIN_BATCHES_PER_WORKER` ({simulate.MIN_BATCHES_PER_WORKER}) batches" in readme
