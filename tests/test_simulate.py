@@ -597,7 +597,8 @@ def test_strict_stops_at_the_first_batch_that_fails_the_first_config(pool_sizes,
         (config, replicate) in ``labeled`` is made singular (ppi:1 raises
         SingularHessian) and the unlabeled one of those in ``unlabeled``
         (SingularJacobian)."""
-        log = tmp_path / f"drawn{len(list(tmp_path.iterdir()))}"
+        log = tmp_path / "drawn"
+        log.unlink(missing_ok=True)
 
         def batch(cls, batch_cfgs, batch_reps, normals):
             X, labels, predictions, y = OLS_BATCH(batch_cfgs, batch_reps, normals)
