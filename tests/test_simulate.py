@@ -491,7 +491,7 @@ def test_a_call_is_fitted_replicate_by_replicate_and_alike_under_any_budget(monk
         # replicate-major order: the gammas of a replicate side by side
         assert sum(batches, []) == [(gamma, rep) for rep in range(cfg.reps) for gamma in gammas]
         sizes = [len(b) for b in batches]
-        assert max(sizes) * cfg.N <= max(budget, cfg.N) and max(sizes) - min(sizes) <= 1
+        assert max(sizes) * cfg.N <= budget and max(sizes) - min(sizes) <= 1
     assert [len(curves[b]) for b in curves] == [len(gammas) * len(simulate.DEFAULT_METHODS)] * 4
     # repr round-trips every float exactly: the curves are bit-identical
     assert len({repr(curve) for curve in curves.values()}) == 1
