@@ -131,17 +131,19 @@ def _check_common(args) -> None:
         raise ConfigError(f"out {args.out!r}: {str(nearest)!r} exists and is not a directory")
 
 
-def cmd_estimate(args) -> int:
+def _fit_csv(args, tokens) -> tuple:
+    """Load the command's CSV and fit each method token of ``tokens(ds)`` on
+    one problem, so every method shares one pilot and one set of design
+    products: (ds, model, [(token, report), ...])."""
     _check_common(args)
-    loaded = load_dataset_csv(args.csv)
-    ds = loaded.dataset
+    ds = load_dataset_csv(args.csv).dataset
     model = _build_model(args.model, ds.d)
+    problem = Problem.of(ds, model)
+    return ds, model, [(token, fit_method(problem, token, level=args.level).report()) for token in tokens(ds)]
 
-    problem = Problem.of(ds, model)  # one pilot and one set of design products for every method
-    entries = [
-        (token, fit_method(problem, token, level=args.level).report())
-        for token in args.methods
-    ]
+
+def cmd_estimate(args) -> int:
+    ds, model, entries = _fit_csv(args, lambda ds: args.methods)
     meta = {
         "command": "estimate",
         "level": args.level,
@@ -172,25 +174,18 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _compare_tokens(ds) -> list[str]:
+    """naive, ppi:k and ppi_pp:k for every prediction column k, and sada."""
+    columns = range(1, ds.K + 1)
+    return ["naive", *(f"ppi:{k}" for k in columns), *(f"ppi_pp:{k}" for k in columns), "sada"]
+
+
 def cmd_compare(args) -> int:
-    _check_common(args)
-    loaded = load_dataset_csv(args.csv)
-    ds = loaded.dataset
-    model = _build_model(args.model, ds.d)
-
-    tokens = ["naive"]
-    tokens += [f"ppi:{k}" for k in range(1, ds.K + 1)]
-    tokens += [f"ppi_pp:{k}" for k in range(1, ds.K + 1)]
-    tokens.append("sada")
-
-    problem = Problem.of(ds, model)  # one pilot and one set of design products for every method
-    entries = []
-    for token in tokens:
-        report = fit_method(problem, token, level=args.level).report()
-        variance = float(np.trace(np.atleast_2d(report.covariance))) / ds.n
-        entries.append((token, report, variance))
-    entries.sort(key=lambda e: e[2])
-
+    ds, _, fitted = _fit_csv(args, _compare_tokens)
+    entries = sorted(
+        ((token, report, float(np.trace(np.atleast_2d(report.covariance))) / ds.n) for token, report in fitted),
+        key=lambda e: e[2],
+    )
     path = write_compare_table(entries, args.out)
     rows = []
     for token, report, variance in entries:

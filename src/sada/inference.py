@@ -60,41 +60,27 @@ def _sigma(problem: Problem, theta: np.ndarray, W: np.ndarray, columns: Sequence
 
     S holds the stacked scores of the 0-based prediction ``columns``, W is
     (B, len(columns)*p, p) and read only when there is a column, and Cov_L,
-    Cov_U divide by n and N-n.  W'S is built ``weighting.CHUNK_ROWS`` rows
-    of each replicate at a time, and only its p x p products are summed, so
-    neither the stacked matrix nor its gram is formed.  With no column,
-    Sigma is Cov_L(s) and only the labeled rows are read.  The labeled side
-    is held whole, like the labeled scores, and centred at its mean.  Each
-    unlabeled chunk is centred at one shift, the first unlabeled chunk's
-    mean, and the sum is corrected by the mean's remaining offset, as in
-    ``weighting.stacked_moments``.
+    Cov_U divide by n and N-n.  W'S is built ``weighting.row_chunks`` of each
+    replicate at a time, subtracted from the labeled scores over the labeled
+    rows and fed to a ``weighting.CentredGram`` over the unlabeled rows, so
+    neither the stacked matrix nor its gram is formed.  The labeled residual
+    is held whole, like the labeled scores, and is one more ``CentredGram``.
+    With no column, Sigma is Cov_L(s) and only the labeled rows are read.
     """
     n, N = problem.n, problem.N
     resid = problem.labeled_scores(theta)
-    total = gram = 0.0
+    sigma = 0.0
     if columns:
         Wt = W.transpose(0, 2, 1)
-        resid = resid.copy()
-        shift = None
-        chunk = weighting.CHUNK_ROWS
-        for lo in range(0, N, chunk):
-            hi = min(lo + chunk, N)
-            WS = Wt @ problem.stacked_scores(lo, hi, columns, theta)
-            if lo < n:
-                resid[:, :, lo:hi] -= WS[:, :, : n - lo]
-                if hi <= n:
-                    continue
-                WS = WS[:, :, n - lo:]
-            if shift is None:
-                shift = WS.mean(axis=2, keepdims=True)
-            WS -= shift  # WS is freshly built, so centre it in place
-            total = total + WS.sum(axis=2)
-            gram = gram + weighting.row_gram(WS)
-        offset = total / (N - n)
-        gram = gram / (N - n) - offset[:, :, None] * offset[:, None, :]
-    resid = resid - resid.mean(axis=2, keepdims=True)
-    sigma = weighting.row_gram(resid) / n + n / (N - n) * gram
-    return 0.5 * (sigma + sigma.transpose(0, 2, 1))
+        for lo, hi in weighting.row_chunks(0, n):
+            resid[:, :, lo:hi] -= Wt @ problem.stacked_scores(lo, hi, columns, theta)
+        unlabeled = weighting.CentredGram()
+        for lo, hi in weighting.row_chunks(n, N):
+            unlabeled.add(Wt @ problem.stacked_scores(lo, hi, columns, theta))
+        sigma = n / (N - n) * unlabeled.value()
+    labeled = weighting.CentredGram()
+    labeled.add(resid)
+    return labeled.value() + sigma
 
 
 def check_level(level: float) -> None:

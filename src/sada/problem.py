@@ -79,20 +79,19 @@ def design_sums(Zt: np.ndarray, *targets: np.ndarray):
     """Z'Z and each Z't over the rows of the transposed design Zt (B, p, rows),
     divided by the row count.
 
-    The products are taken ``weighting.CHUNK_ROWS`` rows at a time, so no
-    copy of Zt of more than that many rows is made.  Every design product of
+    The products are taken ``weighting.row_chunks`` at a time, so no copy
+    of Zt of more than a chunk of rows is made.  Every design product of
     the package is taken here, so a change of basis of Z (such as a QR basis
     of the labeled design) would be applied in one place.  Each target is
     rows-last, (B, q, rows); returns (Z'Z/m, [Z't/m, ...]), the gram taken by
     ``weighting.row_gram``.
     """
     m = Zt.shape[2]
-    chunk = weighting.CHUNK_ROWS
     zz, sums = 0.0, [0.0] * len(targets)
-    for lo in range(0, m, chunk):
-        Z = Zt[:, :, lo:lo + chunk]
+    for lo, hi in weighting.row_chunks(0, m):
+        Z = Zt[:, :, lo:hi]
         zz = zz + weighting.row_gram(Z)
-        sums = [s + Z @ t[:, :, lo:lo + chunk].transpose(0, 2, 1) for s, t in zip(sums, targets)]
+        sums = [s + Z @ t[:, :, lo:hi].transpose(0, 2, 1) for s, t in zip(sums, targets)]
     return zz / m, [s / m for s in sums]
 
 
@@ -182,10 +181,11 @@ class Problem:
             b = Z_L'y / n + sum_k W_k' (P_U - P_L)[:, k],
 
         solved in closed form, and theta0 is not used; a zero block adds
-        exact zeros, even where its column's products are not finite.  Any
-        other model goes through Newton from theta0 (zeros by default), in
-        score units (``models.newton_in_score_units``), scoring only the
-        columns whose block of W is non-zero, one at a time.
+        exact zeros to b, and a zero W to G, even where the products they
+        multiply are not finite.  Any other model goes through Newton from
+        theta0 (zeros by default), in score units
+        (``models.newton_in_score_units``), scoring only the columns whose
+        block of W is non-zero, one at a time.
         """
         B, K, p = self.B, self.K, self.p
         if self.model.design is None:
@@ -195,9 +195,11 @@ class Problem:
         G_L, b_L, _ = self._labeled
         dG, dP = self._weighted
         blocks = W.reshape(B, K, p, p)
-        dP = np.where(blocks.any(axis=(2, 3))[:, None, :], dP, 0.0)
+        used = blocks.any(axis=(2, 3))
+        dP = np.where(used[:, None, :], dP, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):  # as in ``design_sums``
-            G = G_L + blocks.sum(axis=1).transpose(0, 2, 1) @ dG
+            dG = blocks.sum(axis=1).transpose(0, 2, 1) @ dG
+            G = G_L + np.where(used.any(axis=1)[:, None, None], dG, 0.0)
             b = b_L + (W.transpose(0, 2, 1) @ dP.transpose(0, 2, 1).reshape(B, -1, 1))[..., 0]
         theta, ok = solve_affine(G, b)
         return theta, ok, np.ones(B, dtype=int)

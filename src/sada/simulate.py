@@ -46,19 +46,6 @@ from .problem import Problem
 DEFAULT_METHODS = ("naive", "ppi:1", "ppi:2", "ppi_pp:1", "ppi_pp:2", "sada")
 
 
-def _check_design(cfg) -> None:
-    """Reject a study config whose replicates cannot be drawn; each field only where it has one."""
-    if not 0.0 <= getattr(cfg, "gamma", 0.0) <= 1.0:
-        raise ConfigError(f"gamma must be in [0, 1], got {cfg.gamma}")
-    if not 1 <= cfg.n < cfg.N:
-        raise ConfigError(f"need 1 <= n < N, got n={cfg.n}, N={cfg.N}")
-    if cfg.reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {cfg.reps}")
-    for name in ("theta_star", "noise_sd"):
-        if not np.all(np.isfinite(getattr(cfg, name, 0.0))):
-            raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
-
-
 def _rng_for(seed: int, rep_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep_index,)))
 
@@ -99,7 +86,20 @@ def _prediction_pair(y: np.ndarray, eps1: np.ndarray, eps2: np.ndarray, gamma) -
 
 
 class _Study:
-    """What the three study configs share: a replicate is a batch of one."""
+    """What the three study configs share: the check of their fields, and a
+    replicate as a batch of one."""
+
+    def __post_init__(self):
+        """Reject a study config whose replicates cannot be drawn; each field only where it has one."""
+        if not 0.0 <= getattr(self, "gamma", 0.0) <= 1.0:
+            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
+        if not 1 <= self.n < self.N:
+            raise ConfigError(f"need 1 <= n < N, got n={self.n}, N={self.N}")
+        if self.reps < 1:
+            raise ConfigError(f"reps must be >= 1, got {self.reps}")
+        for name in ("theta_star", "noise_sd"):
+            if not np.all(np.isfinite(getattr(self, name, 0.0))):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
     def draw(self, rep_index: int) -> tuple[np.ndarray, ...]:
         """Replicate ``rep_index`` as (features, labels, predictions, truth), rows first."""
@@ -125,9 +125,6 @@ class SyntheticConfig(_Study):
     seed: int = 0
 
     normals_per_row = 3  # the noise of Y, eps1, eps2
-
-    def __post_init__(self):
-        _check_design(self)
 
     @classmethod
     def batch(cls, cfgs: Sequence, reps: Sequence[int], normals: dict) -> tuple[np.ndarray, ...]:
@@ -157,9 +154,6 @@ class ConditionalMeanConfig(_Study):
     noise_sd: float = 1.0
 
     normals_per_row = 3  # X, the noise of Y, Yhat2
-
-    def __post_init__(self):
-        _check_design(self)
 
     @classmethod
     def batch(cls, cfgs: Sequence, reps: Sequence[int], normals: dict) -> tuple[np.ndarray, ...]:
@@ -194,9 +188,6 @@ class OlsCoverageConfig(_Study):
     seed: int = 0
 
     normals_per_row = 4  # z, the noise of Y, eps1, eps2
-
-    def __post_init__(self):
-        _check_design(self)
 
     @classmethod
     def batch(cls, cfgs: Sequence, reps: Sequence[int], normals: dict) -> tuple[np.ndarray, ...]:

@@ -10,6 +10,8 @@ applies that factor explicitly.
 Every moment is centred: stacked scores by their all-N mean, plain scores by
 their labeled-sample mean.  Raw second moments would add the squared
 prediction bias to the variance, the very bias that the weighting absorbs.
+Every pass of the package over the rows takes them ``row_chunks`` at a
+time, and every centred gram among them is a ``CentredGram``.
 """
 from __future__ import annotations
 
@@ -56,6 +58,45 @@ def row_gram(A: np.ndarray) -> np.ndarray:
     return A @ A.copy().transpose(0, 2, 1)
 
 
+def row_chunks(lo: int, hi: int):
+    """(start, stop) of each ``CHUNK_ROWS``-row chunk of rows lo..hi, in order."""
+    for start in range(lo, hi, CHUNK_ROWS):
+        yield start, min(start + CHUNK_ROWS, hi)
+
+
+class CentredGram:
+    """Centred gram of rows-last chunks A (B, w, rows) over all their rows,
+    divided by the row count.
+
+    Every chunk is centred at one shift, the first chunk's row mean, before
+    its products are taken, so entries far from zero or of very different
+    scales do not cancel; ``value`` then corrects the gram by the outer
+    product of the mean's remaining offset from the shift.  The row sums are
+    BLAS products A @ ones, so the first chunk must be the longest.
+    """
+
+    def __init__(self):
+        self.rows, self.total, self.gram, self.shift = 0, 0.0, 0.0, None
+
+    def add(self, A: np.ndarray) -> np.ndarray:
+        """Centre the freshly built chunk A in place, accumulate it, and return it."""
+        rows = A.shape[2]
+        if self.shift is None:
+            self.ones = np.ones(rows)
+            self.shift = (A @ self.ones / rows)[:, :, None]
+        A -= self.shift
+        self.total = self.total + A @ self.ones[:rows]
+        self.gram = self.gram + row_gram(A)
+        self.rows += rows
+        return A
+
+    def value(self) -> np.ndarray:
+        """The corrected, symmetrised gram (B, w, w)."""
+        offset = self.total / self.rows
+        gram = self.gram / self.rows - offset[:, :, None] * offset[:, None, :]
+        return 0.5 * (gram + gram.transpose(0, 2, 1))
+
+
 # a score column so large that its square overflows gives an inf or NaN
 # moment, which ``solve_grams`` marks and the caller turns into a fallback or
 # a SadaError, so numpy's floating-point warnings say nothing more
@@ -65,38 +106,21 @@ def stacked_moments(problem, theta: np.ndarray, columns: Sequence[int]) -> tuple
     of ``columns`` at theta (B, p), c = len(columns) * p, for every replicate
     of a ``problem.Problem``.
 
-    The stacked scores are built and accumulated ``CHUNK_ROWS`` rows of each
-    replicate at a time, so the (N, K*p) stacked matrix is never formed.
-    Each chunk S is (B, c, rows) and the labeled scores (B, p, n), rows last,
-    so the products are S @ ones, S S' (``row_gram``) and S @ s_lab', every
-    elementwise pass runs along the rows, and BLAS's long dimension is the
-    rows.  Every chunk is centred at one shift, the first chunk's row mean,
-    before its products are taken, so score entries far from zero or of very
-    different scales do not cancel; the gram is then corrected by the outer
-    product of the mean's remaining offset from the shift.  The cross moment
-    needs no correction, because the labeled scores it multiplies are
-    centred and sum to zero.
+    The stacked scores are built ``row_chunks`` of each replicate at a time,
+    so the (N, K*p) stacked matrix is never formed, and each chunk S (B, c,
+    rows) is centred and accumulated by a ``CentredGram``.  The labeled
+    scores are (B, p, n), rows last, so the cross is S @ s_lab' and needs no
+    correction: the labeled scores it multiplies are centred and sum to zero.
     """
     n, N = problem.n, problem.N
     s_lab = problem.labeled_scores(theta)
     s_lab = s_lab - s_lab.mean(axis=2, keepdims=True)
-    ones = np.ones(min(N, CHUNK_ROWS))
-    gram = total = cross = 0.0
-    for lo in range(0, N, CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, N)
-        S = problem.stacked_scores(lo, hi, columns, theta)
-        if lo == 0:
-            shift = (S @ ones / (hi - lo))[:, :, None]  # row means, by BLAS
-        S -= shift  # S is freshly built, so centre it in place
-        total = total + S @ ones[: hi - lo]
-        gram = gram + row_gram(S)
+    gram, cross = CentredGram(), 0.0
+    for lo, hi in row_chunks(0, N):
+        S = gram.add(problem.stacked_scores(lo, hi, columns, theta))
         if lo < n:
             cross = cross + S[:, :, : n - lo] @ s_lab[:, :, lo:hi].transpose(0, 2, 1)
-    offset = total / N
-    gram = gram / N - offset[:, :, None] * offset[:, None, :]
-    cross = cross / n
-    gram = 0.5 * (gram + gram.transpose(0, 2, 1))
-    return gram, cross
+    return gram.value(), cross / n
 
 
 def moment_estimates(
@@ -110,7 +134,7 @@ def moment_estimates(
     Raises:
         ValueError: theta is not a finite array of shape (p,).
     """
-    from .problem import Problem  # problem reads CHUNK_ROWS from this module
+    from .problem import Problem  # problem imports this module
 
     theta = check_theta(theta, model.p)
     gram, cross = stacked_moments(Problem.of(ds, model), theta[None], range(ds.K))

@@ -1,10 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Criteria 1-4 share a single 11-point gamma sweep (1000 replications per
-point, strict mode).  All Monte Carlo checks run at the pinned seed below;
+Criteria 1-4 share a single 11-point gamma sweep of the mean model (1000
+replications per point, strict mode), and criteria 12-13 the same sweep of
+the OLS study.  All Monte Carlo checks run at the pinned seed below;
 tolerances are fixed here and nowhere else.
 """
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from sada.cli import main
 from sada.inference import _sigma
 from sada.io import load_dataset_csv, write_dataset_csv
 from sada.problem import Problem
+from sada.simulate import _run_studies
 
 from reference import estimate_mean_weights, sigma_g as reference_sigma_g
 
@@ -32,6 +35,8 @@ ACC_SEED = 20250808
 GAMMAS = [i / 10 for i in range(11)]
 SWEEP_METHODS = ("naive", "ppi:1", "ppi_pp:1", "ppi_pp:2", "sada")
 ROOT_N_RATIO = np.sqrt(60.0 / 200.0)  # 0.5477
+OLS_STUDY = OlsCoverageConfig(N=1000, n=300, reps=1000, seed=ACC_SEED)
+OLS_SWEEP_METHODS = ("naive", "ppi_pp:1", "ppi_pp:2", "sada")
 
 
 def check(num: int, name: str, ok: bool, detail: str) -> None:
@@ -273,6 +278,40 @@ def test_criterion_11_coverage_where_adaptivity_pays():
         "coverage where adaptivity pays",
         ok,
         ", ".join(f"{k} {v:.4f}" for k, v in cells.items()) + f" (all in [{lo:.4f}, {hi:.4f}])",
+    )
+
+
+@pytest.fixture(scope="module")
+def ols_sweep():
+    """SADA's relative efficiency per coefficient at each gamma of the OLS study."""
+    cfgs = [replace(OLS_STUDY, gamma=g) for g in GAMMAS]
+    results = _run_studies(cfgs, OLS_SWEEP_METHODS, 0.95, workers=2, strict=True)
+    return {g: res.rel_efficiency["sada"] for g, res in zip(GAMMAS, results)}
+
+
+def test_criterion_12_ols_safety_sweep(ols_sweep):
+    worst = max(GAMMAS, key=lambda g: ols_sweep[g].max())
+    coef = int(np.argmax(ols_sweep[worst]))
+    ok = all(np.all(rel <= 1.02) for rel in ols_sweep.values())
+    check(
+        12,
+        "OLS safety sweep",
+        ok,
+        f"max SADA rel. eff. {ols_sweep[worst][coef]:.4f} at gamma={worst}, coefficient {coef + 1} "
+        f"(<= 1.02 on both coefficients at every gamma)",
+    )
+
+
+def test_criterion_13_ols_adaptivity_at_endpoints(ols_sweep):
+    ratio = np.sqrt(OLS_STUDY.n / OLS_STUDY.N)
+    r0, r1 = ols_sweep[0.0], ols_sweep[1.0]
+    ok = np.all(np.abs(r0 - ratio) <= 0.05) and np.all(np.abs(r1 - ratio) <= 0.05)
+    check(
+        13,
+        "OLS adaptivity at endpoints",
+        ok,
+        f"rel. eff. ({r0[0]:.4f}, {r0[1]:.4f}) / ({r1[0]:.4f}, {r1[1]:.4f}) per coefficient at gamma=0/1 "
+        f"vs sqrt(n/N)={ratio:.4f} +/- 0.05",
     )
 
 

@@ -359,6 +359,25 @@ def test_a_column_whose_products_overflow_does_not_reach_another_columns_ppi(mak
     assert np.allclose(got, ppi_estimate(alone, m, 1).theta_hat, rtol=1e-13, atol=0.0)
 
 
+def test_a_zero_weight_matrix_is_the_naive_estimator_when_the_unlabeled_design_gram_overflows():
+    # a zero W must add exact zeros to the design gram too, where 0 * inf is NaN
+    rng = np.random.default_rng(0)
+    N, n = 400, 100
+    z = rng.standard_normal(N)
+    y = 1.0 + z / 2 + rng.standard_normal(N)
+    X = np.column_stack([np.ones(N), z])
+    X[n:, 1] *= 1e160
+    ds = Dataset.from_arrays(X, y[:n], np.column_stack([y + rng.standard_normal(N), rng.standard_normal(N)]))
+    m = ols_model(2)
+    naive = naive_estimate(ds, m).theta_hat
+    theta, _ = solve_weighted(ds, m, np.zeros((4, 2)))
+    assert np.array_equal(theta, naive)
+    report = ppi_pp_estimate(ds, m, 1)
+    assert report.diagnostics["omega"] == 0.0
+    assert report.diagnostics["degenerate"] == "nonpositive_variance"
+    assert np.array_equal(report.theta_hat, naive)
+
+
 def test_a_far_off_theta0_does_not_move_the_closed_form_root():
     # the closed form used to take one exact step from theta0, and from
     # (1e300, 1) the step lost every digit of the root to cancellation

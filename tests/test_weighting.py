@@ -315,7 +315,9 @@ CHUNK_MODELS = {
 @pytest.mark.parametrize("shape", ["straddle", "last_row_unlabeled", "n_just_above_Kp"])
 def test_moments_do_not_depend_on_the_chunk_size(monkeypatch, shape, model_name, scaled):
     model = CHUNK_MODELS[model_name]()
-    # with chunks of 7 and 64 rows, n = 100 lies inside a chunk and past the first one
+    # with chunks of 7 and 64 rows, n = 100 lies inside a chunk and past the
+    # first one; with n - 1, n and n + 1 the sandwich's labeled/unlabeled
+    # split falls just before, on and just after a chunk edge
     N, n = {"straddle": (150, 100), "last_row_unlabeled": (150, 149),
             "n_just_above_Kp": (150, 3 * model.p + 1)}[shape]
     ds = scaled_dataset(np.random.default_rng(21), N, n, scaled)
@@ -324,7 +326,7 @@ def test_moments_do_not_depend_on_the_chunk_size(monkeypatch, shape, model_name,
     root = np.sqrt(np.diag(gram))
     gram, cross = scale_free(gram, cross, root)
     report = run_method(ds, model, "sada", level=0.95)
-    for chunk in (1, 7, 64, sada.weighting.CHUNK_ROWS):
+    for chunk in (1, 7, 64, n - 1, n, n + 1, sada.weighting.CHUNK_ROWS):
         monkeypatch.setattr(sada.weighting, "CHUNK_ROWS", chunk)
         gram_c, cross_c = scale_free(*moment_estimates(ds, model, pilot), root)
         assert np.max(np.abs(gram_c - gram)) <= 1e-12, chunk
